@@ -18,31 +18,32 @@ log-series at L = 0.
 
 from fractions import Fraction
 
-from toricsums import FamilyParams, connection_on_flag_basis, formal_solutions
+from toricsums import FamilyParams, connection_matrix, formal_solutions
 from toricsums.gkz import companion_matrix, indicial_roots, picard_fuchs_operator
-from toricsums.ratfunc import Poly, RatFunc
-from toricsums.reduction import RationalFunctionScalars, reduce_to_basis, verify_certificate
+from toricsums.ratfunc import Laurent, Poly, RatFunc
+from toricsums.reduction import reduce_to_basis, verify_certificate
 
 params = FamilyParams(2, 1, 1, 1)
 
 # ---------------------------------------------------------------------------
 # A single reduction, with its certificate verified by substitution.
 
-ring = RationalFunctionScalars()
-cls_ = {(4, 2): ring.from_int(1)}
-cert = reduce_to_basis(dict(cls_), params, ring)
+# scalars are Laurent polynomials in the deformation L over Q, with pi = 1
+L = Laurent({1: Fraction(1)})
+cls_ = {(4, 2): Laurent({0: Fraction(1)})}
+cert = reduce_to_basis(dict(cls_), params, 1, L)
 print(f"x^(4,2) in the basis of {params}:")
 for v, s in sorted(cert.coords.items()):
-    if not ring.is_zero(s):
+    if s:
         print(f"    x^{v}: {s}")
-# coefficients are exact rational functions of the deformation L
-print(f"certificate verified: {verify_certificate(cls_, cert, params, ring)}")
+# the rewrites divide only by integers, pi and L, so coefficients stay Laurent
+print(f"certificate verified: {verify_certificate(cls_, cert, params, 1, L)}")
 print(f"rewrite steps: {cert.steps}")
 
 # ---------------------------------------------------------------------------
 # Road one vs road two.
 
-conn = connection_on_flag_basis(params)
+conn = connection_matrix(params)
 op = picard_fuchs_operator(params)
 comp = companion_matrix(params)
 one = Poly.const(Fraction(1))

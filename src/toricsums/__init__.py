@@ -22,7 +22,6 @@ from .lfunction import (
 )
 from .reduction import (
     connection_matrix,
-    connection_on_flag_basis,
     reduce_to_basis,
     verify_certificate,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "companion_matrix",
     "compare_char_poly_with_lfunction",
     "connection_matrix",
-    "connection_on_flag_basis",
     "exp_sum",
     "exp_sum_series",
     "formal_solutions",

@@ -22,8 +22,9 @@ from fractions import Fraction
 from . import __version__
 from .errors import InvariantError, PreconditionError, StarvationError
 from .family import FamilyParams
+from .ffield import Fp
 from .frobenius import (
-    PiLambdaScalars,
+    PiAdic,
     compare_char_poly_with_lfunction,
     frobenius_series,
     horizontality_residual,
@@ -41,14 +42,8 @@ from .gkz import companion_matrix as gkz_companion_matrix
 from .hodge import hodge_polygon, ordinarity_report, weight_profile
 from .hodge import basis_set as hodge_basis_set
 from .lfunction import exp_sum_series, l_polynomial, newton_polygon
-from .ratfunc import Poly, RatFunc
-from .reduction import (
-    PrimeFieldScalars,
-    RationalFunctionScalars,
-    connection_matrix,
-    reduce_to_basis,
-    verify_certificate,
-)
+from .ratfunc import Laurent, Poly, RatFunc
+from .reduction import connection_matrix, reduce_to_basis, verify_certificate
 
 
 def frac_str(fr):
@@ -233,16 +228,20 @@ def _parse_monomials(args):
 
 def cmd_reduce(args):
     params = _family(args)
+    if args.pi_digits < 0:
+        raise PreconditionError("pi_digits must be non-negative")
     if args.ring == "rational":
-        ring = RationalFunctionScalars()
+        pi, lam = 1, Laurent({1: Fraction(1)})
 
         def show(s):
-            return ratfunc_json(s)
+            return ratfunc_json(s.to_ratfunc(Fraction(1)))
     elif args.ring == "prime":
         if args.prime is None or args.lam is None:
             raise PreconditionError("--ring prime needs --prime and --lam")
         params.check_prime(args.prime)
-        ring = PrimeFieldScalars(args.prime, args.lam)
+        if args.lam % args.prime == 0:
+            raise PreconditionError("deformation residue must be a unit")
+        pi, lam = 1, Fp(args.prime, args.lam)
 
         def show(s):
             return int(s)
@@ -250,18 +249,16 @@ def cmd_reduce(args):
         if args.prime is None:
             raise PreconditionError("--ring pilambda needs --prime")
         params.check_prime(args.prime)
-        ring = PiLambdaScalars(args.prime, 1)
+        pi, lam = PiAdic.pi(args.prime), Laurent({1: PiAdic.one(args.prime)})
 
         def show(s):
-            return {str(e): piadic_json(c, args.pi_digits) for e, c in sorted(s.items())}
+            return {str(e): piadic_json(c, args.pi_digits) for e, c in sorted(s.terms.items())}
+    one = lam / lam
     cls_ = {}
     for u, cval in _parse_monomials(args):
-        entry = ring.from_int(cval)
-        if u in cls_:
-            entry = ring.add(cls_[u], entry)
-        cls_[u] = entry
-    cert = reduce_to_basis(dict(cls_), params, ring)
-    ok = verify_certificate(cls_, cert, params, ring)
+        cls_[u] = cls_[u] + one * cval if u in cls_ else one * cval
+    cert = reduce_to_basis(dict(cls_), params, pi, lam)
+    ok = verify_certificate(cls_, cert, params, pi, lam)
     if not ok:
         raise InvariantError("reduction certificate failed to verify")
     coords = {f"{v[0]},{v[1]}": show(s) for v, s in sorted(cert.coords.items())}

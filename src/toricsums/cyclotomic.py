@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[zeta_p] and Q(zeta_p) for an odd prime p.
+"""Exact arithmetic in Z[zeta_p] for an odd prime p.
 
 Elements are stored on the power basis 1, zeta, ..., zeta**(p-2) with the
 relation 1 + zeta + ... + zeta**(p-1) = 0. The valuation at the prime
@@ -89,6 +89,13 @@ class CycloInt:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, n):
+        """Exact division by a nonzero int; InvariantError unless it divides
+        every coordinate (the power basis is a Z-basis of Z[zeta_p])."""
+        if any(c % n for c in self.coeffs):
+            raise InvariantError(f"{self!r} is not divisible by {n} in Z[zeta_p]")
+        return CycloInt(self.p, tuple(c // n for c in self.coeffs))
+
     def __eq__(self, other):
         return isinstance(other, CycloInt) and self.p == other.p and self.coeffs == other.coeffs
 
@@ -100,9 +107,6 @@ class CycloInt:
 
     def __repr__(self):
         return f"CycloInt(p={self.p}, {list(self.coeffs)})"
-
-    def to_rat(self):
-        return CycloRat(self.p, tuple(Fraction(c) for c in self.coeffs))
 
     def residue_mod_pi(self):
         """Image in Z[zeta]/(1 - zeta) = F_p, i.e. sum of coefficients mod p."""
@@ -159,71 +163,3 @@ def ord_q(x, atilde):
     if v is None:
         return None
     return Fraction(v, (x.p - 1) * atilde)
-
-
-class CycloRat:
-    """Element of Q(zeta_p) on the power basis, Fraction coefficients."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p, coeffs):
-        _check_prime(p)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != p - 1:
-            raise PreconditionError(f"need {p - 1} coefficients, got {len(coeffs)}")
-        self.p = p
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, p):
-        return cls(p, (Fraction(0),) * (p - 1))
-
-    @classmethod
-    def from_int(cls, p, n):
-        return cls(p, (Fraction(n),) + (Fraction(0),) * (p - 2))
-
-    def _like(self, other):
-        if not isinstance(other, CycloRat) or other.p != self.p:
-            raise PreconditionError("mixed cyclotomic operands")
-
-    def __add__(self, other):
-        self._like(other)
-        return CycloRat(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._like(other)
-        return CycloRat(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CycloRat(self.p, tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloRat(self.p, tuple(x * other for x in self.coeffs))
-        self._like(other)
-        return CycloRat(self.p, _mul_reduce(self.p, self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def scale(self, f):
-        return CycloRat(self.p, tuple(x * f for x in self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, CycloRat) and self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return f"CycloRat(p={self.p}, {list(self.coeffs)})"
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int_checked(self):
-        if not self.is_integral():
-            raise InvariantError(f"non-integral cyclotomic value {self!r}")
-        return CycloInt(self.p, tuple(int(c) for c in self.coeffs))

@@ -3,13 +3,65 @@
 Elements are coefficient tuples over F_p (length k, constant term first).
 The modulus is the monic irreducible of degree k whose coefficient tuple has
 the smallest integer encoding sum(c_i * p**i), so every run builds the same
-field and the same generator.
+field and the same generator. Fp is the prime field as a plain value, the
+scalar of reductions with the deformation specialized to a residue.
 """
 
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
+
+
+class Fp:
+    """Element of F_p; combines with Fp values of the same p and with ints."""
+
+    __slots__ = ("p", "n")
+
+    def __init__(self, p, n):
+        self.p = p
+        self.n = n % p
+
+    def _other(self, other):
+        if isinstance(other, Fp):
+            return other.n
+        return other if isinstance(other, int) else None
+
+    def __add__(self, other):
+        o = self._other(other)
+        return NotImplemented if o is None else Fp(self.p, self.n + o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._other(other)
+        return NotImplemented if o is None else Fp(self.p, self.n - o)
+
+    def __neg__(self):
+        return Fp(self.p, -self.n)
+
+    def __mul__(self, other):
+        o = self._other(other)
+        return NotImplemented if o is None else Fp(self.p, self.n * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._other(other)
+        if o is None:
+            return NotImplemented
+        if o % self.p == 0:
+            raise InvariantError("division by a multiple of p in characteristic p")
+        return Fp(self.p, self.n * pow(o, self.p - 2, self.p))
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __int__(self):
+        return self.n
+
+    def __repr__(self):
+        return f"Fp({self.p}, {self.n})"
 
 
 def _is_prime(n):

@@ -21,8 +21,8 @@ from math import ceil
 
 from .errors import InvariantError, PreconditionError, StarvationError
 from .hodge import basis_set, weight_of
-from .lfunction import exp_sum_series, l_polynomial
-from .ratfunc import Poly, RatFunc, solve_linear
+from .lfunction import coefficients_from_power_sums, exp_sum_series, l_polynomial
+from .ratfunc import Laurent, Poly, RatFunc, add_term, solve_linear
 from .reduction import flag_representatives, reduce_to_basis
 
 
@@ -74,22 +74,28 @@ class PiAdic:
             return cls(p, (Fraction(0), Fraction(1)))
         return cls(p, (Fraction(0), Fraction(1)) + (Fraction(0),) * (p - 3))
 
-    def _like(self, other):
-        if not isinstance(other, PiAdic) or other.p != self.p:
+    def _coerce(self, other):
+        """other as a PiAdic of the same p; None for foreign types."""
+        if isinstance(other, (int, Fraction)):
+            return PiAdic.from_fraction(self.p, other)
+        if not isinstance(other, PiAdic):
+            return None
+        if other.p != self.p:
             raise PreconditionError("mixed pi-adic operands")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PiAdic.from_fraction(self.p, other)
-        self._like(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return PiAdic(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PiAdic.from_fraction(self.p, other)
-        self._like(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return PiAdic(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
@@ -98,7 +104,8 @@ class PiAdic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return PiAdic(self.p, tuple(x * other for x in self.coeffs))
-        self._like(other)
+        if self._coerce(other) is None:
+            return NotImplemented
         n = self.p - 1
         out = [Fraction(0)] * (2 * n - 1)
         for i, x in enumerate(self.coeffs):
@@ -132,8 +139,14 @@ class PiAdic:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return PiAdic(self.p, tuple(x / other for x in self.coeffs))
-        self._like(other)
+        if self._coerce(other) is None:
+            return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.inverse() * other
 
     def __pow__(self, e):
         if e == 0:
@@ -203,109 +216,6 @@ def ord_ge(x, m):
 
 def congruent_mod_pi(x, y, m):
     return ord_ge(x - y, m)
-
-
-class PiConstScalars:
-    """PiAdic field scalars with the deformation specialized to a unit."""
-
-    kind = "piconst"
-
-    def __init__(self, p, lam_value):
-        if not lam_value:
-            raise PreconditionError("deformation value must be a unit")
-        self.p = p
-        self.zero = PiAdic.zero(p)
-        self.one = PiAdic.one(p)
-        self.pi_el = PiAdic.pi(p)
-        self.lam_el = lam_value
-
-    def from_int(self, n):
-        return PiAdic.from_fraction(self.p, n)
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        return x / y
-
-    def theta(self, x):
-        raise PreconditionError("specialized ring has no deformation derivative")
-
-    def is_zero(self, x):
-        return not x
-
-
-class PiLambdaScalars:
-    """Laurent polynomials in the deformation with PiAdic coefficients.
-
-    Elements are dicts {exponent: PiAdic}. lam_power is 1 on the source side
-    of the Frobenius and p on the target side, where the natural deformation
-    variable is the p-th power of the source one.
-    """
-
-    kind = "pilambda"
-
-    def __init__(self, p, lam_power=1):
-        self.p = p
-        self.lam_power = lam_power
-        self.zero = {}
-        self.one = {0: PiAdic.one(p)}
-        self.pi_el = {0: PiAdic.pi(p)}
-        self.lam_el = {lam_power: PiAdic.one(p)}
-
-    def from_int(self, n):
-        if n == 0:
-            return {}
-        return {0: PiAdic.from_fraction(self.p, n)}
-
-    def add(self, x, y):
-        out = dict(x)
-        for e, c in y.items():
-            t = out.get(e)
-            t = c if t is None else t + c
-            if t:
-                out[e] = t
-            else:
-                out.pop(e, None)
-        return out
-
-    def neg(self, x):
-        return {e: -c for e, c in x.items()}
-
-    def mul(self, x, y):
-        out = {}
-        for e1, c1 in x.items():
-            for e2, c2 in y.items():
-                e = e1 + e2
-                t = c1 * c2
-                if not t:
-                    continue
-                cur = out.get(e)
-                t = t if cur is None else cur + t
-                if t:
-                    out[e] = t
-                else:
-                    out.pop(e, None)
-        return out
-
-    def div(self, x, y):
-        if len(y) != 1:
-            raise PreconditionError("can only divide by monomials in the deformation")
-        (e0, c0), = y.items()
-        inv = c0.inverse()
-        return {e - e0: c * inv for e, c in x.items()}
-
-    def theta(self, x):
-        return {e: c * e for e, c in x.items() if e != 0}
-
-    def is_zero(self, x):
-        return not x
 
 
 def splitting_coefficients(p, count):
@@ -381,13 +291,14 @@ def teichmuller_lift(p, residue, target_ord):
 
 
 def _laurent_to_poly(x, p, floor_ord=None):
-    """Laurent dict -> Poly over PiAdic.
+    """Laurent over PiAdic -> Poly over PiAdic.
 
     Exact data must have no negative exponents. Truncated data may carry
     uncancelled tail debris at negative exponents; with floor_ord set, such
     coefficients are dropped when their order clears the certified floor and
     rejected otherwise.
     """
+    x = x.terms
     if not x:
         return Poly()
     if min(x) < 0:
@@ -431,10 +342,10 @@ class FlagData:
 
 
 def flag_data(params, p):
-    ring = PiLambdaScalars(p, 1)
+    pi, lam = PiAdic.pi(p), Laurent({1: PiAdic.one(p)})
     n = params.degree
-    reps = flag_representatives(params, ring, n + 1)
-    certs = [reduce_to_basis(r, params, ring) for r in reps]
+    reps = flag_representatives(params, pi, lam, n + 1)
+    certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
     order = basis_set(params)
     F = [[_laurent_to_poly(certs[i].coords[v], p) for i in range(n)] for v in order]
     one = PiAdic.one(p)
@@ -472,28 +383,34 @@ def _phi_terms(params, p, cutoff):
     return out
 
 
-def _psi_p_laurent(terms, p):
-    """Keep x-exponents divisible by p and divide them by p.
-
-    terms: dict x_exponent -> laurent dict. Returns the same shape.
-    """
-    out = {}
-    for (v1, v2), lau in terms.items():
-        if v1 % p or v2 % p:
-            continue
-        key = (v1 // p, v2 // p)
-        cur = out.get(key)
-        if cur is None:
-            out[key] = dict(lau)
-        else:
-            for e, c in lau.items():
-                t = cur.get(e)
-                t = c if t is None else t + c
-                if t:
-                    cur[e] = t
-                else:
-                    cur.pop(e, None)
+def _powers(one, x, top):
+    out = [one]
+    for _ in range(top):
+        out.append(out[-1] * x)
     return out
+
+
+def _frobenius_images(reps, phi, lam_pows, p):
+    """psi_p(rep * PHI) for each representative, exactly.
+
+    phi is the _phi_terms list and lam_pows[k] the k-th power of the source
+    deformation (a Laurent monomial, or a number at a point). psi_p keeps
+    the x-exponents with both coordinates divisible by p and divides them by
+    p, so a term of rep is multiplied only by the phi terms whose exponent
+    has the complementary residues mod p; the dropped products are never
+    formed.
+    """
+    by_residue = {}
+    for k, (v1, v2), coeff in phi:
+        by_residue.setdefault((v1 % p, v2 % p), []).append((v1, v2, coeff * lam_pows[k]))
+    images = []
+    for rep in reps:
+        img = {}
+        for (r1, r2), rc in rep.items():
+            for v1, v2, t in by_residue.get((-r1 % p, -r2 % p), ()):
+                add_term(img, ((r1 + v1) // p, (r2 + v2) // p), rc * t)
+        images.append(img)
+    return images
 
 
 def required_cutoff(p, pi_digits, nu0):
@@ -532,18 +449,27 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     Column j holds the coordinates of the Frobenius image of the j-th flag
     class in the flag at the p-th power of the deformation.
 
-    Supported for pole exponents c = d = 1: deeper poles put fractional
-    powers of the deformation into the reduction, which the series ring
-    does not carry.
+    Supported only for a = b = c = d = 1. Deeper poles (c*d > 1) put
+    fractional powers of the deformation into the reduction, which the
+    series ring does not carry; for a*b > 1 the derivative-flag matrix is
+    singular at L = 0, so its inverse has no power series. frobenius_at_point
+    serves every c = d = 1 family at a single deformation value.
     """
     params.check_prime(p)
     if params.c * params.d != 1:
         raise PreconditionError(
             "the series Frobenius needs pole exponents c = d = 1")
+    if params.a * params.b != 1:
+        raise PreconditionError(
+            "the series Frobenius needs a*b = 1: for a*b > 1 the derivative-flag "
+            "matrix is singular at L = 0; use frobenius-check at a point instead")
+    if pi_digits < 0:
+        raise PreconditionError("pi_digits must be non-negative")
+    if lam_order is not None and lam_order < 0:
+        raise PreconditionError("lam_order must be non-negative")
     n = params.degree
-    ab = params.a * params.b
     if lam_order is None:
-        lam_order = 2 * p * ab + 10
+        lam_order = 2 * p + 10
     fd = flag_data(params, p)
     one = PiAdic.one(p)
     one_rf = RatFunc(Poly.const(one))
@@ -570,28 +496,11 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
             f"need pi**{pi_digits}; raise the cutoff",
             achieved=margin, requested=pi_digits)
     phi = _phi_terms(params, p, cutoff)
-    ringp = PiLambdaScalars(p, p)
+    lam_pows = _powers(Laurent({0: one}), Laurent({1: one}), cutoff)
+    pi, lam_p = PiAdic.pi(p), Laurent({p: one})
     Mcols = []
-    for j in range(n):
-        rep = fd.reps[j]
-        prod = {}
-        for (rx, rlau) in rep.items():
-            for (k, vx, coeff) in phi:
-                key = (rx[0] + vx[0], rx[1] + vx[1])
-                cur = prod.setdefault(key, {})
-                for e, c in rlau.items():
-                    t = coeff * c
-                    if not t:
-                        continue
-                    prev = cur.get(e + k)
-                    t = t if prev is None else prev + t
-                    if t:
-                        cur[e + k] = t
-                    else:
-                        cur.pop(e + k, None)
-        prod = {k: v for k, v in prod.items() if v}
-        img = _psi_p_laurent(prod, p)
-        cert = reduce_to_basis(img, params, ringp)
+    for img in _frobenius_images(fd.reps, phi, lam_pows, p):
+        cert = reduce_to_basis(img, params, pi, lam_p)
         Mcols.append([cert.coords[v] for v in fd.basis])
     Mrf = [[RatFunc(_laurent_to_poly(Mcols[j][i], p, floor_ord=pi_digits + nu0), Poly.const(one))
             for j in range(n)] for i in range(len(fd.basis))]
@@ -740,20 +649,21 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
     if params.c * params.d != 1:
         raise PreconditionError(
             "the point Frobenius needs pole exponents c = d = 1")
+    if pi_digits < 0:
+        raise PreconditionError("pi_digits must be non-negative")
     n = params.degree
     lam_hat, lam_ord = teichmuller_lift(p, lam_residue, pi_digits + 2 * n * (p - 1))
-    ring1 = PiLambdaScalars(p, 1)
-    ring = PiConstScalars(p, lam_hat)
-    reps_lam = flag_representatives(params, ring1, n)
+    pi = PiAdic.pi(p)
+    reps_lam = flag_representatives(params, pi, Laurent({1: PiAdic.one(p)}), n)
 
     def specialize(lau):
         acc = PiAdic.zero(p)
-        for e, c in lau.items():
+        for e, c in lau.terms.items():
             acc = acc + c * lam_hat ** e
         return acc
 
     reps = [{x: specialize(lau) for x, lau in rep.items()} for rep in reps_lam]
-    certs = [reduce_to_basis(r, params, ring) for r in reps]
+    certs = [reduce_to_basis(r, params, pi, lam_hat) for r in reps]
     order = basis_set(params)
     F = [[certs[i].coords[v] for i in range(n)] for v in order]
     idcols = []
@@ -778,36 +688,10 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
             f"cutoff {cutoff} certifies only pi**{margin}, need pi**{pi_digits}",
             achieved=margin, requested=pi_digits)
     phi = _phi_terms(params, p, cutoff)
-    lam_pows = [PiAdic.one(p)]
-    for _ in range(cutoff + 1):
-        lam_pows.append(lam_pows[-1] * lam_hat)
+    lam_pows = _powers(PiAdic.one(p), lam_hat, cutoff)
     Ucols = []
-    for j in range(n):
-        prod = {}
-        for rx, rc in reps[j].items():
-            for (k, vx, coeff) in phi:
-                key = (rx[0] + vx[0], rx[1] + vx[1])
-                t = coeff * rc * lam_pows[k]
-                if not t:
-                    continue
-                cur = prod.get(key)
-                t = t if cur is None else cur + t
-                if t:
-                    prod[key] = t
-                else:
-                    prod.pop(key, None)
-        img = {}
-        for (v1, v2), cval in prod.items():
-            if v1 % p or v2 % p:
-                continue
-            key = (v1 // p, v2 // p)
-            cur = img.get(key)
-            t = cval if cur is None else cur + cval
-            if t:
-                img[key] = t
-            else:
-                img.pop(key, None)
-        cert = reduce_to_basis(img, params, ring)
+    for img in _frobenius_images(reps, phi, lam_pows, p):
+        cert = reduce_to_basis(img, params, pi, lam_hat)
         Mcol = [cert.coords[v] for v in order]
         Ucols.append(solve_linear(F, [Mcol], one=PiAdic.one(p))[0])
     U = [[Ucols[j][i] for j in range(n)] for i in range(n)]
@@ -834,13 +718,7 @@ def reciprocal_char_poly(U, p):
     for _ in range(n):
         traces.append(sum((power[i][i] for i in range(n)), PiAdic.zero(p)))
         power = mat_mul(power, U)
-    coeffs = [PiAdic.one(p)]
-    for m in range(1, n + 1):
-        acc = PiAdic.zero(p)
-        for k in range(1, m + 1):
-            acc = acc + traces[k - 1] * coeffs[m - k]
-        coeffs.append(acc * Fraction(-1, m))
-    return coeffs
+    return coefficients_from_power_sums(traces, PiAdic.one(p))
 
 
 @dataclass

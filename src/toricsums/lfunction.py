@@ -5,16 +5,33 @@ out of the exponential generating identity and are checked to be integral at
 every step.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycloInt, CycloRat, ord_q
+from .cyclotomic import CycloInt, ord_q
 from .errors import InvariantError, PreconditionError
 from .exact import lower_convex_hull
 from .ffield import FieldTower, evaluate_family
+
+
+def check_histogram_fits(p, atilde, k):
+    """Refuse a count whose histogram cannot fit in physical memory.
+
+    exp_sum over F_{q^k}, q = p**atilde, builds m x m integer arrays with
+    m = q**k - 1; its measured peak is about 24 bytes per cell.
+    """
+    m = p ** (atilde * k) - 1
+    need = 24 * m * m
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise PreconditionError(
+            f"counting over F_{p}^{atilde * k} needs about {need / 2 ** 30:.1f} GiB "
+            f"for its {m} x {m} histogram, more than the {have / 2 ** 30:.1f} GiB "
+            "of physical memory")
 
 
 def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
@@ -26,6 +43,7 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
     params.check_prime(p)
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    check_histogram_fits(p, atilde, k)
     tower = FieldTower(p, atilde * k)
     m = tower.q - 1
     lam = tower.embed_subfield_code(p, atilde, lam_code)
@@ -90,6 +108,7 @@ class ExpSumSeries:
 
 
 def exp_sum_series(params, p, lam_code, count, atilde=1, workers=1):
+    check_histogram_fits(p, atilde, count)
     sums = tuple(exp_sum(params, p, lam_code, k, atilde, workers) for k in range(1, count + 1))
     return ExpSumSeries(params, p, atilde, lam_code, sums)
 
@@ -110,24 +129,36 @@ class LPolynomial:
         return len(self.coeffs) - 1
 
 
+def coefficients_from_power_sums(sums, one):
+    """Coefficients one, c_1, ..., c_n of prod(1 - alpha T) from the power
+    sums S_k = sum alpha**k, k = 1..n, by Newton's identities
+
+        m c_m = -(S_1 c_{m-1} + S_2 c_{m-2} + ... + S_m c_0).
+
+    The values' / by an int carries the exactness check, if any.
+    """
+    coeffs = [one]
+    for m in range(1, len(sums) + 1):
+        acc = sums[0] * coeffs[m - 1]
+        for k in range(2, m + 1):
+            acc = acc + sums[k - 1] * coeffs[m - k]
+        coeffs.append(-acc / m)
+    return coeffs
+
+
 def l_polynomial(series):
     """Assemble the inverse L-function from exactly degree-many sums.
 
     Every coefficient of log L lives in Z[zeta_p] only after the exponential;
-    integrality of each output coefficient is asserted, not assumed.
+    integrality of each output coefficient is asserted (CycloInt division by
+    m is exact or raises InvariantError), not assumed.
     """
     params = series.params
     n = params.degree
     if len(series.sums) < n:
         raise PreconditionError(f"need {n} sums, got {len(series.sums)}")
     p = series.p
-    coeffs = [CycloRat.from_int(p, 1)]
-    for mdeg in range(1, n + 1):
-        acc = CycloRat.zero(p)
-        for k in range(1, mdeg + 1):
-            acc = acc + series.sums[k - 1].to_rat() * coeffs[mdeg - k]
-        coeffs.append(acc.scale(Fraction(-1, mdeg)))
-    out = tuple(c.to_int_checked() for c in coeffs)
+    out = tuple(coefficients_from_power_sums(series.sums[:n], CycloInt.from_int(p, 1)))
     if not out[-1]:
         raise InvariantError("leading coefficient vanished; polynomial degree dropped")
     return LPolynomial(params, p, series.atilde, series.lam_code, out)
@@ -135,16 +166,15 @@ def l_polynomial(series):
 
 def predict_sum(lpoly, k):
     """S_k as forced by the polynomial alone, via the power sum recurrence."""
-    p = lpoly.p
-    A = [c.to_rat() for c in lpoly.coeffs]
-    zero = CycloRat.zero(p)
+    A = lpoly.coeffs
+    zero = CycloInt.zero(lpoly.p)
     s = [zero]  # s[0] unused
     for i in range(1, k + 1):
         acc = (A[i] if i < len(A) else zero) * (-i)
         for j in range(1, i):
             acc = acc - s[j] * (A[i - j] if i - j < len(A) else zero)
         s.append(acc)
-    return s[k].to_int_checked()
+    return s[k]
 
 
 def newton_polygon(lpoly):

@@ -1,8 +1,14 @@
-"""Dense univariate polynomials and rational functions over an exact field.
+"""Polynomials, Laurent polynomials and rational functions in the deformation L.
 
 Coefficients can be any exact field elements supporting +, -, *, /, ==,
 bool (False exactly for zero) and ** 0 (multiplicative one). fractions.Fraction
 qualifies, as does the pi-adic scalar type used for Frobenius matrices.
+
+Laurent is the scalar of the reduction engine wherever the deformation stays
+a variable: the rewrites divide only by integers, by pi and by L, so every
+coordinate is a Laurent polynomial and no gcd is ever needed. RatFunc, the
+reduced quotient of two Poly, serves the exact solves that follow
+(connection and Frobenius matrices); Laurent.to_ratfunc is the one bridge.
 """
 
 from itertools import zip_longest
@@ -202,10 +208,6 @@ class RatFunc:
         self.num = num.scale(inv)
         self.den = den.scale(inv)
 
-    @classmethod
-    def from_poly(cls, p, one):
-        return cls(p, Poly.const(one))
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -276,6 +278,114 @@ class RatFunc:
                 acc = acc - d[j] * out[k - j]
             out.append(acc * inv_d0)
         return out
+
+
+def add_term(acc, key, s):
+    """acc[key] += s in a sparse dict of exact values, keeping it free of zeros."""
+    if not s:
+        return
+    t = acc.get(key)
+    t = s if t is None else t + s
+    if t:
+        acc[key] = t
+    else:
+        acc.pop(key, None)
+
+
+class Laurent:
+    """Laurent polynomial in L: exponent -> nonzero coefficient, immutable.
+
+    Values combine with + and - among themselves; * and / also take a
+    coefficient or a Python int. Division is exact and only by monomials
+    (or coefficients); anything else raises PreconditionError. theta is the
+    Euler derivative L d/dL.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        self.terms = {e: c for e, c in dict(terms).items() if c}
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a dict already free of zero coefficients."""
+        x = cls.__new__(cls)
+        x.terms = terms
+        return x
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, Laurent) and self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Laurent({self.terms!r})"
+
+    def __str__(self):
+        parts = []
+        for e, c in sorted(self.terms.items()):
+            var = "L" if e == 1 else f"L^{e}"
+            if e == 0:
+                parts.append(str(c))
+            else:
+                parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}*{var}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+    def __add__(self, other):
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            add_term(out, e, c)
+        return Laurent._of(out)
+
+    def __neg__(self):
+        return Laurent._of({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, Laurent):
+            out = {}
+            for e, c in self.terms.items():
+                t = c * other
+                if t:
+                    out[e] = t
+            return Laurent._of(out)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_term(out, e1 + e2, c1 * c2)
+        return Laurent._of(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            return Laurent._of({e: c / other for e, c in self.terms.items()})
+        shift = 0
+        if isinstance(other, Laurent):
+            if len(other.terms) != 1:
+                raise PreconditionError("can only divide by monomials in the deformation")
+            (shift, other), = other.terms.items()
+        inv = 1 / other
+        return Laurent._of({e - shift: c * inv for e, c in self.terms.items()})
+
+    def theta(self):
+        return Laurent._of({e: c * e for e, c in self.terms.items() if e})
+
+    def to_ratfunc(self, one):
+        """The same element as a reduced RatFunc; one is the coefficients' unit."""
+        low = min(min(self.terms, default=0), 0)
+        zero = one * 0
+        num = Poly([self.terms.get(e, zero) for e in range(low, max(self.terms, default=0) + 1)])
+        return RatFunc(num, Poly([zero] * -low + [one]))
 
 
 def solve_linear(A, B, *, one):

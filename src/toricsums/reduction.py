@@ -1,7 +1,7 @@
 """Rewrite engine for the twisted de Rham classes of the family.
 
-Classes are finite sums  sum_u  S_u * x**u  with exponents u in Z^2 and
-scalars S_u from a pluggable coefficient ring. The two operators
+Classes are finite sums  sum_u  S_u * x**u, stored as dicts from exponents
+u in Z^2 to nonzero scalars S_u. The two operators
 
     D1 = x1 d/dx1 + pi*(a x1**a - c L x**mu)
     D2 = x2 d/dx2 + pi*(b x2**b - d L x**mu)
@@ -9,169 +9,76 @@ scalars S_u from a pluggable coefficient ring. The two operators
 generate the relations; reduce_to_basis rewrites any class as a combination
 of the degree-many basis monomials plus explicit D1/D2 certificates, exactly.
 
-Three scalar rings cover every use: the prime field with L specialized,
-rational functions in L over Q (pi = 1, the variation setting), and Laurent
-series in L with pi-adic coefficients (defined next to the Frobenius code).
-Rings expose: zero, one, pi_el, lam_el, from_int, add, neg, mul, div,
-theta (L d/dL), is_zero.
+Scalars are plain values: they support + and - among themselves, * and /
+by each other and by Python ints, and bool() is False exactly at zero. The
+constants pi and L are passed in as values of the same kind (or as ints).
+The rewrites divide only by small integers, by pi and by L, so three kinds
+of value cover every use: ratfunc.Laurent over Fraction with pi = 1 (the
+variation setting of the connection), ratfunc.Laurent over the pi-adic
+scalars (the Frobenius flag), and specialized fields where L is a number
+(ffield.Fp with pi = 1, frobenius.PiAdic at a Teichmuller point). The
+deformation operator also needs S.theta(), which only Laurent has.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError
 from .hodge import basis_set
-from .ratfunc import Poly, RatFunc, solve_linear
+from .ratfunc import Laurent, Poly, RatFunc, add_term, solve_linear
 
 __all__ = [
-    "PrimeFieldScalars", "RationalFunctionScalars", "ReductionCertificate",
-    "apply_D1", "apply_D2", "apply_D_lambda", "reduce_to_basis",
-    "verify_certificate", "connection_matrix", "euler_relation_defects",
-    "flag_representatives", "flag_coordinates", "class_add", "class_scale",
-    "class_eq",
+    "ReductionCertificate", "apply_D1", "apply_D2", "apply_D_lambda",
+    "reduce_to_basis", "verify_certificate", "connection_matrix",
+    "euler_relation_defects", "flag_representatives", "flag_coordinates",
+    "class_add", "class_scale", "class_eq",
 ]
 
 
-class PrimeFieldScalars:
-    """F_p coefficients with the deformation specialized to a unit residue."""
-
-    kind = "prime"
-
-    def __init__(self, p, lam_residue):
-        if lam_residue % p == 0:
-            raise PreconditionError("deformation residue must be a unit")
-        self.p = p
-        self.zero = 0
-        self.one = 1
-        self.pi_el = 1
-        self.lam_el = lam_residue % p
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def div(self, x, y):
-        if y % self.p == 0:
-            raise InvariantError("division by a multiple of p in characteristic p")
-        return (x * pow(y, self.p - 2, self.p)) % self.p
-
-    def theta(self, x):
-        raise PreconditionError("specialized ring has no deformation derivative")
-
-    def is_zero(self, x):
-        return x % self.p == 0
-
-
-class RationalFunctionScalars:
-    """Q(L) coefficients with pi = 1; the setting of the connection matrix."""
-
-    kind = "ratfunc"
-
-    def __init__(self):
-        one = Poly.const(Fraction(1))
-        self.zero = RatFunc(Poly(), one)
-        self.one = RatFunc(one)
-        self.pi_el = self.one
-        self.lam_el = RatFunc(Poly((Fraction(0), Fraction(1))))
-
-    def from_int(self, n):
-        return RatFunc(Poly.const(Fraction(n)), Poly.const(Fraction(1)))
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        return x / y
-
-    def theta(self, x):
-        return x.theta()
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-
-def class_add(ring, x, y):
+def class_add(x, y):
     out = dict(x)
     for u, s in y.items():
-        t = ring.add(out.get(u, ring.zero), s)
-        if ring.is_zero(t):
-            out.pop(u, None)
-        else:
-            out[u] = t
+        add_term(out, u, s)
     return out
 
 
-def class_scale(ring, x, s):
+def class_scale(x, s):
     out = {}
     for u, v in x.items():
-        t = ring.mul(v, s)
-        if not ring.is_zero(t):
-            out[u] = t
+        add_term(out, u, v * s)
     return out
 
 
-def class_eq(ring, x, y):
-    keys = set(x) | set(y)
-    return all(ring.is_zero(ring.add(x.get(u, ring.zero), ring.neg(y.get(u, ring.zero))))
-               for u in keys)
+def class_eq(x, y):
+    return not any(class_add(x, class_scale(y, -1)).values())
 
 
-def _add_term(ring, acc, u, s):
-    if ring.is_zero(s):
-        return
-    t = ring.add(acc.get(u, ring.zero), s)
-    if ring.is_zero(t):
-        acc.pop(u, None)
-    else:
-        acc[u] = t
-
-
-def apply_D1(cls_, params, ring):
-    a, c = params.a, params.c
-    mu = params.mu
+def _apply_D(cls_, axis, power, pole, mu, pi, lam):
+    """x_i d/dx_i + pi*(power x_i**power - pole L x**mu), i = axis + 1."""
     out = {}
-    for (m, n), s in cls_.items():
-        _add_term(ring, out, (m, n), ring.mul(s, ring.from_int(m)))
-        _add_term(ring, out, (m + a, n), ring.mul(ring.mul(s, ring.from_int(a)), ring.pi_el))
-        t = ring.mul(ring.mul(ring.mul(s, ring.from_int(c)), ring.pi_el), ring.lam_el)
-        _add_term(ring, out, (m + mu[0], n + mu[1]), ring.neg(t))
+    for u, s in cls_.items():
+        add_term(out, u, s * u[axis])
+        up = (u[0] + power, u[1]) if axis == 0 else (u[0], u[1] + power)
+        add_term(out, up, s * power * pi)
+        add_term(out, (u[0] + mu[0], u[1] + mu[1]), -(s * pole * pi * lam))
     return out
 
 
-def apply_D2(cls_, params, ring):
-    b, d = params.b, params.d
-    mu = params.mu
-    out = {}
-    for (m, n), s in cls_.items():
-        _add_term(ring, out, (m, n), ring.mul(s, ring.from_int(n)))
-        _add_term(ring, out, (m, n + b), ring.mul(ring.mul(s, ring.from_int(b)), ring.pi_el))
-        t = ring.mul(ring.mul(ring.mul(s, ring.from_int(d)), ring.pi_el), ring.lam_el)
-        _add_term(ring, out, (m + mu[0], n + mu[1]), ring.neg(t))
-    return out
+def apply_D1(cls_, params, pi, lam):
+    return _apply_D(cls_, 0, params.a, params.c, params.mu, pi, lam)
 
 
-def apply_D_lambda(cls_, params, ring):
+def apply_D2(cls_, params, pi, lam):
+    return _apply_D(cls_, 1, params.b, params.d, params.mu, pi, lam)
+
+
+def apply_D_lambda(cls_, params, pi, lam):
     """L d/dL + pi L x**mu, the deformation operator."""
     mu = params.mu
     out = {}
     for (m, n), s in cls_.items():
-        _add_term(ring, out, (m, n), ring.theta(s))
-        t = ring.mul(ring.mul(s, ring.pi_el), ring.lam_el)
-        _add_term(ring, out, (m + mu[0], n + mu[1]), t)
+        add_term(out, (m, n), s.theta())
+        add_term(out, (m + mu[0], n + mu[1]), s * pi * lam)
     return out
 
 
@@ -185,88 +92,70 @@ class ReductionCertificate:
     steps: int
 
 
-def reduce_to_basis(cls_, params, ring, max_steps=2 * 10 ** 6):
+def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     """Rewrite a class into basis coordinates with an exact certificate.
 
     Every step eliminates one off-basis monomial, pushing the difference into
-    D1/D2 images. Transient division by pi and by L is expected; the ring
+    D1/D2 images. Transient division by pi and by L is expected; the scalars
     must support exact division by products of small integers, pi and L.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     basis = set(basis_set(params))
     pending = {}
     for u, s in cls_.items():
-        _add_term(ring, pending, u, s)
+        add_term(pending, u, s)
     coords = {}
     h1 = {}
     h2 = {}
-    pi_lam = ring.mul(ring.pi_el, ring.lam_el)
+    pi_lam = pi * lam
     steps = 0
     while pending:
         u, S = pending.popitem()
-        if ring.is_zero(S):
-            continue
         steps += 1
         if steps > max_steps:
             raise InvariantError(f"reduction exceeded {max_steps} steps at exponent {u}")
         m, n = u
         if m <= -c:
             # climb along x1: divide through the D1 relation at u + (c, d)
-            Sp = ring.div(S, ring.mul(ring.from_int(c), pi_lam))
-            _add_term(ring, pending, (m + c, n + d), ring.mul(Sp, ring.from_int(m + c)))
-            _add_term(ring, pending, (m + c + a, n + d),
-                      ring.mul(ring.mul(Sp, ring.from_int(a)), ring.pi_el))
-            _add_term(ring, h1, (m + c, n + d), ring.neg(Sp))
+            Sp = S / (c * pi_lam)
+            add_term(pending, (m + c, n + d), Sp * (m + c))
+            add_term(pending, (m + c + a, n + d), Sp * a * pi)
+            add_term(h1, (m + c, n + d), -Sp)
         elif n <= -d:
-            Sp = ring.div(S, ring.mul(ring.from_int(d), pi_lam))
-            _add_term(ring, pending, (m + c, n + d), ring.mul(Sp, ring.from_int(n + d)))
-            _add_term(ring, pending, (m + c, n + d + b),
-                      ring.mul(ring.mul(Sp, ring.from_int(b)), ring.pi_el))
-            _add_term(ring, h2, (m + c, n + d), ring.neg(Sp))
+            Sp = S / (d * pi_lam)
+            add_term(pending, (m + c, n + d), Sp * (n + d))
+            add_term(pending, (m + c, n + d + b), Sp * b * pi)
+            add_term(h2, (m + c, n + d), -Sp)
         elif m > a:
             # ladder down along x1 through the D1 relation at u - (a, 0)
-            Sp = ring.div(S, ring.mul(ring.from_int(a), ring.pi_el))
-            _add_term(ring, pending, (m - a, n), ring.neg(ring.mul(Sp, ring.from_int(m - a))))
-            _add_term(ring, pending, (m - a - c, n - d),
-                      ring.mul(ring.mul(Sp, ring.from_int(c)), pi_lam))
-            _add_term(ring, h1, (m - a, n), Sp)
+            Sp = S / (a * pi)
+            add_term(pending, (m - a, n), -(Sp * (m - a)))
+            add_term(pending, (m - a - c, n - d), Sp * c * pi_lam)
+            add_term(h1, (m - a, n), Sp)
         elif n > b:
-            Sp = ring.div(S, ring.mul(ring.from_int(b), ring.pi_el))
-            _add_term(ring, pending, (m, n - b), ring.neg(ring.mul(Sp, ring.from_int(n - b))))
-            _add_term(ring, pending, (m - c, n - b - d),
-                      ring.mul(ring.mul(Sp, ring.from_int(d)), pi_lam))
-            _add_term(ring, h2, (m, n - b), Sp)
+            Sp = S / (b * pi)
+            add_term(pending, (m, n - b), -(Sp * (n - b)))
+            add_term(pending, (m - c, n - b - d), Sp * d * pi_lam)
+            add_term(h2, (m, n - b), Sp)
         elif (m, n) not in basis:
-            use_first = _in_box_rewrite_choice(params, m, n)
-            if use_first:
+            if _in_box_rewrite_choice(params, m, n):
                 # trade x**u against x**(u - (a,0)) and x**(u - (a,0) + (0,b))
                 w = (m - a, n)
-                S1 = ring.div(S, ring.mul(ring.from_int(a), ring.pi_el))
-                S2 = ring.div(ring.mul(S, ring.from_int(c)),
-                              ring.mul(ring.from_int(a * d), ring.pi_el))
-                coef = ring.div(ring.mul(S, ring.from_int(c * n - (m - a) * d)),
-                                ring.mul(ring.from_int(a * d), ring.pi_el))
-                _add_term(ring, pending, w, coef)
-                _add_term(ring, pending, (m - a, n + b),
-                          ring.div(ring.mul(S, ring.from_int(b * c)), ring.from_int(a * d)))
-                _add_term(ring, h1, w, S1)
-                _add_term(ring, h2, w, ring.neg(S2))
+                add_term(pending, w, S * (c * n - (m - a) * d) / (a * d * pi))
+                add_term(pending, (m - a, n + b), S * (b * c) / (a * d))
+                add_term(h1, w, S / (a * pi))
+                add_term(h2, w, -(S * c / (a * d * pi)))
             else:
                 w = (m, n - b)
-                S2 = ring.div(S, ring.mul(ring.from_int(b), ring.pi_el))
-                S1 = ring.div(ring.mul(S, ring.from_int(d)),
-                              ring.mul(ring.from_int(b * c), ring.pi_el))
-                coef = ring.div(ring.mul(S, ring.from_int(d * m - (n - b) * c)),
-                                ring.mul(ring.from_int(b * c), ring.pi_el))
-                _add_term(ring, pending, w, coef)
-                _add_term(ring, pending, (m + a, n - b),
-                          ring.div(ring.mul(S, ring.from_int(a * d)), ring.from_int(b * c)))
-                _add_term(ring, h2, w, S2)
-                _add_term(ring, h1, w, ring.neg(S1))
+                add_term(pending, w, S * (d * m - (n - b) * c) / (b * c * pi))
+                add_term(pending, (m + a, n - b), S * (a * d) / (b * c))
+                add_term(h2, w, S / (b * pi))
+                add_term(h1, w, -(S * d / (b * c * pi)))
         else:
-            _add_term(ring, coords, (m, n), S)
+            add_term(coords, (m, n), S)
+    zero = pi_lam * 0  # every basis monomial gets a coordinate
     for v in basis:
-        coords.setdefault(v, ring.zero)
+        coords.setdefault(v, zero)
     return ReductionCertificate(coords=coords, h1=h1, h2=h2, steps=steps)
 
 
@@ -285,25 +174,24 @@ def _in_box_rewrite_choice(params, m, n):
     return False
 
 
-def verify_certificate(cls_, cert, params, ring):
+def verify_certificate(cls_, cert, params, pi, lam):
     """Exact check of input = coords + D1(h1) + D2(h2)."""
-    recon = dict(cert.coords)
-    recon = class_add(ring, recon, apply_D1(cert.h1, params, ring))
-    recon = class_add(ring, recon, apply_D2(cert.h2, params, ring))
-    return class_eq(ring, recon, cls_)
+    recon = class_add(cert.coords, apply_D1(cert.h1, params, pi, lam))
+    recon = class_add(recon, apply_D2(cert.h2, params, pi, lam))
+    return class_eq(recon, cls_)
 
 
-def flag_representatives(params, ring, count):
+def flag_representatives(params, pi, lam, count):
     """Unreduced representatives (L d/dL + pi L x**mu)**i applied to 1."""
-    reps = [{(0, 0): ring.one}]
+    reps = [{(0, 0): lam / lam}]  # the unit of the scalars
     for _ in range(count - 1):
-        reps.append(apply_D_lambda(reps[-1], params, ring))
+        reps.append(apply_D_lambda(reps[-1], params, pi, lam))
     return reps
 
 
-def flag_coordinates(params, ring, count):
-    reps = flag_representatives(params, ring, count)
-    return reps, [reduce_to_basis(r, params, ring) for r in reps]
+def flag_coordinates(params, pi, lam, count):
+    reps = flag_representatives(params, pi, lam, count)
+    return reps, [reduce_to_basis(r, params, pi, lam) for r in reps]
 
 
 def connection_matrix(params):
@@ -313,43 +201,36 @@ def connection_matrix(params):
     period i+1 for i < N-1; the last row carries the solved coefficients.
     Entries are rational functions of the deformation over Q (pi = 1).
     """
-    ring = RationalFunctionScalars()
+    one = Fraction(1)
     n = params.degree
-    reps, certs = flag_coordinates(params, ring, n + 1)
+    reps, certs = flag_coordinates(params, 1, Laurent({1: one}), n + 1)
     order = basis_set(params)
-    F = [[certs[j].coords[v] for j in range(n)] for v in order]
-    target = [certs[n].coords[v] for v in order]
+    F = [[certs[j].coords[v].to_ratfunc(one) for j in range(n)] for v in order]
+    target = [certs[n].coords[v].to_ratfunc(one) for v in order]
     if len(order) != n:
         raise InvariantError("basis size mismatch")
-    sol = solve_linear(F, [target], one=ring.one)[0]
+    rf_one = RatFunc(Poly.const(one))
+    sol = solve_linear(F, [target], one=rf_one)[0]
     rows = []
     for i in range(n - 1):
-        row = [ring.zero] * n
-        row[i + 1] = ring.one
+        row = [RatFunc(Poly(), Poly.const(one))] * n
+        row[i + 1] = rf_one
         rows.append(row)
     rows.append(list(sol))
     return rows
 
 
-connection_on_flag_basis = connection_matrix
-
-
-def euler_relation_defects(params, ring=None):
-    """Reduce a*x1**a - c*L*x**mu and b*x2**b - d*L*x**mu; both are D-images,
-    so every basis coordinate must vanish. Returns the two coordinate dicts."""
-    ring = ring or RationalFunctionScalars()
-    lam = ring.lam_el
+def euler_relation_defects(params):
+    """Reduce a*x1**a - c*L*x**mu and b*x2**b - d*L*x**mu over Q[L, 1/L]
+    (pi = 1); both are D-images, so every basis coordinate must vanish.
+    Returns the two coordinate dicts."""
+    lam = Laurent({1: Fraction(1)})
+    one = lam / lam
     mu = params.mu
-    first = {
-        (params.a, 0): ring.mul(ring.from_int(params.a), ring.pi_el),
-        mu: ring.neg(ring.mul(ring.mul(ring.from_int(params.c), ring.pi_el), lam)),
-    }
-    second = {
-        (0, params.b): ring.mul(ring.from_int(params.b), ring.pi_el),
-        mu: ring.neg(ring.mul(ring.mul(ring.from_int(params.d), ring.pi_el), lam)),
-    }
+    first = {(params.a, 0): one * params.a, mu: lam * -params.c}
+    second = {(0, params.b): one * params.b, mu: lam * -params.d}
     out = []
     for cls_ in (first, second):
-        cert = reduce_to_basis(cls_, params, ring)
-        out.append({v: s for v, s in cert.coords.items() if not ring.is_zero(s)})
+        cert = reduce_to_basis(cls_, params, 1, lam)
+        out.append({v: s for v, s in cert.coords.items() if s})
     return out

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from toricsums.exact import integer_kernel, invariant_factors, smith_normal_form
 from toricsums.family import FamilyParams
+from toricsums.ffield import Fp
 from toricsums.frobenius import (
     compare_char_poly_with_lfunction,
     frobenius_series,
@@ -28,13 +29,11 @@ from toricsums.gkz import (
 )
 from toricsums.hodge import basis_set, hodge_polygon, m_of, slope_multiset_ab
 from toricsums.lfunction import exp_sum_series, l_polynomial, newton_polygon, predict_sum
-from toricsums.ratfunc import Poly, RatFunc
+from toricsums.ratfunc import Laurent, Poly, RatFunc
 from toricsums.reduction import (
-    PrimeFieldScalars,
-    RationalFunctionScalars,
     class_add,
     class_scale,
-    connection_on_flag_basis,
+    connection_matrix,
     reduce_to_basis,
     verify_certificate,
 )
@@ -138,7 +137,7 @@ def test_a5_connection_equals_companion():
     one = Poly.const(Fraction(1))
     for tup in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1)):
         params = FamilyParams(*tup)
-        conn = connection_on_flag_basis(params)
+        conn = connection_matrix(params)
         comp = [[RatFunc(e, one) for e in row] for row in companion_matrix(params)]
         assert conn == comp, tup
     return "derived connection matrix equals the operator companion "\
@@ -182,13 +181,22 @@ def _suite_m_subadditive(rng):
     return n
 
 
-def _random_class(rng, ring, params):
+def _random_class(rng, one, params):
     cls_ = {}
     for _ in range(rng.randint(1, 3)):
         u = (rng.randint(-4, params.a + 3), rng.randint(-4, params.b + 3))
-        s = ring.from_int(rng.randint(1, 9))
-        cls_[u] = ring.add(cls_.get(u, ring.zero), s)
-    return {u: s for u, s in cls_.items() if not ring.is_zero(s)}
+        cls_ = class_add(cls_, {u: one * rng.randint(1, 9)})
+    return cls_
+
+
+def _rational():
+    """(pi, L, 1) for Q[L, 1/L] with pi = 1."""
+    return 1, Laurent({1: Fraction(1)}), Laurent({0: Fraction(1)})
+
+
+def _prime(rng):
+    """(pi, L, 1) for F_7 with L a random unit residue."""
+    return 1, Fp(7, rng.randint(1, 6)), Fp(7, 1)
 
 
 def _suite_certificates(rng):
@@ -198,31 +206,24 @@ def _suite_certificates(rng):
     for ring_name in ("rational", "prime"):
         for _ in range(100):
             params = rng.choice(pool)
-            if ring_name == "rational":
-                ring = RationalFunctionScalars()
-            else:
-                ring = PrimeFieldScalars(7, rng.randint(1, 6))
-            cls_ = _random_class(rng, ring, params)
-            cert = reduce_to_basis(dict(cls_), params, ring)
+            pi, lam, one = _rational() if ring_name == "rational" else _prime(rng)
+            cls_ = _random_class(rng, one, params)
+            cert = reduce_to_basis(dict(cls_), params, pi, lam)
             assert set(cert.coords) == set(basis_set(params))
-            assert verify_certificate(cls_, cert, params, ring), (params, cls_)
+            assert verify_certificate(cls_, cert, params, pi, lam), (params, cls_)
             n += 1
         for _ in range(50):
             params = rng.choice(pool)
-            if ring_name == "rational":
-                ring = PrimeFieldScalars(7, rng.randint(1, 6))
-            else:
-                ring = RationalFunctionScalars()
-            x = _random_class(rng, ring, params)
-            y = _random_class(rng, ring, params)
-            s = ring.from_int(rng.randint(2, 9))
-            mix = class_add(ring, class_scale(ring, x, s), y)
-            cx = reduce_to_basis(dict(x), params, ring).coords
-            cy = reduce_to_basis(dict(y), params, ring).coords
-            cmix = reduce_to_basis(mix, params, ring).coords
+            pi, lam, one = _prime(rng) if ring_name == "rational" else _rational()
+            x = _random_class(rng, one, params)
+            y = _random_class(rng, one, params)
+            s = rng.randint(2, 9)
+            mix = class_add(class_scale(x, s), y)
+            cx = reduce_to_basis(dict(x), params, pi, lam).coords
+            cy = reduce_to_basis(dict(y), params, pi, lam).coords
+            cmix = reduce_to_basis(mix, params, pi, lam).coords
             for v in basis_set(params):
-                want = ring.add(ring.mul(cx[v], s), cy[v])
-                assert ring.is_zero(ring.add(cmix[v], ring.neg(want))), (params, v)
+                assert not cmix[v] - (cx[v] * s + cy[v]), (params, v)
             n += 1
     return n
 

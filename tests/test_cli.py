@@ -169,3 +169,40 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_series_frobenius_rejects_ab_above_one(capsys):
+    code, out, err = run(capsys, ["frobenius", "--family", "2,1,1,1", "--prime", "3"])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"]["kind"] == "precondition"
+    assert "a*b = 1" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobenius", "--family", "1,1,1,1", "--prime", "3"],
+    ["frobenius-check", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
+    ["reduce", "--family", "1,1,1,1", "--monomial", "2,2", "--ring", "pilambda",
+     "--prime", "3"],
+])
+def test_negative_pi_digits_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv + ["--pi-digits", "-2"])
+    assert code == 2 and out == ""
+    assert "pi_digits must be non-negative" in json.loads(err)["error"]["message"]
+
+
+def test_negative_lam_order_exits_2(capsys):
+    code, out, err = run(capsys, ["frobenius", "--family", "1,1,1,1", "--prime", "3",
+                                  "--lam-order", "-3"])
+    assert code == 2 and out == ""
+    assert "lam_order must be non-negative" in json.loads(err)["error"]["message"]
+
+
+def test_count_beyond_physical_memory_exits_2(capsys):
+    # F_{5^10}: the histogram would need about 24 * (5**10 - 1)**2 bytes, ~2 PB
+    code, out, err = run(capsys, ["lpoly", "--family", "2,1,1,1", "--prime", "5",
+                                  "--lam", "1", "--atilde", "2"])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"]["kind"] == "precondition"
+    assert "GiB" in doc["error"]["message"] and "physical memory" in doc["error"]["message"]

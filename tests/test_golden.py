@@ -1,0 +1,34 @@
+"""Byte-identity guard: fast commands against stdout recorded in tests/golden/.
+
+Each file holds the exact JSON document a command printed when it was
+recorded. A refactor that keeps results must keep these bytes; a change that
+means to alter an output re-records the file and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from toricsums import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+REDUCE = ["reduce", "--family", "1,1,1,2", "--monomial=-4,4"]
+COMMANDS = {
+    "reduce-rational": REDUCE + ["--ring", "rational"],
+    "reduce-prime": REDUCE + ["--ring", "prime", "--prime", "5", "--lam", "3"],
+    "reduce-pilambda": REDUCE + ["--ring", "pilambda", "--prime", "5"],
+    "connection": ["connection", "--family", "2,1,1,1"],
+    "frobenius": ["frobenius", "--family", "1,1,1,1", "--prime", "3",
+                  "--pi-digits", "3", "--lam-order", "6"],
+    "frobenius-check": ["frobenius-check", "--family", "2,1,1,1", "--prime", "3",
+                        "--lam", "1", "--pi-digits", "4"],
+    "lpoly": ["lpoly", "--family", "2,1,1,1", "--prime", "5", "--lam", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, capsys):
+    assert cli.main(COMMANDS[name]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (GOLDEN / f"{name}.json").read_text()
