@@ -5,7 +5,6 @@ out of the exponential generating identity and are checked to be integral at
 every step.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,67 +17,86 @@ from .exact import lower_convex_hull
 from .ffield import FieldTower, evaluate_family
 
 
-def check_histogram_fits(p, atilde, k):
-    """Refuse a count whose histogram cannot fit in physical memory.
+# Rows of the histogram are walked in chunks of about this many cells, so a
+# sum holds its length-m tables and one chunk per worker, never an m x m array.
+CHUNK_CELLS = 1 << 20
 
-    exp_sum over F_{q^k}, q = p**atilde, builds m x m integer arrays with
-    m = q**k - 1; its measured peak is about 24 bytes per cell.
-    """
+# Work bound: a sum over F_{q^k} visits m * m torus points, m = q**k - 1.
+MAX_CELLS = 1 << 32
+
+
+def check_count_size(p, atilde, k):
+    """Refuse a count over F_{q^k}, q = p**atilde, with more than MAX_CELLS
+    torus points (m = q**k - 1 above 65536)."""
     m = p ** (atilde * k) - 1
-    need = 24 * m * m
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    if m * m > MAX_CELLS:
         raise PreconditionError(
-            f"counting over F_{p}^{atilde * k} needs about {need / 2 ** 30:.1f} GiB "
-            f"for its {m} x {m} histogram, more than the {have / 2 ** 30:.1f} GiB "
-            "of physical memory")
+            f"counting over F_{p}^{atilde * k} visits m^2 = {m * m} torus points "
+            f"(m = {m}), over the cap of {MAX_CELLS} = 2^32 histogram cells")
 
 
 def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
     """S_k: sum of zeta_p**Tr(F(lam, x)) over the torus of F_{q^k}, q = p**atilde.
 
-    Runs on the generator power table: x = g**s, so each monomial exponent is
-    a multiple of s modulo q**k - 1 and traces come from one precomputed table.
+    Runs on the generator power table: x1 = g**s, x2 = g**t with
+    m = q**k - 1, so every trace comes from T[i] = Tr(g**i). One walk over the
+    powers of g fills T and finds L = log_g(lam). The sum is the histogram of
+    A[s] + B[t] + C[s, t], the traces of x1**a, x2**b and lam / (x1**c x2**d),
+    taken over row chunks of about CHUNK_CELLS cells:
+
+    - C is gathered from T twice over at R[s] + P[t], R = (L - c*s) mod m and
+      P = (-d*t) mod m, so no cell is reduced mod m;
+    - the three traces are added in the narrowest unsigned dtype that holds
+      3(p - 1) and binned unreduced; the bins are folded mod p once.
+
+    Peak memory is O(m) plus one chunk per worker; `workers` threads share
+    the chunks. A sum of more than MAX_CELLS cells is refused up front.
     """
     params.check_prime(p)
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    check_histogram_fits(p, atilde, k)
+    check_count_size(p, atilde, k)
     tower = FieldTower(p, atilde * k)
     m = tower.q - 1
     lam = tower.embed_subfield_code(p, atilde, lam_code)
     if lam == tower.zero:
         raise PreconditionError("deformation value must be nonzero")
     g = tower.generator()
-    T = np.empty(m, dtype=np.int64)
+    T = np.empty(m, dtype=np.min_scalar_type(3 * (p - 1)))
     cur = tower.one
     for i in range(m):
+        if cur == lam:
+            L = i
         T[i] = tower.trace(cur)
         cur = tower.mul(cur, g)
-    L = tower.log(lam)
     a, b, c, d = params.a, params.b, params.c, params.d
     idx = np.arange(m, dtype=np.int64)
     A = T[(a * idx) % m]
     B = T[(b * idx) % m]
+    T2 = np.concatenate((T, T))
+    R = ((L - c * idx) % m).astype(np.int32)
+    P = ((-d * idx) % m).astype(np.int32)
+    rows = max(1, CHUNK_CELLS // m)
 
-    def hist(rows):
-        C = T[(L - c * rows[:, None] - d * idx[None, :]) % m]
-        tot = (A[rows][:, None] + B[None, :] + C) % p
-        return np.bincount(tot.ravel(), minlength=p)
+    def hist(s0):
+        s = slice(s0, s0 + rows)
+        cells = T2[R[s, None] + P]
+        cells += A[s, None]
+        cells += B
+        return np.bincount(cells.ravel(), minlength=3 * p)
 
+    starts = range(0, m, rows)
     if workers <= 1:
-        counts = hist(idx)
+        counts = sum(map(hist, starts))
     else:
-        chunks = np.array_split(idx, workers)
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = sum(ex.map(hist, [ch for ch in chunks if len(ch)]))
+            counts = sum(ex.map(hist, starts))
     if int(counts.sum()) != m * m:
         raise InvariantError("histogram lost torus points")
     total = CycloInt.zero(p)
-    for t in range(p):
-        n = int(counts[t])
+    for t, n in enumerate(counts.reshape(3, p).sum(axis=0)):
         if n:
-            total = total + n * CycloInt.zeta_power(p, t)
+            total = total + int(n) * CycloInt.zeta_power(p, t)
     return total
 
 
@@ -108,7 +126,7 @@ class ExpSumSeries:
 
 
 def exp_sum_series(params, p, lam_code, count, atilde=1, workers=1):
-    check_histogram_fits(p, atilde, count)
+    check_count_size(p, atilde, count)
     sums = tuple(exp_sum(params, p, lam_code, k, atilde, workers) for k in range(1, count + 1))
     return ExpSumSeries(params, p, atilde, lam_code, sums)
 

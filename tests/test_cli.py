@@ -199,10 +199,11 @@ def test_negative_lam_order_exits_2(capsys):
 
 
 def test_count_beyond_physical_memory_exits_2(capsys):
-    # F_{5^10}: the histogram would need about 24 * (5**10 - 1)**2 bytes, ~2 PB
+    # F_{5^10}: (5**10 - 1)**2, about 9.5e13 torus points, is over the 2^32 cap
     code, out, err = run(capsys, ["lpoly", "--family", "2,1,1,1", "--prime", "5",
                                   "--lam", "1", "--atilde", "2"])
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"]["kind"] == "precondition"
-    assert "GiB" in doc["error"]["message"] and "physical memory" in doc["error"]["message"]
+    assert "m^2 = 95367412109376" in doc["error"]["message"]
+    assert "cap of 4294967296" in doc["error"]["message"]

@@ -24,6 +24,10 @@ COMMANDS = {
     "frobenius-check": ["frobenius-check", "--family", "2,1,1,1", "--prime", "3",
                         "--lam", "1", "--pi-digits", "4"],
     "lpoly": ["lpoly", "--family", "2,1,1,1", "--prime", "5", "--lam", "1"],
+    # several histogram chunks per field, uint8 cells
+    "newton": ["newton", "--family", "1,2,1,1", "--prime", "5", "--lam", "2"],
+    # 16-bit cells: 3(p - 1) = 264 > 255
+    "sums": ["sums", "--family", "1,1,1,1", "--prime", "89", "--lam", "5", "--count", "2"],
 }
 
 

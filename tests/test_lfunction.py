@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricsums import lfunction
 from toricsums.cyclotomic import CycloInt, ord_q
 from toricsums.errors import PreconditionError
 from toricsums.family import FamilyParams
@@ -29,13 +30,21 @@ def test_s1_hand_value():
     assert exp_sum(P1111, 3, 1, 1) == CycloInt(3, (-2, -3))
 
 
-def test_histogram_and_direct_enumeration_agree():
+def test_histogram_and_direct_enumeration_agree(monkeypatch):
+    # chunks of 50 cells: F_9 (m = 8) splits 6 + 2 rows, F_25 into 2-row
+    # chunks, F_27 one row each
+    monkeypatch.setattr(lfunction, "CHUNK_CELLS", 50)
     cases = [
         (P1111, 3, 1, 1), (P1111, 3, 2, 1), (P1111, 3, 1, 2), (P1111, 3, 2, 3),
         (FamilyParams(2, 1, 1, 1), 3, 1, 2),
         (FamilyParams(1, 1, 2, 1), 3, 2, 2),
         (FamilyParams(1, 1, 1, 1), 5, 3, 1),
         (FamilyParams(1, 2, 1, 1), 5, 4, 2),
+        # gcd(d, m) = 2: P[t] = -d*t mod m covers each even residue twice
+        (FamilyParams(1, 1, 1, 2), 3, 1, 2),
+        # 3(p - 1) = 246 is the last sum that fits uint8 cells, 264 the first that does not
+        (P1111, 83, 5, 1),
+        (FamilyParams(2, 1, 1, 1), 89, 3, 1),
     ]
     for params, p, lam, k in cases:
         assert exp_sum(params, p, lam, k) == exp_sum_direct(params, p, lam, k)
@@ -48,10 +57,14 @@ def test_extension_parameter_field():
     assert got == exp_sum_direct(P1111, 3, 3, 1, atilde=2)
 
 
-def test_workers_do_not_change_the_sum():
-    one = exp_sum(P1111, 3, 1, 3, workers=1)
-    four = exp_sum(P1111, 3, 1, 3, workers=4)
-    assert one == four
+def test_workers_do_not_change_the_sum(monkeypatch):
+    # F_9 splits into 2 chunks of 50 cells, F_27 into 26: four workers are
+    # more than the chunks of one field and fewer than those of the other
+    monkeypatch.setattr(lfunction, "CHUNK_CELLS", 50)
+    for k in (2, 3):
+        one = exp_sum(P1111, 3, 1, k, workers=1)
+        four = exp_sum(P1111, 3, 1, k, workers=4)
+        assert one == four
 
 
 def test_lpolynomial_flagship():
