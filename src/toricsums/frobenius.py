@@ -40,8 +40,16 @@ def _frac_ord_p(fr, p):
     return v
 
 
+_ZERO = Fraction(0)
+
+
 class PiAdic:
     """Element of Q[pi]/(pi**(p-1) + p) with exact Fraction coordinates.
+
+    coeffs is a tuple of p - 1 Fractions, the coordinates on 1, pi, ...,
+    pi**(p-2). The public constructor coerces and checks them. Arithmetic
+    builds its results with `_of`, which trusts that invariant: a Fraction
+    combined with a Fraction or an int by + - * / stays a Fraction.
 
     ord_pi is exact: the p-orders of the p-1 coordinates are distinct mod
     p-1, so the minimum over i + (p-1)*ord_p(c_i) is attained once.
@@ -57,6 +65,14 @@ class PiAdic:
         self.coeffs = coeffs
 
     @classmethod
+    def _of(cls, p, coeffs):
+        """Wrap a tuple of p - 1 Fractions without coercing or checking it."""
+        x = cls.__new__(cls)
+        x.p = p
+        x.coeffs = coeffs
+        return x
+
+    @classmethod
     def zero(cls, p):
         return cls(p, (Fraction(0),) * (p - 1))
 
@@ -70,8 +86,6 @@ class PiAdic:
 
     @classmethod
     def pi(cls, p):
-        if p == 3:
-            return cls(p, (Fraction(0), Fraction(1)))
         return cls(p, (Fraction(0), Fraction(1)) + (Fraction(0),) * (p - 3))
 
     def _coerce(self, other):
@@ -88,7 +102,7 @@ class PiAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PiAdic(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return PiAdic._of(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -96,49 +110,60 @@ class PiAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PiAdic(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return PiAdic._of(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return PiAdic(self.p, tuple(-x for x in self.coeffs))
+        return PiAdic._of(self.p, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
+        p = self.p
         if isinstance(other, (int, Fraction)):
-            return PiAdic(self.p, tuple(x * other for x in self.coeffs))
+            return PiAdic._of(p, tuple(x * other for x in self.coeffs))
         if self._coerce(other) is None:
             return NotImplemented
-        n = self.p - 1
-        out = [Fraction(0)] * (2 * n - 1)
+        n = p - 1
+        ys = [(j, y) for j, y in enumerate(other.coeffs) if y]
+        out = [_ZERO] * (2 * n - 1)
         for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(other.coeffs):
+                for j, y in ys:
                     out[i + j] += x * y
         # fold with pi**(p-1) = -p
         for k in range(2 * n - 2, n - 1, -1):
             if out[k]:
-                out[k - n] -= self.p * out[k]
-                out[k] = Fraction(0)
-        return PiAdic(self.p, tuple(out[:n]))
+                out[k - n] -= p * out[k]
+        return PiAdic._of(p, tuple(out[:n]))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero pi-adic scalar")
-        n = self.p - 1
+        p, n = self.p, self.p - 1
+        support = [i for i, c in enumerate(self.coeffs) if c]
+        if len(support) == 1:
+            # c pi**i times pi**(p-1-i) / (-p c) is pi**(p-1) / -p = 1
+            i = support[0]
+            out = [_ZERO] * n
+            if i == 0:
+                out[0] = 1 / self.coeffs[0]
+            else:
+                out[n - i] = -1 / (p * self.coeffs[i])
+            return PiAdic._of(p, tuple(out))
         cols = []
         for j in range(n):
             e = [Fraction(0)] * n
             e[j] = Fraction(1)
-            col = (self * PiAdic(self.p, e)).coeffs
+            col = (self * PiAdic(p, e)).coeffs
             cols.append(list(col))
         M = [[cols[j][i] for j in range(n)] for i in range(n)]
         e0 = [Fraction(1)] + [Fraction(0)] * (n - 1)
         sol = solve_linear(M, [e0], one=Fraction(1))[0]
-        return PiAdic(self.p, tuple(sol))
+        return PiAdic._of(p, tuple(sol))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PiAdic(self.p, tuple(x / other for x in self.coeffs))
+            return PiAdic._of(self.p, tuple(x / other for x in self.coeffs))
         if self._coerce(other) is None:
             return NotImplemented
         return self * other.inverse()
@@ -189,7 +214,7 @@ class PiAdic:
     def shift_down(self):
         """Exact division by pi."""
         cs = self.coeffs
-        return PiAdic(self.p, cs[1:] + (-cs[0] / self.p,))
+        return PiAdic._of(self.p, cs[1:] + (-cs[0] / self.p,))
 
     def digits(self, count):
         """Canonical digit expansion d_0..d_{count-1} with x = sum d_i pi**i

@@ -27,6 +27,7 @@ from toricsums.frobenius import (
     teichmuller_lift,
 )
 from toricsums.cyclotomic import CycloInt
+from toricsums.ratfunc import solve_linear
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -58,6 +59,45 @@ def test_ord_is_a_valuation(x, y):
         vsum = (x + y).ord_pi()
         if vsum is not None:
             assert vsum >= min(vx, vy)
+
+
+def monomials(p):
+    """c pi**i with c != 0: the divisors that inverse() takes in closed form."""
+    return st.builds(lambda c, i: PiAdic(p, [c if k == i else 0 for k in range(p - 1)]),
+                     fracs.filter(bool), st.integers(0, p - 2))
+
+
+# (monomial, arbitrary element) at one of p = 3, 5, 7
+monomial_cases = st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(monomials(p), piadics(p)))
+
+
+def dense_inverse(x):
+    """x**-1 from the linear system of multiplication by x on 1, pi, ..., pi**(p-2)."""
+    n = x.p - 1
+    cols = [(x * PiAdic(x.p, [int(k == j) for k in range(n)])).coeffs for j in range(n)]
+    M = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return PiAdic(x.p, solve_linear(M, [[1] + [0] * (n - 1)], one=Fraction(1))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_cases)
+def test_monomial_inverse_matches_dense_solve(case):
+    x, y = case
+    assert x * x.inverse() == PiAdic.one(x.p)
+    assert y / x == y * dense_inverse(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_cases)
+def test_results_keep_fraction_coordinates(case):
+    x, y = case
+    results = [x + y, x - y, -y, x * y, y * x, y / x, 1 / x, x.inverse(),
+               y.shift_down(), y + 1, y - Fraction(1, 2), y * 3, y / 2]
+    if y:
+        results += [x / y, y.inverse()]
+    for r in results:
+        assert all(type(c) is Fraction for c in r.coeffs)
 
 
 def test_pi_generates_p():

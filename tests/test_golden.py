@@ -23,6 +23,10 @@ COMMANDS = {
                   "--pi-digits", "3", "--lam-order", "6"],
     "frobenius-check": ["frobenius-check", "--family", "2,1,1,1", "--prime", "3",
                         "--lam", "1", "--pi-digits", "4"],
+    # p > 3: PiAdic has p - 1 > 2 coordinates, so pi-power index arithmetic shows
+    "frobenius-p5": ["frobenius", "--family", "1,1,1,1", "--prime", "5"],
+    "frobenius-check-p7": ["frobenius-check", "--family", "1,1,1,1", "--prime", "7",
+                           "--lam", "3"],
     "lpoly": ["lpoly", "--family", "2,1,1,1", "--prime", "5", "--lam", "1"],
     # several histogram chunks per field, uint8 cells
     "newton": ["newton", "--family", "1,2,1,1", "--prime", "5", "--lam", "2"],
