@@ -37,6 +37,10 @@ class Fp:
         o = self._other(other)
         return NotImplemented if o is None else Fp(self.p, self.n - o)
 
+    def __rsub__(self, other):
+        o = self._other(other)
+        return NotImplemented if o is None else Fp(self.p, o - self.n)
+
     def __neg__(self):
         return Fp(self.p, -self.n)
 

@@ -17,7 +17,7 @@ makes the margin a certificate rather than a heuristic.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
 
 from .errors import InvariantError, PreconditionError, StarvationError
 from .hodge import basis_set, weight_of
@@ -26,55 +26,70 @@ from .ratfunc import Laurent, Poly, RatFunc, add_term, solve_linear
 from .reduction import flag_representatives, reduce_to_basis
 
 
-def _frac_ord_p(fr, p):
-    if fr == 0:
-        return None
+def _ord_p(n, p):
+    """p-adic order of a nonzero int."""
     v = 0
-    num, den = fr.numerator, fr.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
-_ZERO = Fraction(0)
-
-
 class PiAdic:
-    """Element of Q[pi]/(pi**(p-1) + p) with exact Fraction coordinates.
+    """Element of Q[pi]/(pi**(p-1) + p) on integer coordinates over one
+    common denominator.
 
-    coeffs is a tuple of p - 1 Fractions, the coordinates on 1, pi, ...,
-    pi**(p-2). The public constructor coerces and checks them. Arithmetic
-    builds its results with `_of`, which trusts that invariant: a Fraction
-    combined with a Fraction or an int by + - * / stays a Fraction.
+    The value is sum(num[i] * pi**i for i < p - 1) / den: num is a tuple of
+    p - 1 ints and den a positive int, kept in lowest terms, so that den and
+    the entries of num have gcd 1 (zero is num = (0, ..., 0), den = 1). The
+    form is canonical, so == and hash compare (num, den). The public
+    constructor takes rational coordinates and brings them to this form;
+    arithmetic builds its results with `_of`, which trusts the invariant, or
+    `_reduced`, which restores it with one gcd pass. `coeffs` gives the
+    coordinates on 1, pi, ..., pi**(p-2) as Fractions.
 
     ord_pi is exact: the p-orders of the p-1 coordinates are distinct mod
     p-1, so the minimum over i + (p-1)*ord_p(c_i) is attained once.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != p - 1:
             raise PreconditionError(f"need {p - 1} coordinates, got {len(coeffs)}")
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(c.denominator for c in coeffs))
         self.p = p
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     @classmethod
-    def _of(cls, p, coeffs):
-        """Wrap a tuple of p - 1 Fractions without coercing or checking it."""
+    def _of(cls, p, num, den):
+        """Wrap p - 1 ints over den > 0, already in lowest terms."""
         x = cls.__new__(cls)
         x.p = p
-        x.coeffs = coeffs
+        x.num = num
+        x.den = den
         return x
 
     @classmethod
+    def _reduced(cls, p, num, den):
+        """Wrap p - 1 ints over den > 0, dividing out their common factor."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+        return cls._of(p, num, den)
+
+    @property
+    def coeffs(self):
+        """The coordinates on 1, pi, ..., pi**(p-2), as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @classmethod
     def zero(cls, p):
-        return cls(p, (Fraction(0),) * (p - 1))
+        return cls._of(p, (0,) * (p - 1), 1)
 
     @classmethod
     def one(cls, p):
@@ -82,27 +97,36 @@ class PiAdic:
 
     @classmethod
     def from_fraction(cls, p, fr):
-        return cls(p, (Fraction(fr),) + (Fraction(0),) * (p - 2))
+        fr = Fraction(fr)
+        return cls._of(p, (fr.numerator,) + (0,) * (p - 2), fr.denominator)
 
     @classmethod
     def pi(cls, p):
-        return cls(p, (Fraction(0), Fraction(1)) + (Fraction(0),) * (p - 3))
+        return cls._of(p, (0, 1) + (0,) * (p - 3), 1)
 
     def _coerce(self, other):
         """other as a PiAdic of the same p; None for foreign types."""
+        if isinstance(other, PiAdic):
+            if other.p != self.p:
+                raise PreconditionError("mixed pi-adic operands")
+            return other
         if isinstance(other, (int, Fraction)):
             return PiAdic.from_fraction(self.p, other)
-        if not isinstance(other, PiAdic):
-            return None
-        if other.p != self.p:
-            raise PreconditionError("mixed pi-adic operands")
-        return other
+        return None
+
+    def _plus(self, other, sign):
+        """self + sign * other for a PiAdic other of the same p."""
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        s, t = d2 // g, sign * (d1 // g)
+        num = tuple(x * s + y * t for x, y in zip(self.num, other.num))
+        return PiAdic._reduced(self.p, num, d1 * s)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PiAdic._of(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -110,21 +134,33 @@ class PiAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PiAdic._of(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other._plus(self, -1)
 
     def __neg__(self):
-        return PiAdic._of(self.p, tuple(-x for x in self.coeffs))
+        return PiAdic._of(self.p, tuple(-x for x in self.num), self.den)
+
+    def _scale(self, a, b):
+        """self * a / b for ints a and b > 0."""
+        return PiAdic._reduced(self.p, tuple(x * a for x in self.num), self.den * b)
 
     def __mul__(self, other):
-        p = self.p
-        if isinstance(other, (int, Fraction)):
-            return PiAdic._of(p, tuple(x * other for x in self.coeffs))
-        if self._coerce(other) is None:
+        if not isinstance(other, PiAdic):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
             return NotImplemented
+        p = self.p
+        if other.p != p:
+            raise PreconditionError("mixed pi-adic operands")
         n = p - 1
-        ys = [(j, y) for j, y in enumerate(other.coeffs) if y]
-        out = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(self.coeffs):
+        ys = [(j, y) for j, y in enumerate(other.num) if y]
+        out = [0] * (2 * n - 1)
+        for i, x in enumerate(self.num):
             if x:
                 for j, y in ys:
                     out[i + j] += x * y
@@ -132,7 +168,7 @@ class PiAdic:
         for k in range(2 * n - 2, n - 1, -1):
             if out[k]:
                 out[k - n] -= p * out[k]
-        return PiAdic._of(p, tuple(out[:n]))
+        return PiAdic._reduced(p, tuple(out[:n]), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -140,16 +176,19 @@ class PiAdic:
         if not self:
             raise ZeroDivisionError("inverse of zero pi-adic scalar")
         p, n = self.p, self.p - 1
-        support = [i for i, c in enumerate(self.coeffs) if c]
+        support = [i for i, c in enumerate(self.num) if c]
         if len(support) == 1:
-            # c pi**i times pi**(p-1-i) / (-p c) is pi**(p-1) / -p = 1
+            # (c/d) pi**i times pi**(p-1-i) d / (-p c) is pi**(p-1) / -p = 1
             i = support[0]
-            out = [_ZERO] * n
+            c, d = self.num[i], self.den
+            if c < 0:
+                c, d = -c, -d
+            out = [0] * n
             if i == 0:
-                out[0] = 1 / self.coeffs[0]
-            else:
-                out[n - i] = -1 / (p * self.coeffs[i])
-            return PiAdic._of(p, tuple(out))
+                out[0] = d
+                return PiAdic._of(p, tuple(out), c)
+            out[n - i] = -d
+            return PiAdic._reduced(p, tuple(out), p * c)
         cols = []
         for j in range(n):
             e = [Fraction(0)] * n
@@ -159,12 +198,14 @@ class PiAdic:
         M = [[cols[j][i] for j in range(n)] for i in range(n)]
         e0 = [Fraction(1)] + [Fraction(0)] * (n - 1)
         sol = solve_linear(M, [e0], one=Fraction(1))[0]
-        return PiAdic._of(p, tuple(sol))
+        return PiAdic(p, sol)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PiAdic._of(self.p, tuple(x / other for x in self.coeffs))
-        if self._coerce(other) is None:
+            r = Fraction(other.denominator, other.numerator)
+            return self._scale(r.numerator, r.denominator)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self * other.inverse()
 
@@ -188,48 +229,55 @@ class PiAdic:
         return result
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
-        return isinstance(other, PiAdic) and self.p == other.p and self.coeffs == other.coeffs
+        return (isinstance(other, PiAdic) and self.p == other.p
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self.num, self.den))
 
     def __repr__(self):
         return f"PiAdic(p={self.p}, {list(self.coeffs)})"
 
     def ord_pi(self):
         """Exact valuation in pi units (ord pi = 1, ord p = p - 1); None if zero."""
+        p = self.p
+        vd = _ord_p(self.den, p)
         best = None
-        for i, c in enumerate(self.coeffs):
-            v = _frac_ord_p(c, self.p)
-            if v is None:
-                continue
-            t = i + (self.p - 1) * v
-            if best is None or t < best:
-                best = t
+        for i, c in enumerate(self.num):
+            if c:
+                t = i + (p - 1) * (_ord_p(c, p) - vd)
+                if best is None or t < best:
+                    best = t
         return best
 
     def shift_down(self):
         """Exact division by pi."""
-        cs = self.coeffs
-        return PiAdic._of(self.p, cs[1:] + (-cs[0] / self.p,))
+        p, c0, rest = self.p, self.num[0], self.num[1:]
+        # pi**-1 = pi**(p-2) / -p; either branch keeps lowest terms
+        if c0 % p == 0:
+            return PiAdic._of(p, rest + (-c0 // p,), self.den)
+        return PiAdic._of(p, tuple(x * p for x in rest) + (-c0,), self.den * p)
 
     def digits(self, count):
         """Canonical digit expansion d_0..d_{count-1} with x = sum d_i pi**i
         mod pi**count, digits in [0, p). Requires ord_pi >= 0."""
-        x = self
+        v = self.ord_pi()
+        if v is not None and v < 0:
+            raise PreconditionError("scalar is not pi-integral")
+        p = self.p
+        # den is prime to p. Coordinates congruent mod p**k give elements
+        # congruent mod pi**(k*(p-1)), which share their first count digits.
+        mod = p ** (count // (p - 1) + 1)
+        inv = pow(self.den, -1, mod)
+        a = [x * inv % mod for x in self.num]
         out = []
         for _ in range(count):
-            c0 = x.coeffs[0]
-            if c0.denominator % self.p == 0:
-                raise PreconditionError("scalar is not pi-integral")
-            d = (c0.numerator * pow(c0.denominator, self.p - 2, self.p)) % self.p
+            d = a[0] % p
             out.append(d)
-            x = (x - d).shift_down()
-        if x.ord_pi() is not None and x.ord_pi() < 0:
-            raise PreconditionError("scalar is not pi-integral")
+            a = a[1:] + [(d - a[0]) // p]
         return out
 
 
@@ -552,42 +600,32 @@ def _pad_power_series(entry, p, count):
     return comp.series_coefficients(count)
 
 
-def _series_add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def _series_neg(x):
-    return [-a for a in x]
-
-
-def _series_mul(x, y, count, p):
-    z = PiAdic.zero(p)
-    out = [z] * count
-    for i, a in enumerate(x[:count]):
-        if not a:
-            continue
-        for j, b in enumerate(y[: count - i]):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
 def _series_theta(x):
     return [c * i for i, c in enumerate(x)]
 
 
 def _mat_series_mul(A, B, count, p):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    z = [PiAdic.zero(p)] * count
-    out = [[z for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = [PiAdic.zero(p)] * count
-            for t in range(k):
-                acc = _series_add(acc, _series_mul(A[i][t], B[t][j], count, p))
-            out[i][j] = acc
+    """A*B for matrices of power series, truncated to count terms.
+
+    Each entry accumulates into one list, and zero coefficients of either
+    factor form no product.
+    """
+    z = PiAdic.zero(p)
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = [z] * count
+            for x, Brow in zip(row, B):
+                y = [(k, b) for k, b in enumerate(Brow[j][:count]) if b]
+                for i, a in enumerate(x[:count]):
+                    if a:
+                        for k, b in y:
+                            if i + k >= count:
+                                break
+                            acc[i + k] = acc[i + k] + a * b
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
@@ -620,15 +658,8 @@ def horizontality_residual(fs, lam_checked=None):
         else:
             t1 = _mat_series_mul(Bmat, U, count, p)
             t2 = _mat_series_mul(U, Bpmat, count, p)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = _series_add(thU[i][j], _series_neg(t1[i][j]))
-                acc = _series_add(acc, [c * p for c in t2[i][j]])
-                row.append(acc)
-            out.append(row)
-        return out
+        return [[[a - b + c * p for a, b, c in zip(thU[i][j], t1[i][j], t2[i][j])]
+                 for j in range(n)] for i in range(n)]
 
     def min_ord(mat):
         best = None

@@ -295,7 +295,8 @@ def add_term(acc, key, s):
 class Laurent:
     """Laurent polynomial in L: exponent -> nonzero coefficient, immutable.
 
-    Values combine with + and - among themselves; * and / also take a
+    Values combine with + - * among themselves and with a coefficient or a
+    Python int, which + and - read as a constant term; / also takes a
     coefficient or a Python int. Division is exact and only by monomials
     (or coefficients); anything else raises PreconditionError. theta is the
     Euler derivative L d/dL.
@@ -336,19 +337,22 @@ class Laurent:
 
     def __add__(self, other):
         if not isinstance(other, Laurent):
-            return NotImplemented
+            other = Laurent({0: other})
         out = dict(self.terms)
         for e, c in other.terms.items():
             add_term(out, e, c)
         return Laurent._of(out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Laurent._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Laurent):
-            return NotImplemented
         return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Laurent):

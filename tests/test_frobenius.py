@@ -5,6 +5,7 @@ machinery runs at lower precision plus exact unit tests for the scalars.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,140 @@ def test_results_keep_fraction_coordinates(case):
         results += [x / y, y.inverse()]
     for r in results:
         assert all(type(c) is Fraction for c in r.coeffs)
+
+
+def _ord_p(fr, p):
+    """p-adic order of a nonzero Fraction."""
+    v, num, den = 0, fr.numerator, fr.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+class Ref:
+    """Reference model: Q[pi]/(pi**(p-1) + p) on a tuple of p - 1 Fractions,
+    with the textbook convolution, a Gauss-Jordan inverse and the digit
+    recursion x -> (x - d) / pi."""
+
+    def __init__(self, p, cs):
+        self.p, self.cs = p, tuple(Fraction(c) for c in cs)
+
+    def __add__(self, o):
+        return Ref(self.p, [x + y for x, y in zip(self.cs, o.cs)])
+
+    def __sub__(self, o):
+        return Ref(self.p, [x - y for x, y in zip(self.cs, o.cs)])
+
+    def __mul__(self, o):
+        p, n = self.p, self.p - 1
+        out = [Fraction(0)] * (2 * n - 1)
+        for i, x in enumerate(self.cs):
+            for j, y in enumerate(o.cs):
+                out[i + j] += x * y
+        for k in range(2 * n - 2, n - 1, -1):
+            out[k - n] -= p * out[k]
+        return Ref(p, out[:n])
+
+    def inverse(self):
+        n = self.p - 1
+        basis = [Ref(self.p, [int(k == j) for k in range(n)]) for j in range(n)]
+        cols = [(self * e).cs for e in basis]
+        M = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+        for k in range(n):
+            piv = next(i for i in range(k, n) if M[i][k])
+            M[k], M[piv] = M[piv], M[k]
+            M[k] = [x / M[k][k] for x in M[k]]
+            for i in range(n):
+                if i != k and M[i][k]:
+                    M[i] = [x - M[i][k] * y for x, y in zip(M[i], M[k])]
+        return Ref(self.p, [row[n] for row in M])
+
+    def shift_down(self):
+        return Ref(self.p, self.cs[1:] + (-self.cs[0] / self.p,))
+
+    def ord_pi(self):
+        vs = [i + (self.p - 1) * _ord_p(c, self.p) for i, c in enumerate(self.cs) if c]
+        return min(vs, default=None)
+
+    def digits(self, count):
+        p, x, out = self.p, self, []
+        for _ in range(count):
+            c0 = x.cs[0]
+            d = c0.numerator * pow(c0.denominator, -1, p) % p
+            out.append(d)
+            x = (x - Ref(p, [d] + [0] * (p - 2))).shift_down()
+        return out
+
+
+def _coord(p, low=-2):
+    # small rationals times a power of p, so that orders of both signs occur;
+    # with low = 0 they are p-integral
+    b = st.integers(1, 30) if low < 0 else st.integers(1, 30).filter(lambda b: b % p)
+    return st.builds(lambda a, b, k: Fraction(a, b) * Fraction(p) ** k,
+                     st.integers(-40, 40), b, st.integers(low, 3))
+
+
+def _dense(p, low=-2):
+    return st.lists(_coord(p, low), min_size=p - 1, max_size=p - 1)
+
+
+def _monomial(p):
+    return st.builds(lambda c, i: [c if k == i else 0 for k in range(p - 1)],
+                     _coord(p).filter(bool), st.integers(0, p - 2))
+
+
+# (p, x, y, z, w): x and y dense, z a nonzero monomial, w dense and pi-integral
+ref_cases = st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), _dense(p), _dense(p), _monomial(p), _dense(p, 0)))
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert all(type(c) is int for c in x.num)
+    assert all(type(c) is Fraction for c in x.coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ref_cases, st.integers(0, 8))
+def test_piadic_matches_fraction_reference(case, count):
+    p, xs, ys, zs, ws = case
+    x, y, z = PiAdic(p, xs), PiAdic(p, ys), PiAdic(p, zs)
+    rx, ry, rz = Ref(p, xs), Ref(p, ys), Ref(p, zs)
+
+    def const(c):
+        return Ref(p, [c] + [0] * (p - 2))
+
+    checks = [
+        (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, const(0) - rx),
+        (z.inverse(), rz.inverse()), (x / z, rx * rz.inverse()),
+        (z ** -2, (rz * rz).inverse()), (x.shift_down(), rx.shift_down()),
+        (x * 3 - Fraction(1, 4), rx * const(3) - const(Fraction(1, 4))),
+    ]
+    if y:
+        checks += [(y.inverse(), ry.inverse()), (x / y, rx * ry.inverse()),
+                   (y ** -1, ry.inverse()), (Fraction(2, 3) / y, const(Fraction(2, 3)) * ry.inverse())]
+    for got, ref in checks:
+        _assert_canonical(got)
+        assert got.coeffs == ref.cs
+        assert got.ord_pi() == ref.ord_pi()
+    # equal values built different ways are equal and hash equal
+    for a, b in [((x + y) - y, x), (x * y, y * x), (PiAdic(p, (x * y).coeffs), x * y)]:
+        assert a == b and hash(a) == hash(b)
+    assert PiAdic(p, ws).digits(count) == Ref(p, ws).digits(count)
+    v = x.ord_pi()
+    if v is None or v >= 0:
+        assert x.digits(count) == rx.digits(count)
+    else:
+        with pytest.raises(PreconditionError):
+            x.digits(count)
+
+
+def test_reflected_subtraction():
+    pi = PiAdic.pi(5)
+    assert 1 - pi == PiAdic.one(5) - pi
+    assert Fraction(1, 2) - pi == PiAdic.from_fraction(5, Fraction(1, 2)) - pi
 
 
 def test_pi_generates_p():

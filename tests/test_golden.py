@@ -27,6 +27,11 @@ COMMANDS = {
     "frobenius-p5": ["frobenius", "--family", "1,1,1,1", "--prime", "5"],
     "frobenius-check-p7": ["frobenius-check", "--family", "1,1,1,1", "--prime", "7",
                            "--lam", "3"],
+    # the heaviest frobenius job: six coordinates, the largest denominators
+    "frobenius-p7": ["frobenius", "--family", "1,1,1,1", "--prime", "7"],
+    # a*b > 1 at a point
+    "frobenius-check-ab": ["frobenius-check", "--family", "1,2,1,1", "--prime", "3",
+                           "--lam", "2"],
     "lpoly": ["lpoly", "--family", "2,1,1,1", "--prime", "5", "--lam", "1"],
     # several histogram chunks per field, uint8 cells
     "newton": ["newton", "--family", "1,2,1,1", "--prime", "5", "--lam", "2"],

@@ -135,6 +135,17 @@ def test_prime_ring_rejects_division_by_p_multiples():
         Fp(5, 3) / Fp(5, 10)
 
 
+def test_prime_ring_reflected_subtraction():
+    assert int(1 - Fp(5, 2)) == 4
+    assert int(Fp(5, 2) - 1) == 1
+
+
+def test_laurent_reflected_subtraction():
+    assert 1 - L == ONE - L
+    assert Fraction(1, 2) - L == ONE / 2 - L
+    assert L - 1 == L - ONE and 1 + L == L + ONE
+
+
 def test_laurent_divides_only_by_monomials():
     assert (L * L * 3 + L) / (L * 2) == L * Fraction(3, 2) + ONE / 2
     with pytest.raises(PreconditionError):
