@@ -6,10 +6,8 @@ pi = 1 - zeta is computed by exact division, never numerically.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvariantError, PreconditionError
-from .ratfunc import solve_linear
 
 
 def _check_prime(p):
@@ -113,27 +111,6 @@ class CycloInt:
         return sum(self.coeffs) % self.p
 
 
-@lru_cache(maxsize=None)
-def _one_minus_zeta_inverse_matrix(p):
-    """Matrix of multiplication by (1 - zeta)**(-1) on the power basis, over Q."""
-    n = p - 1
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        prod = _mul_reduce(p, (1, -1) + (0,) * (n - 2), tuple(e))
-        cols.append([Fraction(c) for c in prod])
-    # invert the multiplication matrix (columns are images of basis vectors)
-    M = [[cols[j][i] for j in range(n)] for i in range(n)]
-    idcols = []
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(1)
-        idcols.append(e)
-    inv_cols = solve_linear(M, idcols, one=Fraction(1))
-    return tuple(tuple(inv_cols[j][i] for j in range(n)) for i in range(n))
-
-
 def pi_valuation(x):
     """Valuation of x in Z[zeta_p] at the prime (1 - zeta); None for x = 0.
 
@@ -144,16 +121,20 @@ def pi_valuation(x):
     if not x:
         return None
     p = x.p
-    inv = _one_minus_zeta_inverse_matrix(p)
-    coeffs = tuple(Fraction(c) for c in x.coeffs)
+    coeffs = x.coeffs
     v = 0
     while True:
-        if sum(coeffs) % p != 0:
+        s = sum(coeffs)
+        if s % p:
             return v
-        nxt = tuple(sum(row[j] * coeffs[j] for j in range(p - 1)) for row in inv)
-        if any(c.denominator != 1 for c in nxt):
-            raise InvariantError("inexact division by (1 - zeta)")
-        coeffs = nxt
+        # y * (1 - zeta) = x on the power basis reads x_j = y_j - y_{j-1} + t
+        # with t = y_{p-2}; summing over j gives t = sum(x) / p
+        t = s // p
+        y, prev = [], 0
+        for c in coeffs:
+            prev = c + prev - t
+            y.append(prev)
+        coeffs = y
         v += 1
 
 

@@ -20,9 +20,10 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 
 from .errors import InvariantError, PreconditionError, StarvationError
+from .exact import mat_mul
 from .hodge import basis_set, weight_of
 from .lfunction import coefficients_from_power_sums, exp_sum_series, l_polynomial
-from .ratfunc import Laurent, Poly, RatFunc, add_term, solve_linear
+from .ratfunc import Laurent, add_term, solve_linear
 from .reduction import flag_representatives, reduce_to_basis
 
 
@@ -363,8 +364,8 @@ def teichmuller_lift(p, residue, target_ord):
     return PiAdic.from_fraction(p, val), (k + 1) * (p - 1)
 
 
-def _laurent_to_poly(x, p, floor_ord=None):
-    """Laurent over PiAdic -> Poly over PiAdic.
+def _series(x, p, floor_ord=None):
+    """Laurent over PiAdic -> its coefficient list on L**0, L**1, ...
 
     Exact data must have no negative exponents. Truncated data may carry
     uncancelled tail debris at negative exponents; with floor_ord set, such
@@ -372,9 +373,7 @@ def _laurent_to_poly(x, p, floor_ord=None):
     rejected otherwise.
     """
     x = x.terms
-    if not x:
-        return Poly()
-    if min(x) < 0:
+    if x and min(x) < 0:
         if floor_ord is None:
             raise InvariantError(
                 "negative deformation exponent where a series was expected")
@@ -385,11 +384,41 @@ def _laurent_to_poly(x, p, floor_ord=None):
                     f"negative deformation exponent {e} with order {v}, "
                     f"below the certified floor {floor_ord}")
         x = {e: cval for e, cval in x.items() if e >= 0}
-        if not x:
-            return Poly()
-    hi = max(x)
     z = PiAdic.zero(p)
-    return Poly([x.get(e, z) for e in range(hi + 1)])
+    return [x.get(e, z) for e in range(max(x, default=-1) + 1)]
+
+
+def _spread(x, p, count):
+    """x(L**p) for a power series x, to count terms."""
+    out = [PiAdic.zero(p)] * count
+    for k, c in enumerate(x[:(count + p - 1) // p]):
+        out[k * p] = c
+    return out
+
+
+def _series_inverse(F, count, p):
+    """Inverse of a matrix of power series with invertible constant term, to
+    count terms: X_k = F_0**-1 (delta_k0 - sum_{t>=1} F_t X_{k-t})."""
+    n = len(F)
+    z, one = PiAdic.zero(p), PiAdic.one(p)
+    F0 = [[e[0] if e else z for e in row] for row in F]
+    F0inv = list(zip(*solve_linear(
+        F0, [[one if i == j else z for i in range(n)] for j in range(n)], one=one)))
+    X = [[[] for _ in range(n)] for _ in range(n)]
+    for k in range(count):
+        R = [[one if k == 0 and i == j else z for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for m, f in enumerate(F[i]):
+                for t in range(1, min(k + 1, len(f))):
+                    if f[t]:
+                        for j in range(n):
+                            x = X[m][j][k - t]
+                            if x:
+                                R[i][j] = R[i][j] - f[t] * x
+        for Xrow, row in zip(X, mat_mul(F0inv, R)):
+            for x, c in zip(Xrow, row):
+                x.append(c)
+    return X
 
 
 def _min_ord_series(coeffs):
@@ -403,36 +432,23 @@ def _min_ord_series(coeffs):
     return best
 
 
-@dataclass
-class FlagData:
-    """Derivative flag over the pi-adic deformation ring: representatives,
-    their basis coordinates (F columns), and the structure matrix columns."""
-
-    basis: list
-    reps: list
-    F: list            # F[row v][col i] as Poly over PiAdic
-    B: list            # B[i][j] as RatFunc over PiAdic (column j = image of flag j)
-
-
-def flag_data(params, p):
+def flag_data(params, p, count):
+    """Derivative flag over the pi-adic deformation ring: the basis order,
+    the representatives, F (column i = basis coordinates of flag i) and the
+    structure matrix B (column j = image of flag j), as series matrices; B is
+    truncated to count terms."""
     pi, lam = PiAdic.pi(p), Laurent({1: PiAdic.one(p)})
     n = params.degree
     reps = flag_representatives(params, pi, lam, n + 1)
     certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
     order = basis_set(params)
-    F = [[_laurent_to_poly(certs[i].coords[v], p) for i in range(n)] for v in order]
-    one = PiAdic.one(p)
-    Frf = [[RatFunc(e, Poly.const(one)) for e in row] for row in F]
-    target = [RatFunc(_laurent_to_poly(certs[n].coords[v], p), Poly.const(one)) for v in order]
-    g = solve_linear(Frf, [target], one=RatFunc(Poly.const(one)))[0]
-    zero = RatFunc(Poly(), Poly.const(one))
-    one_rf = RatFunc(Poly.const(one))
-    B = [[zero] * n for _ in range(n)]
-    for i in range(n - 1):
-        B[i + 1][i] = one_rf
-    for i in range(n):
-        B[i][n - 1] = g[i]
-    return FlagData(basis=order, reps=reps[:n], F=F, B=B)
+    F = [[_series(certs[i].coords[v], p) for i in range(n)] for v in order]
+    target = [[_series(certs[n].coords[v], p)] for v in order]
+    g = _mat_series_mul(_series_inverse(F, count, p), target, count, p)
+    zero = [PiAdic.zero(p)] * count
+    one = [PiAdic.one(p)] + zero[1:]
+    B = [[one if i == j + 1 else zero for j in range(n - 1)] + g[i] for i in range(n)]
+    return order, reps[:n], F, B
 
 
 def _phi_terms(params, p, cutoff):
@@ -512,7 +528,6 @@ class FrobeniusSeries:
     basis: list
     U: list        # U[i][j] = list of PiAdic, coefficient of L**n
     B: list        # same shape, series of the structure matrix
-    B_padded: list
 
 
 def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
@@ -543,21 +558,14 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     n = params.degree
     if lam_order is None:
         lam_order = 2 * p + 10
-    fd = flag_data(params, p)
-    one = PiAdic.one(p)
-    one_rf = RatFunc(Poly.const(one))
+    count = lam_order + 1
+    basis, reps, F, B = flag_data(params, p, count)
     # F at the p-th power of the deformation, and its worst inverse denominator
-    Fp = [[RatFunc(e.compose_power(p), Poly.const(one)) for e in row] for row in fd.F]
-    idcols = []
-    for j in range(n):
-        col = [RatFunc(Poly(), Poly.const(one)) for _ in range(n)]
-        col[j] = one_rf
-        idcols.append(col)
-    inv_cols = solve_linear(Fp, idcols, one=one_rf)
+    Finv = _series_inverse([[_spread(e, p, count) for e in row] for row in F], count, p)
     nu0 = 0
-    for col in inv_cols:
-        for entry in col:
-            v = _min_ord_series(entry.series_coefficients(lam_order + 1))
+    for row in Finv:
+        for entry in row:
+            v = _min_ord_series(entry)
             if v is not None and -v > nu0:
                 nu0 = -v
     if cutoff is None:
@@ -568,36 +576,25 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
             f"splitting cutoff {cutoff} certifies only pi**{margin}, "
             f"need pi**{pi_digits}; raise the cutoff",
             achieved=margin, requested=pi_digits)
+    one = PiAdic.one(p)
     phi = _phi_terms(params, p, cutoff)
     lam_pows = _powers(Laurent({0: one}), Laurent({1: one}), cutoff)
     pi, lam_p = PiAdic.pi(p), Laurent({p: one})
     Mcols = []
-    for img in _frobenius_images(fd.reps, phi, lam_pows, p):
+    for img in _frobenius_images(reps, phi, lam_pows, p):
         cert = reduce_to_basis(img, params, pi, lam_p)
-        Mcols.append([cert.coords[v] for v in fd.basis])
-    Mrf = [[RatFunc(_laurent_to_poly(Mcols[j][i], p, floor_ord=pi_digits + nu0), Poly.const(one))
-            for j in range(n)] for i in range(len(fd.basis))]
-    Ucols = solve_linear(Fp, [[Mrf[i][j] for i in range(n)] for j in range(n)], one=one_rf)
-    U = [[None] * n for _ in range(n)]
+        Mcols.append([_series(cert.coords[v], p, floor_ord=pi_digits + nu0) for v in basis])
+    M = [[Mcols[j][i] for j in range(n)] for i in range(n)]
+    U = _mat_series_mul(Finv, M, count, p)
     for j in range(n):
         for i in range(n):
-            coeffs = Ucols[j][i].series_coefficients(lam_order + 1)
-            bad = _min_ord_series(coeffs)
+            bad = _min_ord_series(U[i][j])
             if bad is not None and bad < 0:
                 raise InvariantError(
                     f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad})")
-            U[i][j] = coeffs
-    Bser = [[entry.series_coefficients(lam_order + 1) for entry in row] for row in fd.B]
-    Bpad = [[_pad_power_series(entry, p, lam_order + 1) for entry in row] for row in fd.B]
     return FrobeniusSeries(params=params, p=p, pi_digits=pi_digits, margin=margin,
                            cutoff=cutoff, nu0=nu0, lam_order=lam_order,
-                           basis=fd.basis, U=U, B=Bser, B_padded=Bpad)
-
-
-def _pad_power_series(entry, p, count):
-    """Series of entry evaluated at the p-th power of the variable."""
-    comp = RatFunc(entry.num.compose_power(p), entry.den.compose_power(p))
-    return comp.series_coefficients(count)
+                           basis=basis, U=U, B=B)
 
 
 def _series_theta(x):
@@ -647,7 +644,7 @@ def horizontality_residual(fs, lam_checked=None):
     count = (fs.lam_order + 1) if lam_checked is None else min(lam_checked, fs.lam_order + 1)
     U = [[entry[:count] for entry in row] for row in fs.U]
     B = [[entry[:count] for entry in row] for row in fs.B]
-    Bp = [[entry[:count] for entry in row] for row in fs.B_padded]
+    Bp = [[_spread(entry, p, count) for entry in row] for row in B]
     n = len(U)
 
     def residual(Bmat, Bpmat, left_to_right=True):
@@ -745,12 +742,11 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
             achieved=margin, requested=pi_digits)
     phi = _phi_terms(params, p, cutoff)
     lam_pows = _powers(PiAdic.one(p), lam_hat, cutoff)
-    Ucols = []
+    Mcols = []
     for img in _frobenius_images(reps, phi, lam_pows, p):
         cert = reduce_to_basis(img, params, pi, lam_hat)
-        Mcol = [cert.coords[v] for v in order]
-        Ucols.append(solve_linear(F, [Mcol], one=PiAdic.one(p))[0])
-    U = [[Ucols[j][i] for j in range(n)] for i in range(n)]
+        Mcols.append([cert.coords[v] for v in order])
+    U = mat_mul(list(zip(*inv_cols)), list(zip(*Mcols)))
     for i in range(n):
         for j in range(n):
             v = U[i][j].ord_pi()
@@ -764,11 +760,6 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
 def reciprocal_char_poly(U, p):
     """Coefficients of det(1 - U T) from trace power sums, exact."""
     n = len(U)
-
-    def mat_mul(A, B):
-        return [[sum((A[i][t] * B[t][j] for t in range(n)), PiAdic.zero(p))
-                 for j in range(n)] for i in range(n)]
-
     traces = []
     power = U
     for _ in range(n):

@@ -1,14 +1,16 @@
 """Polynomials, Laurent polynomials and rational functions in the deformation L.
 
-Coefficients can be any exact field elements supporting +, -, *, /, ==,
-bool (False exactly for zero) and ** 0 (multiplicative one). fractions.Fraction
-qualifies, as does the pi-adic scalar type used for Frobenius matrices.
+Laurent and solve_linear take any exact field elements supporting +, -, *,
+/, == and bool (False exactly for zero): fractions.Fraction, and the pi-adic
+scalar type of the Frobenius computation. Laurent is the scalar of the
+reduction engine wherever the deformation stays a variable: the rewrites
+divide only by integers, by pi and by L, so every coordinate is a Laurent
+polynomial and no gcd is ever needed.
 
-Laurent is the scalar of the reduction engine wherever the deformation stays
-a variable: the rewrites divide only by integers, by pi and by L, so every
-coordinate is a Laurent polynomial and no gcd is ever needed. RatFunc, the
-reduced quotient of two Poly, serves the exact solves that follow
-(connection and Frobenius matrices); Laurent.to_ratfunc is the one bridge.
+Poly and RatFunc, the reduced quotient of two Poly, carry Fractions only.
+They serve the exact solve of the connection matrix over Q(L);
+Laurent.to_ratfunc is the one bridge. The pi-adic Frobenius works on
+truncated power series instead and never builds a RatFunc.
 """
 
 from itertools import zip_longest
@@ -104,41 +106,6 @@ class Poly:
     def scale(self, c):
         return Poly([x * c for x in self.coeffs])
 
-    def shift(self, k):
-        """Multiply by variable**k (k >= 0)."""
-        if not self.coeffs:
-            return self
-        z = self.coeffs[0] * 0
-        return Poly([z] * k + list(self.coeffs))
-
-    def theta(self):
-        """Euler derivative t * d/dt."""
-        return Poly([c * i for i, c in enumerate(self.coeffs)])
-
-    def __pow__(self, n):
-        if n < 0:
-            raise PreconditionError("negative polynomial power")
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                break
-            base = base * base
-        if result is None:
-            raise InvariantError("0th power needs a one; use Poly.const")
-        return result
-
-    def __call__(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return x * 0
-        return acc
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -157,18 +124,6 @@ class Poly:
                 for j, oc in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * oc
         return Poly(quo), Poly(rem)
-
-    def compose_power(self, k):
-        """Substitute variable -> variable**k."""
-        if k <= 0:
-            raise PreconditionError("power substitution needs k >= 1")
-        if not self.coeffs:
-            return self
-        z = self.coeffs[0] * 0
-        out = [z] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(out)
 
 
 def poly_gcd(a, b):
@@ -246,38 +201,6 @@ class RatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n):
-        if n == 0:
-            one = (self.num.coeffs or self.den.coeffs)[0] ** 0
-            return RatFunc(Poly.const(one), Poly.const(one))
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def theta(self):
-        """Euler derivative t*d/dt via the quotient rule."""
-        n, d = self.num, self.den
-        return RatFunc(n.theta() * d - n * d.theta(), d * d)
-
-    def series_coefficients(self, count):
-        """First `count` power series coefficients at t = 0.
-
-        The denominator must not vanish at 0.
-        """
-        d = self.den.coeffs
-        if not d or not d[0]:
-            raise PreconditionError("rational function has a pole at 0")
-        inv_d0 = d[0] ** 0 / d[0]
-        z = d[0] * 0
-        n = self.num.coeffs
-        out = []
-        for k in range(count):
-            acc = n[k] if k < len(n) else z
-            for j in range(1, min(k, len(d) - 1) + 1):
-                acc = acc - d[j] * out[k - j]
-            out.append(acc * inv_d0)
-        return out
 
 
 def add_term(acc, key, s):

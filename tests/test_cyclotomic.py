@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricsums.cyclotomic import CycloInt, ord_q, pi_valuation
@@ -52,6 +52,20 @@ def test_pi_valuation_basics():
     assert pi_valuation(CycloInt.from_int(p, p)) == p - 1
     assert pi_valuation(CycloInt.zero(p)) is None
     assert pi_valuation((one - zeta(p)) * (one - zeta(p, 2))) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_valuation_counts_factors_of_one_minus_zeta(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    k = data.draw(st.integers(0, 2 * p))
+    x = CycloInt(p, data.draw(st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)))
+    assume(x)
+    pi = CycloInt.from_int(p, 1) - zeta(p)
+    y = x
+    for _ in range(k):
+        y = y * pi
+    assert pi_valuation(y) == pi_valuation(x) + k
 
 
 def test_ord_q_normalization():

@@ -8,13 +8,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricsums.errors import PreconditionError, StarvationError
+from toricsums.errors import InvariantError, PreconditionError, StarvationError
 from toricsums.family import FamilyParams
 from toricsums.frobenius import (
     PiAdic,
+    _mat_series_mul,
+    _series,
+    _series_inverse,
     compare_char_poly_with_lfunction,
     congruent_mod_pi,
     dwork_root,
@@ -28,7 +31,7 @@ from toricsums.frobenius import (
     teichmuller_lift,
 )
 from toricsums.cyclotomic import CycloInt
-from toricsums.ratfunc import solve_linear
+from toricsums.ratfunc import Laurent, solve_linear
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -315,6 +318,38 @@ def test_teichmuller_points():
     diff = t ** 5 - t
     assert diff.ord_pi() is None or diff.ord_pi() >= ot
     assert t.digits(1) == [2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_series_inverse_is_a_two_sided_inverse(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    n = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, 6))
+    small = st.lists(st.integers(-3, 3), min_size=p - 1, max_size=p - 1)
+    poly = st.lists(small.map(lambda cs: PiAdic(p, cs)), max_size=4)
+    F = data.draw(st.lists(st.lists(poly, min_size=n, max_size=n), min_size=n, max_size=n))
+    try:
+        X = _series_inverse(F, count, p)
+    except InvariantError:
+        assume(False)
+    z, one = PiAdic.zero(p), PiAdic.one(p)
+    ident = [[[one if i == j and k == 0 else z for k in range(count)] for j in range(n)]
+             for i in range(n)]
+    assert _mat_series_mul(X, F, count, p) == ident
+    assert _mat_series_mul(F, X, count, p) == ident
+
+
+def test_series_drops_debris_above_the_floor_only():
+    p = 5
+    pi, one = PiAdic.pi(p), PiAdic.one(p)
+    x = Laurent({-1: pi ** 6, 0: one, 2: one * 3})
+    assert _series(x, p, floor_ord=6) == [one, PiAdic.zero(p), one * 3]
+    with pytest.raises(InvariantError, match="below the certified floor 7"):
+        _series(x, p, floor_ord=7)
+    with pytest.raises(InvariantError, match="where a series was expected"):
+        _series(x, p)
+    assert _series(Laurent(), p) == []
 
 
 def test_frobenius_series_shape_and_unit_root():

@@ -29,6 +29,8 @@ COMMANDS = {
                            "--lam", "3"],
     # the heaviest frobenius job: six coordinates, the largest denominators
     "frobenius-p7": ["frobenius", "--family", "1,1,1,1", "--prime", "7"],
+    # the longest default series: lam_order 2p + 10 = 32, ten coordinates
+    "frobenius-p11": ["frobenius", "--family", "1,1,1,1", "--prime", "11"],
     # a*b > 1 at a point
     "frobenius-check-ab": ["frobenius-check", "--family", "1,2,1,1", "--prime", "3",
                            "--lam", "2"],
