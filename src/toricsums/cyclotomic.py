@@ -8,11 +8,7 @@ pi = 1 - zeta is computed by exact division, never numerically.
 from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
-
-
-def _check_prime(p):
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-        raise PreconditionError(f"{p} is not prime")
+from .exact import require_prime
 
 
 def _mul_reduce(p, xs, ys):
@@ -40,7 +36,7 @@ class CycloInt:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        _check_prime(p)
+        require_prime(p)
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != p - 1:
             raise PreconditionError(f"need {p - 1} coefficients, got {len(coeffs)}")
@@ -105,10 +101,6 @@ class CycloInt:
 
     def __repr__(self):
         return f"CycloInt(p={self.p}, {list(self.coeffs)})"
-
-    def residue_mod_pi(self):
-        """Image in Z[zeta]/(1 - zeta) = F_p, i.e. sum of coefficients mod p."""
-        return sum(self.coeffs) % self.p
 
 
 def pi_valuation(x):

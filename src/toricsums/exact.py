@@ -6,8 +6,15 @@ Matrices are plain lists of lists.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import PreconditionError
+
+
+def require_prime(n):
+    """Raise PreconditionError unless n is prime (trial division to isqrt(n))."""
+    if n < 2 or any(n % k == 0 for k in range(2, isqrt(n) + 1)):
+        raise PreconditionError(f"{n} is not prime")
 
 
 def _eye(n):

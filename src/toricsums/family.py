@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import PreconditionError
+from .exact import require_prime
 
 
 @dataclass(frozen=True)
@@ -59,5 +60,6 @@ class FamilyParams:
         """Raise unless p is an admissible characteristic for this family."""
         if p <= 2:
             raise PreconditionError(f"characteristic must be an odd prime > 2, got {p}")
+        require_prime(p)
         if (self.a * self.b * self.c * self.d) % p == 0:
             raise PreconditionError(f"p = {p} divides a*b*c*d = {self.a * self.b * self.c * self.d}")

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import InvariantError, PreconditionError
+from .exact import require_prime
 
 
 class Fp:
@@ -66,10 +67,6 @@ class Fp:
 
     def __repr__(self):
         return f"Fp({self.p}, {self.n})"
-
-
-def _is_prime(n):
-    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
 def _prime_divisors(n):
@@ -166,8 +163,7 @@ def _poly_is_irreducible(p, f):
 @lru_cache(maxsize=None)
 def find_irreducible(p, k):
     """Monic irreducible of degree k over F_p with least integer encoding."""
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    require_prime(p)
     if k < 1:
         raise PreconditionError("degree must be >= 1")
     if k == 1:
@@ -188,8 +184,7 @@ class FieldTower:
     """The field F_{p^k} with its prime subfield, as coefficient tuples."""
 
     def __init__(self, p, k):
-        if not _is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
+        require_prime(p)
         self.p = p
         self.k = k
         self.q = p ** k
@@ -227,9 +222,6 @@ class FieldTower:
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple((a - b) % self.p for a, b in zip(x, y))
 
     def mul(self, x, y):
         out = _pmod(self.p, _pmul(self.p, list(x), list(y)), list(self.modulus))

@@ -22,7 +22,12 @@ from math import ceil, gcd, lcm
 from .errors import InvariantError, PreconditionError, StarvationError
 from .exact import mat_mul
 from .hodge import basis_set, weight_of
-from .lfunction import coefficients_from_power_sums, exp_sum_series, l_polynomial
+from .lfunction import (
+    check_count_size,
+    coefficients_from_power_sums,
+    exp_sum_series,
+    l_polynomial,
+)
 from .ratfunc import Laurent, add_term, solve_linear
 from .reduction import flag_representatives, reduce_to_basis
 
@@ -254,14 +259,6 @@ class PiAdic:
                     best = t
         return best
 
-    def shift_down(self):
-        """Exact division by pi."""
-        p, c0, rest = self.p, self.num[0], self.num[1:]
-        # pi**-1 = pi**(p-2) / -p; either branch keeps lowest terms
-        if c0 % p == 0:
-            return PiAdic._of(p, rest + (-c0 // p,), self.den)
-        return PiAdic._of(p, tuple(x * p for x in rest) + (-c0,), self.den * p)
-
     def digits(self, count):
         """Canonical digit expansion d_0..d_{count-1} with x = sum d_i pi**i
         mod pi**count, digits in [0, p). Requires ord_pi >= 0."""
@@ -280,6 +277,11 @@ class PiAdic:
             out.append(d)
             a = a[1:] + [(d - a[0]) // p]
         return out
+
+
+def _min_ord(values):
+    """Least ord_pi over the nonzero values; None when every value is zero."""
+    return min((v for v in (x.ord_pi() for x in values) if v is not None), default=None)
 
 
 def ord_ge(x, m):
@@ -365,13 +367,16 @@ def teichmuller_lift(p, residue, target_ord):
 
 
 def _series(x, p, floor_ord=None):
-    """Laurent over PiAdic -> its coefficient list on L**0, L**1, ...
+    """Laurent over PiAdic -> its coefficient list on L**0, L**1, ...; a
+    PiAdic, a coordinate at a point, is its own one-term series.
 
     Exact data must have no negative exponents. Truncated data may carry
     uncancelled tail debris at negative exponents; with floor_ord set, such
     coefficients are dropped when their order clears the certified floor and
     rejected otherwise.
     """
+    if isinstance(x, PiAdic):
+        return [x]
     x = x.terms
     if x and min(x) < 0:
         if floor_ord is None:
@@ -421,15 +426,13 @@ def _series_inverse(F, count, p):
     return X
 
 
-def _min_ord_series(coeffs):
-    best = None
-    for c in coeffs:
-        v = c.ord_pi()
-        if v is None:
-            continue
-        if best is None or v < best:
-            best = v
-    return best
+def _flag_matrix(reps, params, pi, lam, p):
+    """Reduce the flag representatives at the deformation lam: the basis
+    order and F, whose column i holds the basis coordinates of reps[i] as
+    series."""
+    certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
+    order = basis_set(params)
+    return order, [[_series(c.coords[v], p) for c in certs] for v in order]
 
 
 def flag_data(params, p, count):
@@ -440,11 +443,9 @@ def flag_data(params, p, count):
     pi, lam = PiAdic.pi(p), Laurent({1: PiAdic.one(p)})
     n = params.degree
     reps = flag_representatives(params, pi, lam, n + 1)
-    certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
-    order = basis_set(params)
-    F = [[_series(certs[i].coords[v], p) for i in range(n)] for v in order]
-    target = [[_series(certs[n].coords[v], p)] for v in order]
-    g = _mat_series_mul(_series_inverse(F, count, p), target, count, p)
+    order, G = _flag_matrix(reps, params, pi, lam, p)
+    F = [row[:n] for row in G]
+    g = _mat_series_mul(_series_inverse(F, count, p), [row[n:] for row in G], count, p)
     zero = [PiAdic.zero(p)] * count
     one = [PiAdic.one(p)] + zero[1:]
     B = [[one if i == j + 1 else zero for j in range(n - 1)] + g[i] for i in range(n)]
@@ -516,6 +517,48 @@ def default_cutoff(params, p):
     return 2 * params.degree + int(ceil(p * wmax))
 
 
+def _frobenius_core(params, p, reps, F, lam, lam_p, count, pi_digits, cutoff,
+                    lift_ord=None):
+    """U = F(lam_p)**-1 M to count terms in the deformation, where column j
+    of M holds the basis coordinates at lam_p of psi_p(reps[j] * PHI), PHI
+    taken at lam. Returns (U, cutoff, nu0, margin).
+
+    F is the flag matrix of reps as series in L, read at lam_p = L**p. At a
+    Teichmuller point the lift is its own p-th power to its certified order
+    lift_ord: count = 1, lam = lam_p is the lift, F(lam_p) is F, and
+    lift_ord caps the margin.
+    """
+    Finv = _series_inverse([[_spread(e, p, count) for e in row] for row in F], count, p)
+    # the worst denominator of the change to the flag basis
+    nu0 = max(0, -(_min_ord(c for row in Finv for e in row for c in e) or 0))
+    if cutoff is None:
+        cutoff = max(required_cutoff(p, pi_digits, nu0), default_cutoff(params, p))
+    margin = int(splitting_bound(p, cutoff + 1)) - nu0
+    limit, advice = f"splitting cutoff {cutoff}", "; raise the cutoff"
+    if lift_ord is not None and lift_ord - nu0 <= margin:
+        margin = lift_ord - nu0
+        limit, advice = f"Teichmuller lift to pi**{lift_ord}", ""
+    if margin < pi_digits:
+        raise StarvationError(
+            f"{limit} certifies only pi**{margin}, need pi**{pi_digits}{advice}",
+            achieved=margin, requested=pi_digits)
+    phi = _phi_terms(params, p, cutoff)
+    pi, basis = PiAdic.pi(p), basis_set(params)
+    M = [[] for _ in basis]
+    for img in _frobenius_images(reps, phi, _powers(lam / lam, lam, cutoff), p):
+        coords = reduce_to_basis(img, params, pi, lam_p).coords
+        for row, v in zip(M, basis):
+            row.append(_series(coords[v], p, floor_ord=pi_digits + nu0))
+    U = _mat_series_mul(Finv, M, count, p)
+    for j in range(len(basis)):
+        for i, row in enumerate(U):
+            bad = _min_ord(row[j])
+            if bad is not None and bad < 0:
+                raise InvariantError(
+                    f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad})")
+    return U, cutoff, nu0, margin
+
+
 @dataclass
 class FrobeniusSeries:
     params: object
@@ -555,43 +598,13 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
         raise PreconditionError("pi_digits must be non-negative")
     if lam_order is not None and lam_order < 0:
         raise PreconditionError("lam_order must be non-negative")
-    n = params.degree
     if lam_order is None:
         lam_order = 2 * p + 10
     count = lam_order + 1
     basis, reps, F, B = flag_data(params, p, count)
-    # F at the p-th power of the deformation, and its worst inverse denominator
-    Finv = _series_inverse([[_spread(e, p, count) for e in row] for row in F], count, p)
-    nu0 = 0
-    for row in Finv:
-        for entry in row:
-            v = _min_ord_series(entry)
-            if v is not None and -v > nu0:
-                nu0 = -v
-    if cutoff is None:
-        cutoff = max(required_cutoff(p, pi_digits, nu0), default_cutoff(params, p))
-    margin = int(splitting_bound(p, cutoff + 1)) - nu0
-    if margin < pi_digits:
-        raise StarvationError(
-            f"splitting cutoff {cutoff} certifies only pi**{margin}, "
-            f"need pi**{pi_digits}; raise the cutoff",
-            achieved=margin, requested=pi_digits)
     one = PiAdic.one(p)
-    phi = _phi_terms(params, p, cutoff)
-    lam_pows = _powers(Laurent({0: one}), Laurent({1: one}), cutoff)
-    pi, lam_p = PiAdic.pi(p), Laurent({p: one})
-    Mcols = []
-    for img in _frobenius_images(reps, phi, lam_pows, p):
-        cert = reduce_to_basis(img, params, pi, lam_p)
-        Mcols.append([_series(cert.coords[v], p, floor_ord=pi_digits + nu0) for v in basis])
-    M = [[Mcols[j][i] for j in range(n)] for i in range(n)]
-    U = _mat_series_mul(Finv, M, count, p)
-    for j in range(n):
-        for i in range(n):
-            bad = _min_ord_series(U[i][j])
-            if bad is not None and bad < 0:
-                raise InvariantError(
-                    f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad})")
+    U, cutoff, nu0, margin = _frobenius_core(
+        params, p, reps, F, Laurent({1: one}), Laurent({p: one}), count, pi_digits, cutoff)
     return FrobeniusSeries(params=params, p=p, pi_digits=pi_digits, margin=margin,
                            cutoff=cutoff, nu0=nu0, lam_order=lam_order,
                            basis=basis, U=U, B=B)
@@ -647,7 +660,7 @@ def horizontality_residual(fs, lam_checked=None):
     Bp = [[_spread(entry, p, count) for entry in row] for row in B]
     n = len(U)
 
-    def residual(Bmat, Bpmat, left_to_right=True):
+    def residual_ord(Bmat, Bpmat, left_to_right=True):
         thU = [[_series_theta(e) for e in row] for row in U]
         if left_to_right:
             t1 = _mat_series_mul(U, Bmat, count, p)
@@ -655,26 +668,15 @@ def horizontality_residual(fs, lam_checked=None):
         else:
             t1 = _mat_series_mul(Bmat, U, count, p)
             t2 = _mat_series_mul(U, Bpmat, count, p)
-        return [[[a - b + c * p for a, b, c in zip(thU[i][j], t1[i][j], t2[i][j])]
-                 for j in range(n)] for i in range(n)]
-
-    def min_ord(mat):
-        best = None
-        for row in mat:
-            for entry in row:
-                v = _min_ord_series(entry)
-                if v is None:
-                    continue
-                if best is None or v < best:
-                    best = v
-        return best
+        return _min_ord(a - b + c * p for i in range(n) for j in range(n)
+                        for a, b, c in zip(thU[i][j], t1[i][j], t2[i][j]))
 
     Bt = [[B[j][i] for j in range(n)] for i in range(n)]
     Bpt = [[Bp[j][i] for j in range(n)] for i in range(n)]
     variants = {
-        "stated": min_ord(residual(B, Bp, True)),
-        "transposed": min_ord(residual(Bt, Bpt, True)),
-        "reversed": min_ord(residual(B, Bp, False)),
+        "stated": residual_ord(B, Bp, True),
+        "transposed": residual_ord(Bt, Bpt, True),
+        "reversed": residual_ord(B, Bp, False),
     }
     return HorizontalityReport(lam_checked=count, variants=variants, margin=fs.margin)
 
@@ -696,7 +698,8 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
     """Frobenius matrix at the Teichmuller point above a unit residue.
 
     The fiber is its own image (the lift is fixed by the p-power map), so U
-    is a square PiAdic matrix certified modulo pi**margin.
+    is the series Frobenius cut to one term: a square PiAdic matrix certified
+    modulo pi**margin.
     """
     params.check_prime(p)
     if params.c * params.d != 1:
@@ -716,45 +719,12 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
         return acc
 
     reps = [{x: specialize(lau) for x, lau in rep.items()} for rep in reps_lam]
-    certs = [reduce_to_basis(r, params, pi, lam_hat) for r in reps]
-    order = basis_set(params)
-    F = [[certs[i].coords[v] for i in range(n)] for v in order]
-    idcols = []
-    for j in range(n):
-        col = [PiAdic.zero(p)] * n
-        col[j] = PiAdic.one(p)
-        idcols.append(col)
-    inv_cols = solve_linear(F, idcols, one=PiAdic.one(p))
-    nu0 = 0
-    for col in inv_cols:
-        for entry in col:
-            v = entry.ord_pi()
-            if v is not None and -v > nu0:
-                nu0 = -v
-    if cutoff is None:
-        cutoff = max(required_cutoff(p, pi_digits, nu0), default_cutoff(params, p))
-    margin = int(splitting_bound(p, cutoff + 1)) - nu0
-    if lam_ord is not None:
-        margin = min(margin, lam_ord - nu0)
-    if margin < pi_digits:
-        raise StarvationError(
-            f"cutoff {cutoff} certifies only pi**{margin}, need pi**{pi_digits}",
-            achieved=margin, requested=pi_digits)
-    phi = _phi_terms(params, p, cutoff)
-    lam_pows = _powers(PiAdic.one(p), lam_hat, cutoff)
-    Mcols = []
-    for img in _frobenius_images(reps, phi, lam_pows, p):
-        cert = reduce_to_basis(img, params, pi, lam_hat)
-        Mcols.append([cert.coords[v] for v in order])
-    U = mat_mul(list(zip(*inv_cols)), list(zip(*Mcols)))
-    for i in range(n):
-        for j in range(n):
-            v = U[i][j].ord_pi()
-            if v is not None and v < 0:
-                raise InvariantError(f"Frobenius entry ({i},{j}) not pi-integral")
+    order, F = _flag_matrix(reps, params, pi, lam_hat, p)
+    U, cutoff, nu0, margin = _frobenius_core(
+        params, p, reps, F, lam_hat, lam_hat, 1, pi_digits, cutoff, lift_ord=lam_ord)
     return FrobeniusPoint(params=params, p=p, lam_residue=lam_residue,
                           pi_digits=pi_digits, margin=margin, cutoff=cutoff,
-                          nu0=nu0, basis=order, U=U)
+                          nu0=nu0, basis=order, U=[[e[0] for e in row] for row in U])
 
 
 def reciprocal_char_poly(U, p):
@@ -784,20 +754,16 @@ class CharPolyComparison:
 def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8, workers=1):
     """det(1 - U T) at the Teichmuller point against the counted L-polynomial,
     matched through zeta -> E(1)."""
+    # refuse an oversized count before any Frobenius work
+    check_count_size(p, 1, params.degree)
     fp = frobenius_at_point(params, p, lam_residue, pi_digits)
     det_coeffs = reciprocal_char_poly(fp.U, p)
     series = exp_sum_series(params, p, lam_residue, params.degree, workers=workers)
     lp = l_polynomial(series)
     zeta_hat, _ = dwork_root(p, fp.margin + 2)
     embedded = [embed_cyclotomic(c, zeta_hat) for c in lp.coeffs]
-    agreement = []
-    overall = None
-    for dc, ec in zip(det_coeffs, embedded):
-        v = (dc - ec).ord_pi()
-        agreement.append(v)
-        if v is not None and (overall is None or v < overall):
-            overall = v
+    diffs = [dc - ec for dc, ec in zip(det_coeffs, embedded)]
     return CharPolyComparison(params=params, p=p, lam_residue=lam_residue,
                               det_coeffs=det_coeffs, lpoly_coeffs=list(lp.coeffs),
-                              embedded=embedded, agreement=agreement,
-                              min_agreement=overall, margin=fp.margin)
+                              embedded=embedded, agreement=[d.ord_pi() for d in diffs],
+                              min_agreement=_min_ord(diffs), margin=fp.margin)

@@ -27,7 +27,9 @@ MAX_CELLS = 1 << 32
 
 def check_count_size(p, atilde, k):
     """Refuse a count over F_{q^k}, q = p**atilde, with more than MAX_CELLS
-    torus points (m = q**k - 1 above 65536)."""
+    torus points (m = q**k - 1 above 65536), or with atilde < 1."""
+    if atilde < 1:
+        raise PreconditionError(f"atilde must be >= 1, got {atilde}")
     m = p ** (atilde * k) - 1
     if m * m > MAX_CELLS:
         raise PreconditionError(

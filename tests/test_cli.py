@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toricsums import cli
+from toricsums import cli, frobenius
 
 
 def run(capsys, argv):
@@ -145,6 +145,39 @@ def test_bad_prime_exits_2(capsys):
     code, _, err = run(capsys, ["ordinary", "--family", "1,1,2,1", "--prime", "2"])
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobenius", "--family", "1,1,1,1"],
+    ["frobenius-check", "--family", "1,1,1,1", "--lam", "2"],
+    ["reduce", "--family", "1,1,1,1", "--monomial", "2,2", "--ring", "prime", "--lam", "2"],
+    ["reduce", "--family", "1,1,1,1", "--monomial", "2,2", "--ring", "pilambda"],
+    ["ordinary", "--family", "1,1,1,1"],
+])
+def test_composite_prime_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv + ["--prime", "9"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == "9 is not prime"
+
+
+@pytest.mark.parametrize("atilde", ["0", "-1"])
+def test_atilde_below_one_exits_2(capsys, atilde):
+    code, out, err = run(capsys, ["lpoly", "--family", "1,1,1,1", "--prime", "3",
+                                  "--lam", "1", "--atilde", atilde])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == f"atilde must be >= 1, got {atilde}"
+
+
+def test_frobenius_check_refuses_an_oversized_count_first(capsys, monkeypatch):
+    # (2,1,1,1) at p = 11 counts over F_{11^5}, past the cap
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the point Frobenius ran before the count cap")
+
+    monkeypatch.setattr(frobenius, "frobenius_at_point", unreachable)
+    code, out, err = run(capsys, ["frobenius-check", "--family", "2,1,1,1",
+                                  "--prime", "11", "--lam", "2"])
+    assert code == 2 and out == ""
+    assert "over the cap of 4294967296" in json.loads(err)["error"]["message"]
 
 
 def test_starved_frobenius_exits_3(capsys):

@@ -97,9 +97,3 @@ def test_rational_layer_integrality():
     with pytest.raises(InvariantError):
         x / 2
 
-
-def test_residue_mod_pi():
-    p = 5
-    x = CycloInt(p, (2, 1, 1, 3))
-    # modulo 1 - zeta every zeta power collapses to 1
-    assert x.residue_mod_pi() == (2 + 1 + 1 + 3) % p

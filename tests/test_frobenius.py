@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricsums import frobenius
 from toricsums.errors import InvariantError, PreconditionError, StarvationError
 from toricsums.family import FamilyParams
 from toricsums.frobenius import (
@@ -97,7 +98,7 @@ def test_monomial_inverse_matches_dense_solve(case):
 def test_results_keep_fraction_coordinates(case):
     x, y = case
     results = [x + y, x - y, -y, x * y, y * x, y / x, 1 / x, x.inverse(),
-               y.shift_down(), y + 1, y - Fraction(1, 2), y * 3, y / 2]
+               y + 1, y - Fraction(1, 2), y * 3, y / 2]
     if y:
         results += [x / y, y.inverse()]
     for r in results:
@@ -210,7 +211,7 @@ def test_piadic_matches_fraction_reference(case, count):
     checks = [
         (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, const(0) - rx),
         (z.inverse(), rz.inverse()), (x / z, rx * rz.inverse()),
-        (z ** -2, (rz * rz).inverse()), (x.shift_down(), rx.shift_down()),
+        (z ** -2, (rz * rz).inverse()),
         (x * 3 - Fraction(1, 4), rx * const(3) - const(Fraction(1, 4))),
     ]
     if y:
@@ -350,6 +351,8 @@ def test_series_drops_debris_above_the_floor_only():
     with pytest.raises(InvariantError, match="where a series was expected"):
         _series(x, p)
     assert _series(Laurent(), p) == []
+    # a coordinate at a point is its own one-term series
+    assert _series(pi, p, floor_ord=0) == [pi]
 
 
 def test_frobenius_series_shape_and_unit_root():
@@ -400,6 +403,16 @@ def test_starvation_is_raised_not_fudged():
         frobenius_series(P, 3, pi_digits=8, cutoff=5)
     assert info.value.achieved is not None
     assert info.value.achieved < 8
+
+
+def test_starvation_at_a_point_names_the_lift(monkeypatch):
+    # the default cutoff always covers the request, so at a point only the
+    # lift's order can fall short, and raising the cutoff would not help
+    monkeypatch.setattr(frobenius, "teichmuller_lift", lambda p, r, t: (PiAdic.one(p), 3))
+    with pytest.raises(StarvationError, match="Teichmuller lift to pi\\*\\*3") as info:
+        frobenius_at_point(FamilyParams(1, 1, 1, 1), 3, 1, pi_digits=4)
+    assert "cutoff" not in str(info.value)
+    assert info.value.achieved < info.value.requested == 4
 
 
 def test_point_frobenius_matches_series_at_teichmuller_one():
