@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from toricsums import FamilyParams, connection_matrix, formal_solutions
 from toricsums.gkz import companion_matrix, indicial_roots, picard_fuchs_operator
-from toricsums.ratfunc import Laurent, Poly, RatFunc
+from toricsums.ratfunc import Laurent, RatFunc
 from toricsums.reduction import reduce_to_basis, verify_certificate
 
 params = FamilyParams(2, 1, 1, 1)
@@ -46,7 +46,7 @@ print(f"rewrite steps: {cert.steps}")
 conn = connection_matrix(params)
 op = picard_fuchs_operator(params)
 comp = companion_matrix(params)
-one = Poly.const(Fraction(1))
+one = Laurent({0: Fraction(1)})
 agree = conn == [[RatFunc(e, one) for e in row] for row in comp]
 print()
 print("operator in theta (coefficient of theta^i, lowest first):")

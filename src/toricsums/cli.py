@@ -42,7 +42,7 @@ from .gkz import companion_matrix as gkz_companion_matrix
 from .hodge import hodge_polygon, ordinarity_report, weight_profile
 from .hodge import basis_set as hodge_basis_set
 from .lfunction import exp_sum_series, l_polynomial, newton_polygon
-from .ratfunc import Laurent, Poly, RatFunc
+from .ratfunc import Laurent, RatFunc
 from .reduction import connection_matrix, reduce_to_basis, verify_certificate
 
 
@@ -70,7 +70,8 @@ def piadic_json(x, digit_count=None):
 
 
 def poly_json(poly):
-    return [frac_str(c) for c in poly.coeffs]
+    """Coefficients on L^0..L^degree of a polynomial, "0" in the gaps."""
+    return [frac_str(poly.terms.get(e, 0)) for e in range(poly.degree + 1)]
 
 
 def ratfunc_json(r):
@@ -276,8 +277,8 @@ def cmd_connection(args):
     params = _family(args)
     conn = connection_matrix(params)
     comp = gkz_companion_matrix(params)
-    one = Fraction(1)
-    comp_rf = [[RatFunc(e, Poly.const(one)) for e in row] for row in comp]
+    unit = Laurent({0: Fraction(1)})
+    comp_rf = [[RatFunc(e, unit) for e in row] for row in comp]
     equal = conn == comp_rf
     return {
         "family": _family_json(params),

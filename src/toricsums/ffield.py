@@ -132,16 +132,7 @@ def _ppow_t(p, f, e):
 def _pgcd(p, a, b):
     a, b = _pstrip(a), _pstrip(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        db = len(b) - 1
-        while _pstrip(r) and len(_pstrip(r)) - 1 >= db:
-            r = _pstrip(r)
-            coef = (r[-1] * inv) % p
-            shift = len(r) - 1 - db
-            for j, bc in enumerate(b):
-                r[shift + j] = (r[shift + j] - coef * bc) % p
-        a, b = b, _pstrip(r)
+        a, b = b, _pmod(p, a, b)
     return a
 
 
@@ -295,11 +286,16 @@ class FieldTower:
 
     def embed_subfield_code(self, p, deg, code):
         """Embed an element of F_{p^deg} (given by its integer encoding in that
-        field's own representation) into this field. deg must divide k."""
+        field's own representation) into this field. deg must divide k. For
+        deg = 1 the code is read as a residue mod p; for deg > 1 it must lie
+        in [0, p**deg)."""
         if self.p != p or self.k % deg != 0:
             raise PreconditionError("not a subfield")
         if deg == 1:
             return self.embed_prime(code)
+        if not 0 <= code < p ** deg:
+            raise PreconditionError(
+                f"element code {code} of F_{p}^{deg} is outside [0, {p ** deg})")
         sub_modulus = find_irreducible(p, deg)
         root = None
         for cand_code in range(self.q):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
 from .exact import integer_kernel
-from .ratfunc import Poly
+from .ratfunc import Laurent
 
 
 def exponent_matrix(params):
@@ -47,8 +47,8 @@ def euler_factors(params):
 class ThetaOperator:
     """Polynomial in theta = L d/dL with coefficients polynomial in L.
 
-    theta_coeffs[j] multiplies theta**j; coefficients are Poly in L over
-    Fraction.
+    theta_coeffs[j] multiplies theta**j; coefficients are polynomials in L
+    over Fraction, as Laurent values with no negative exponent.
     """
 
     theta_coeffs: tuple
@@ -59,16 +59,13 @@ class ThetaOperator:
 
     def indicial_coefficients(self):
         """Constant terms in L of the theta coefficients (the L -> 0 part)."""
-        out = []
-        for c in self.theta_coeffs:
-            out.append(c.coeffs[0] if c.coeffs else Fraction(0))
-        return out
+        return [c.terms.get(0, Fraction(0)) for c in self.theta_coeffs]
 
     def leading_constant(self):
         lead = self.theta_coeffs[-1]
         if lead.degree != 0:
             raise InvariantError("leading theta coefficient is not constant")
-        return lead.coeffs[0]
+        return lead.terms[0]
 
 
 def _mul_linear(coeffs, alpha, beta):
@@ -92,9 +89,8 @@ def picard_fuchs_operator(params):
         coeffs = _mul_linear(coeffs, Fraction(1), Fraction(k))
     if len(coeffs) != params.degree + 1:
         raise InvariantError("operator order does not match the family degree")
-    theta_coeffs = [Poly.const(co) for co in coeffs]
-    lam_power = Poly(tuple([Fraction(0)] * (a * b) + [Fraction(1)]))
-    theta_coeffs[0] = theta_coeffs[0] - lam_power
+    theta_coeffs = [Laurent({0: co}) for co in coeffs]
+    theta_coeffs[0] = theta_coeffs[0] - Laurent({a * b: Fraction(1)})
     return ThetaOperator(tuple(theta_coeffs))
 
 
@@ -106,18 +102,18 @@ def leading_kappa(params):
 
 def companion_matrix(params):
     """Companion form of the operator: unit superdiagonal, last row solved
-    for the top derivative. Entries are Poly in L over Fraction."""
+    for the top derivative. Entries are polynomials in L over Fraction, as
+    Laurent values."""
     op = picard_fuchs_operator(params)
     n = op.order
     kappa = op.leading_constant()
     if kappa != leading_kappa(params):
         raise InvariantError("leading constant disagrees with the block product")
-    zero = Poly()
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[Laurent()] * n for _ in range(n)]
     for i in range(n - 1):
-        rows[i][i + 1] = Poly.const(Fraction(1))
+        rows[i][i + 1] = Laurent({0: Fraction(1)})
     for j in range(n):
-        rows[n - 1][j] = op.theta_coeffs[j].scale(Fraction(-1) / kappa)
+        rows[n - 1][j] = op.theta_coeffs[j] * (Fraction(-1) / kappa)
     return rows
 
 

@@ -113,11 +113,21 @@ def weight_profile(params):
 
 
 def hodge_polygon(params):
-    """Lower convex graph whose slopes are the basis weights in ascending order."""
-    prof = weight_profile(params)
+    """Lower convex graph whose slopes are the basis weights in ascending order.
+
+    Raises InvariantError unless the sorted weights satisfy the Hodge
+    symmetry w_i + w_(N-1-i) = 2: the box basis of some c, d > 1 families
+    carries wrong weights, and their polygon would be false.
+    """
+    ws = weight_profile(params).weights
+    if any(w + v != 2 for w, v in zip(ws, reversed(ws))):
+        fam = (params.a, params.b, params.c, params.d)
+        raise InvariantError(
+            f"family {fam}: basis weights break the Hodge symmetry "
+            f"w_i + w_(N-1-i) = 2, so they give no Hodge polygon")
     pts = [(Fraction(0), Fraction(0))]
     acc = Fraction(0)
-    for i, w in enumerate(prof.weights, start=1):
+    for i, w in enumerate(ws, start=1):
         acc += w
         pts.append((Fraction(i), acc))
     return lower_convex_hull(pts)

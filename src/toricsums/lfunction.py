@@ -128,6 +128,8 @@ class ExpSumSeries:
 
 
 def exp_sum_series(params, p, lam_code, count, atilde=1, workers=1):
+    if count < 1:
+        raise PreconditionError(f"count must be >= 1, got {count}")
     check_count_size(p, atilde, count)
     sums = tuple(exp_sum(params, p, lam_code, k, atilde, workers) for k in range(1, count + 1))
     return ExpSumSeries(params, p, atilde, lam_code, sums)

@@ -1,4 +1,4 @@
-"""Polynomials, Laurent polynomials and rational functions in the deformation L.
+"""Laurent polynomials and rational functions in the deformation L.
 
 Laurent and solve_linear take any exact field elements supporting +, -, *,
 /, == and bool (False exactly for zero): fractions.Fraction, and the pi-adic
@@ -7,200 +7,15 @@ reduction engine wherever the deformation stays a variable: the rewrites
 divide only by integers, by pi and by L, so every coordinate is a Laurent
 polynomial and no gcd is ever needed.
 
-Poly and RatFunc, the reduced quotient of two Poly, carry Fractions only.
-They serve the exact solve of the connection matrix over Q(L);
-Laurent.to_ratfunc is the one bridge. The pi-adic Frobenius works on
+Laurent is also the one polynomial type: a value with no negative exponent
+is a polynomial, with a degree and long division, which poly_gcd runs on.
+RatFunc, the quotient of two such polynomials reduced by their gcd, carries
+Fractions only. It serves the exact solve of the connection matrix over
+Q(L); Laurent.to_ratfunc is the one bridge. The pi-adic Frobenius works on
 truncated power series instead and never builds a RatFunc.
 """
 
-from itertools import zip_longest
-
 from .errors import InvariantError, PreconditionError
-
-
-class Poly:
-    """Polynomial in one variable, dense coefficient tuple, constant term first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                var = "L" if k == 1 else f"L^{k}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def _zero_coeff(self, other=None):
-        if self.coeffs:
-            return self.coeffs[0] * 0
-        if isinstance(other, Poly) and other.coeffs:
-            return other.coeffs[0] * 0
-        return 0
-
-    def __add__(self, other):
-        z = self._zero_coeff(other)
-        return Poly([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=z)])
-
-    def __sub__(self, other):
-        z = self._zero_coeff(other)
-        return Poly([x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=z)])
-
-    def __neg__(self):
-        return Poly([-x for x in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        z = self.coeffs[0] * 0
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return Poly(out)
-
-    def scale(self, c):
-        return Poly([x * c for x in self.coeffs])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = other.coeffs[-1]
-        inv_lead = lead ** 0 / lead
-        rem = list(self.coeffs)
-        z = other.coeffs[0] * 0
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [z] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
-        return Poly(quo), Poly(rem)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the coefficient field."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lead = a.coeffs[-1]
-    return a.scale(lead ** 0 / lead)
-
-
-class RatFunc:
-    """Quotient of two Poly, kept reduced with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.const(num.coeffs[0] ** 0) if num.coeffs else None
-            if den is None:
-                raise PreconditionError("cannot infer a denominator for the zero numerator")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            lead = den.coeffs[-1]
-            den = den.scale(lead ** 0 / lead)
-            self.num, self.den = num, Poly.const(den.coeffs[-1])
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.coeffs[-1]
-        inv = lead ** 0 / lead
-        self.num = num.scale(inv)
-        self.den = den.scale(inv)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if len(self.den.coeffs) == 1 and self.den.coeffs[0] == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            return RatFunc(self.num.scale(other), self.den)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
 
 def add_term(acc, key, s):
@@ -222,7 +37,8 @@ class Laurent:
     Python int, which + and - read as a constant term; / also takes a
     coefficient or a Python int. Division is exact and only by monomials
     (or coefficients); anything else raises PreconditionError. theta is the
-    Euler derivative L d/dL.
+    Euler derivative L d/dL. On values with no negative exponent, degree and
+    divmod are those of polynomials.
     """
 
     __slots__ = ("terms",)
@@ -239,6 +55,11 @@ class Laurent:
 
     def __bool__(self):
         return bool(self.terms)
+
+    @property
+    def degree(self):
+        """Top exponent; -1 for zero."""
+        return max(self.terms, default=-1)
 
     def __eq__(self, other):
         return isinstance(other, Laurent) and self.terms == other.terms
@@ -307,12 +128,86 @@ class Laurent:
     def theta(self):
         return Laurent._of({e: c * e for e, c in self.terms.items() if e})
 
+    def divmod(self, other):
+        """(q, r) with self = q * other + r and r of lower degree than other,
+        by long division by the leading term of other."""
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        top = other.degree
+        inv = 1 / other.terms[top]
+        tail = [(e - top, -c) for e, c in other.terms.items() if e != top]
+        rem = dict(self.terms)
+        quo = {}
+        for k in range(self.degree, top - 1, -1):
+            c = rem.pop(k, None)
+            if c is not None:
+                c = c * inv
+                quo[k - top] = c
+                for e, oc in tail:
+                    add_term(rem, k + e, c * oc)
+        return Laurent._of(quo), Laurent._of(rem)
+
     def to_ratfunc(self, one):
-        """The same element as a reduced RatFunc; one is the coefficients' unit."""
+        """The same element as a reduced RatFunc: shifted by its lowest
+        exponent, over that power of L; one is the coefficients' unit."""
         low = min(min(self.terms, default=0), 0)
-        zero = one * 0
-        num = Poly([self.terms.get(e, zero) for e in range(low, max(self.terms, default=0) + 1)])
-        return RatFunc(num, Poly([zero] * -low + [one]))
+        num = Laurent._of({e - low: c for e, c in self.terms.items()})
+        return RatFunc(num, Laurent._of({-low: one}))
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two polynomials over the coefficient field."""
+    while b:
+        a, b = b, a.divmod(b)[1]
+    return a / a.terms[a.degree] if a else a
+
+
+class RatFunc:
+    """Quotient of two polynomials (Laurent values with no negative
+    exponent), reduced by their gcd, with monic denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        g = poly_gcd(num, den) if num else den
+        if g.degree > 0:
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+        lead = den.terms[den.degree]
+        self.num, self.den = num / lead, den / lead
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+
+    def __repr__(self):
+        return f"RatFunc({self.num!r}, {self.den!r})"
+
+    def __str__(self):
+        if self.den.terms == {0: 1}:
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    def __add__(self, other):
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return RatFunc(-self.num, self.den)
+
+    def __mul__(self, other):
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if not other:
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(self.num * other.den, self.den * other.num)
 
 
 def solve_linear(A, B, *, one):

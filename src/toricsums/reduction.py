@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .hodge import basis_set
-from .ratfunc import Laurent, Poly, RatFunc, add_term, solve_linear
+from .ratfunc import Laurent, RatFunc, add_term, solve_linear
 
 __all__ = [
     "ReductionCertificate", "apply_D1", "apply_D2", "apply_D_lambda",
@@ -209,11 +209,12 @@ def connection_matrix(params):
     target = [certs[n].coords[v].to_ratfunc(one) for v in order]
     if len(order) != n:
         raise InvariantError("basis size mismatch")
-    rf_one = RatFunc(Poly.const(one))
+    unit = Laurent({0: one})
+    rf_one = RatFunc(unit, unit)
     sol = solve_linear(F, [target], one=rf_one)[0]
     rows = []
     for i in range(n - 1):
-        row = [RatFunc(Poly(), Poly.const(one))] * n
+        row = [RatFunc(Laurent(), unit)] * n
         row[i + 1] = rf_one
         rows.append(row)
     rows.append(list(sol))

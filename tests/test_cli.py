@@ -168,6 +168,43 @@ def test_atilde_below_one_exits_2(capsys, atilde):
     assert json.loads(err)["error"]["message"] == f"atilde must be >= 1, got {atilde}"
 
 
+def test_hodge_with_asymmetric_weights_exits_4(capsys):
+    code, out, err = run(capsys, ["hodge", "--family", "1,1,2,3"])
+    assert code == 4 and out == ""
+    doc = json.loads(err)
+    assert doc["error"]["kind"] == "invariant"
+    assert "(1, 1, 2, 3)" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("lam", ["9", "10", "-8"])
+def test_subfield_code_out_of_range_exits_2(capsys, lam):
+    code, out, err = run(capsys, ["sums", "--family", "1,1,1,1", "--prime", "3",
+                                  "--lam", lam, "--atilde", "2", "--count", "1"])
+    assert code == 2 and out == ""
+    assert "outside [0, 9)" in json.loads(err)["error"]["message"]
+
+
+def test_largest_subfield_code_runs(capsys):
+    doc = run_json(capsys, ["sums", "--family", "1,1,1,1", "--prime", "3",
+                            "--lam", "8", "--atilde", "2", "--count", "1"])
+    assert doc["result"]["lam"] == 8
+
+
+def test_prime_field_lam_is_a_residue(capsys):
+    # at atilde = 1 the code is read mod p: 10 and 1 are the same residue mod 3
+    argv = ["sums", "--family", "1,1,1,1", "--prime", "3", "--count", "2", "--lam"]
+    ten = run_json(capsys, argv + ["10"])["result"]["sums"]
+    assert ten == run_json(capsys, argv + ["1"])["result"]["sums"]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_count_below_one_exits_2(capsys, count):
+    code, out, err = run(capsys, ["sums", "--family", "1,1,1,1", "--prime", "3",
+                                  "--lam", "1", "--count", count])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == f"count must be >= 1, got {count}"
+
+
 def test_frobenius_check_refuses_an_oversized_count_first(capsys, monkeypatch):
     # (2,1,1,1) at p = 11 counts over F_{11^5}, past the cap
     def unreachable(*args, **kwargs):

@@ -41,21 +41,21 @@ def test_operator_hand_example():
     P = FamilyParams(2, 1, 1, 1)
     op = picard_fuchs_operator(P)
     assert op.order == 5
-    got = [c.coeffs for c in op.theta_coeffs]
-    assert got[5] == (Fraction(1, 2),)
-    assert got[4] == (Fraction(-1),)
-    assert got[3] == (Fraction(1, 2),)
-    assert got[2] == ()
-    assert got[1] == ()
-    assert got[0] == (Fraction(0), Fraction(0), Fraction(-1))
+    got = [c.terms for c in op.theta_coeffs]
+    assert got[5] == {0: Fraction(1, 2)}
+    assert got[4] == {0: Fraction(-1)}
+    assert got[3] == {0: Fraction(1, 2)}
+    assert got[2] == {}
+    assert got[1] == {}
+    assert got[0] == {2: Fraction(-1)}
     assert leading_kappa(P) == Fraction(1, 2)
 
 
 def test_operator_simplest_family():
     # theta**3 - L
     op = picard_fuchs_operator(FamilyParams(1, 1, 1, 1))
-    assert [c.coeffs for c in op.theta_coeffs] == [
-        (Fraction(0), Fraction(-1)), (), (), (Fraction(1),)]
+    assert [c.terms for c in op.theta_coeffs] == [
+        {1: Fraction(-1)}, {}, {}, {0: Fraction(1)}]
 
 
 @settings(max_examples=100, deadline=None)

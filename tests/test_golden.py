@@ -19,6 +19,9 @@ COMMANDS = {
     "reduce-prime": REDUCE + ["--ring", "prime", "--prime", "5", "--lam", "3"],
     "reduce-pilambda": REDUCE + ["--ring", "pilambda", "--prime", "5"],
     "connection": ["connection", "--family", "2,1,1,1"],
+    # c, d > 1 in-box rewrites, with nontrivial gcds in the solve over Q(L)
+    "connection-cd": ["connection", "--family", "1,1,3,2"],
+    "gkz": ["gkz", "--family", "2,3,1,1"],
     "frobenius": ["frobenius", "--family", "1,1,1,1", "--prime", "3",
                   "--pi-digits", "3", "--lam-order", "6"],
     "frobenius-check": ["frobenius-check", "--family", "2,1,1,1", "--prime", "3",
@@ -43,6 +46,10 @@ COMMANDS = {
     # 16-bit cells: 3(p - 1) = 264 > 255
     "sums": ["sums", "--family", "1,1,1,1", "--prime", "89", "--lam", "5", "--count", "2"],
 }
+
+
+def test_every_golden_file_has_a_command():
+    assert {f.stem for f in GOLDEN.glob("*.json")} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

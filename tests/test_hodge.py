@@ -5,13 +5,15 @@ defining inequalities before the implementation existed, so they are
 independent of the code under test.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsums.errors import PreconditionError
+from toricsums.errors import InvariantError, PreconditionError
 from toricsums.family import FamilyParams
 from toricsums.hodge import (
     basis_set,
@@ -113,6 +115,38 @@ def test_hodge_polygon_flagship_slopes():
     assert hodge_polygon(FamilyParams(1, 1, 1, 1)).slopes() == [0, 1, 2]
     assert hodge_polygon(FamilyParams(2, 1, 1, 1)).slopes() == [
         0, Fraction(1, 2), 1, Fraction(3, 2), 2]
+
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+
+
+def test_hodge_polygon_refuses_exactly_the_families_with_wrong_weights():
+    # the benchmark's checker counts Hodge numbers on the lattice points of
+    # 2 * triangle (Adolphson-Sperber), independently of the basis
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    seen = refused = 0
+    for a in range(1, 4):
+        for b in range(1, 4):
+            for c in range(1, 6):
+                for d in range(1, 6):
+                    try:
+                        P = FamilyParams(a, b, c, d)
+                    except PreconditionError:
+                        continue
+                    seen += 1
+                    want = checks.hodge_slopes((a, b, c, d))
+                    wrong = list(weight_profile(P).weights) != want
+                    try:
+                        got = hodge_polygon(P).slopes()
+                    except InvariantError as exc:
+                        assert wrong, P
+                        assert str((a, b, c, d)) in str(exc) and "symmetry" in str(exc)
+                        refused += 1
+                    else:
+                        assert not wrong and got == want, P
+    assert (seen, refused) == (99, 21)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (3, 2), (5, 3)])

@@ -10,7 +10,7 @@ from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
 from toricsums.gkz import companion_matrix
 from toricsums.hodge import basis_set
-from toricsums.ratfunc import Laurent, Poly, RatFunc
+from toricsums.ratfunc import Laurent, RatFunc
 from toricsums.reduction import (
     apply_D1,
     apply_D2,
@@ -110,7 +110,7 @@ def test_connection_equals_companion(tup):
     P = FamilyParams(*tup)
     conn = connection_matrix(P)
     comp = companion_matrix(P)
-    wrapped = [[RatFunc(e, Poly.const(Fraction(1))) for e in row] for row in comp]
+    wrapped = [[RatFunc(e, Laurent({0: Fraction(1)})) for e in row] for row in comp]
     assert conn == wrapped
 
 
