@@ -30,13 +30,13 @@ from .frobenius import (
     horizontality_residual,
 )
 from .gkz import (
-    box_exponents,
     euler_factors,
     exponent_matrix,
     formal_solutions,
     indicial_roots,
     leading_kappa,
     picard_fuchs_operator,
+    relation_lattice,
 )
 from .gkz import companion_matrix as gkz_companion_matrix
 from .hodge import hodge_polygon, ordinarity_report, weight_profile
@@ -294,7 +294,7 @@ def cmd_gkz(args):
     return {
         "family": _family_json(params),
         "exponent_matrix": exponent_matrix(params),
-        "relation_generator": list(box_exponents(params)),
+        "relation_generator": list(relation_lattice(params)),
         "euler_factors": [frac_str(f) for f in euler_factors(params)],
         "leading_constant": frac_str(leading_kappa(params)),
         "theta_coefficients": [poly_json(c) for c in op.theta_coeffs],

@@ -555,7 +555,8 @@ def _frobenius_core(params, p, reps, F, lam, lam_p, count, pi_digits, cutoff,
             bad = _min_ord(row[j])
             if bad is not None and bad < 0:
                 raise InvariantError(
-                    f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad})")
+                    f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad}) "
+                    f"at p = {p}, splitting cutoff {cutoff}, nu0 {nu0}")
     return U, cutoff, nu0, margin
 
 
@@ -584,7 +585,7 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     fractional powers of the deformation into the reduction, which the
     series ring does not carry; for a*b > 1 the derivative-flag matrix is
     singular at L = 0, so its inverse has no power series. frobenius_at_point
-    serves every c = d = 1 family at a single deformation value.
+    takes c = d = 1 families at a single deformation value.
     """
     params.check_prime(p)
     if params.c * params.d != 1:
@@ -694,12 +695,16 @@ class FrobeniusPoint:
     U: list   # PiAdic matrix
 
 
-def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
+def frobenius_at_point(params, p, lam_residue, pi_digits=8):
     """Frobenius matrix at the Teichmuller point above a unit residue.
 
     The fiber is its own image (the lift is fixed by the p-power map), so U
     is the series Frobenius cut to one term: a square PiAdic matrix certified
-    modulo pi**margin.
+    modulo pi**margin. Needs c = d = 1. U is returned only when every entry
+    is certified pi-integral; otherwise InvariantError names the entry. That
+    happens for some families, among them (3,1,1,1) and (1,3,1,1) at p = 5,
+    (4,1,1,1) and (5,1,1,1) at p = 3 and 7, (1,4,1,1) at p = 3, and
+    (2,3,1,1) and (3,2,1,1) at p = 5, each at lam = 1 and 2.
     """
     params.check_prime(p)
     if params.c * params.d != 1:
@@ -721,7 +726,7 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8, cutoff=None):
     reps = [{x: specialize(lau) for x, lau in rep.items()} for rep in reps_lam]
     order, F = _flag_matrix(reps, params, pi, lam_hat, p)
     U, cutoff, nu0, margin = _frobenius_core(
-        params, p, reps, F, lam_hat, lam_hat, 1, pi_digits, cutoff, lift_ord=lam_ord)
+        params, p, reps, F, lam_hat, lam_hat, 1, pi_digits, None, lift_ord=lam_ord)
     return FrobeniusPoint(params=params, p=p, lam_residue=lam_residue,
                           pi_digits=pi_digits, margin=margin, cutoff=cutoff,
                           nu0=nu0, basis=order, U=[[e[0] for e in row] for row in U])

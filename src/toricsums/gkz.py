@@ -1,18 +1,19 @@
 """Hypergeometric structure in the deformation direction.
 
-The three exponent vectors of the family span a rank-2 lattice with a
-one-dimensional relation lattice; the generator gives the order and the
-block sizes of the ordinary differential operator satisfied by the
-periods. The operator has the split shape f0(theta) - L**(ab) with f0 a
+The three exponent vectors of the family span a rank-2 lattice whose
+relations are generated by (bc, ad, ab), the cross product of the two rows
+of the exponent matrix. Its entries are the block sizes of the ordinary
+differential operator satisfied by the periods, and their sum is the
+order. The operator has the split shape f0(theta) - L**(ab) with f0 a
 product of linear factors, which the log-series solver below exploits.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvariantError, PreconditionError
-from .exact import integer_kernel
 from .ratfunc import Laurent
 
 
@@ -22,20 +23,14 @@ def exponent_matrix(params):
 
 
 def relation_lattice(params):
-    """Generator of the integer relations among the exponent columns."""
-    gens = integer_kernel(exponent_matrix(params))
-    if len(gens) != 1:
-        raise InvariantError("relation lattice is not one dimensional")
-    g = gens[0]
-    expected = (params.b * params.c, params.a * params.d, params.a * params.b)
-    if tuple(g) != expected:
+    """Generator (bc, ad, ab) of the integer relations among the exponent
+    columns: the cross product of the two rows of the exponent matrix,
+    primitive under the family's coprimality pattern. Both are checked."""
+    g = (params.b * params.c, params.a * params.d, params.a * params.b)
+    if gcd(*g) != 1 or any(sum(x * y for x, y in zip(row, g))
+                           for row in exponent_matrix(params)):
         raise InvariantError(f"unexpected relation generator {g}")
-    return tuple(g)
-
-
-def box_exponents(params):
-    """(bc, ad, ab): step counts of the three falling-factorial blocks."""
-    return relation_lattice(params)
+    return g
 
 
 def euler_factors(params):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvariantError, PreconditionError
-from .exact import invariant_factors, lower_convex_hull
+from .exact import lower_convex_hull
 
 
 def basis_set(params):
@@ -175,16 +175,23 @@ class OrdinarityReport:
 
 def ordinarity_report(params, p):
     """Facewise diagonal criteria plus the aggregate sufficient condition
-    gcd(a, d) = 1 and p = 1 mod a*b*lcm(c, d)."""
+    gcd(a, d) = 1 and p = 1 mod a*b*lcm(c, d).
+
+    A face is ordinary-sufficient when p is prime to its det and p - 1 is
+    divisible by both invariant factors of its 2x2 matrix M. Those are
+    (g, |det| / g) with g the gcd of the four entries; det != 0 since
+    a, b, c, d > 0.
+    """
     params.check_prime(p)
     faces = []
     for name, M in zip(_FACE_NAMES, _face_matrices(params)):
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        inv = invariant_factors(M)
+        g = gcd(*M[0], *M[1])
+        inv = (g, abs(det) // g)
         nondeg = gcd(p, abs(det)) == 1
         ordinary = nondeg and all((p - 1) % f == 0 for f in inv)
         faces.append(FaceReport(name, tuple(tuple(r) for r in M), det, inv, nondeg, ordinary))
-    modulus = params.a * params.b * lcm(params.c, params.d)
+    modulus = weight_denominator(params)
     g_ad = gcd(params.a, params.d)
     guaranteed = g_ad == 1 and p % modulus == 1 % modulus
     return OrdinarityReport(

@@ -6,12 +6,12 @@ of the guarantee and are asserted, so a slow pass is a fail.
 """
 
 import functools
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
-from toricsums.exact import integer_kernel, invariant_factors, smith_normal_form
 from toricsums.family import FamilyParams
 from toricsums.ffield import Fp
 from toricsums.frobenius import (
@@ -24,10 +24,16 @@ from toricsums.frobenius import (
 from toricsums.gkz import (
     apply_operator_to_log_series,
     companion_matrix,
-    exponent_matrix,
     formal_solutions,
+    relation_lattice,
 )
-from toricsums.hodge import basis_set, hodge_polygon, m_of, slope_multiset_ab
+from toricsums.hodge import (
+    basis_set,
+    hodge_polygon,
+    m_of,
+    ordinarity_report,
+    slope_multiset_ab,
+)
 from toricsums.lfunction import exp_sum_series, l_polynomial, newton_polygon, predict_sum
 from toricsums.ratfunc import Laurent, RatFunc
 from toricsums.reduction import (
@@ -228,46 +234,35 @@ def _suite_certificates(rng):
     return n
 
 
-def _suite_integer_linear_algebra(rng):
+def _all_params(top):
+    return [FamilyParams(*t) for t in itertools.product(range(1, top + 1), repeat=4)
+            if math.gcd(t[0], t[1]) == math.gcd(t[0], t[2]) == 1
+            and math.gcd(t[1], t[2]) == math.gcd(t[1], t[3]) == 1]
+
+
+def _suite_relation_lattice():
+    # brute force: the relation (x, y, z) with a x = c z and b y = d z and
+    # the least z > 0 generates the relation lattice, and z = ab works
     n = 0
-    for _ in range(120):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        U, S, V = smith_normal_form(A)
-        prod = [[sum(U[i][k] * A[k][l] * V[l][j] for k in range(rows)
-                     for l in range(cols)) for j in range(cols)] for i in range(rows)]
-        assert prod == S
-        divs = invariant_factors(A)
-        for i in range(len(divs) - 1):
-            assert divs[i + 1] % divs[i] == 0
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert S[i][j] == 0
-        n += 1
-    for _ in range(100):
-        a = rng.randint(1, 6)
-        b = rng.randint(1, 6)
-        c = rng.randint(1, 6)
-        d = rng.randint(1, 6)
-        A = [[a, 0, -c], [0, b, -d]]
-        ker = integer_kernel(A)
-        for g in ker:
-            assert all(sum(row[j] * g[j] for j in range(3)) == 0 for row in A)
+    for params in _all_params(7):
+        a, b, c, d = params.a, params.b, params.c, params.d
+        z = next(z for z in range(1, a * b + 1) if (c * z) % a == 0 and (d * z) % b == 0)
+        assert relation_lattice(params) == (c * z // a, d * z // b, z), params
         n += 1
     return n
 
 
-def _suite_relation_lattice(rng):
+def _suite_face_invariants():
+    # d2 is the exponent of Z^2 / M Z^2: the least e with e * adj(M) = 0 mod det
     n = 0
-    for _ in range(100):
-        params = random_params(rng, top=7)
-        gens = integer_kernel(exponent_matrix(params))
-        assert len(gens) == 1
-        assert tuple(gens[0]) == (params.b * params.c, params.a * params.d,
-                                  params.a * params.b), params
-        n += 1
+    for params in _all_params(7):
+        for face in ordinarity_report(params, 11).faces:
+            (m00, m01), (m10, m11) = face.matrix
+            adj = (m11, -m01, -m10, m00)
+            e = next(e for e in itertools.count(1) if all(e * x % face.det == 0 for x in adj))
+            d1, d2 = face.invariant_factors
+            assert d2 == e and d1 * d2 == abs(face.det), (params, face.name)
+            n += 1
     return n
 
 
@@ -315,13 +310,13 @@ def test_a8_property_suites():
     rng = random.Random(SEED + 8)
     n_m = _suite_m_subadditive(rng)
     n_cert = _suite_certificates(rng)
-    n_lin = _suite_integer_linear_algebra(rng)
-    n_lat = _suite_relation_lattice(rng)
+    n_face = _suite_face_invariants()
+    n_lat = _suite_relation_lattice()
     n_split = _suite_splitting_bound()
     n_poly, n_pts = _suite_newton_dominates(rng)
     n_formal = _suite_formal_solutions()
     return (f"subadditivity {n_m}, certificates {n_cert}, "
-            f"matrix identities {n_lin}, lattice {n_lat}, "
+            f"face invariant factors {n_face}, lattice {n_lat}, "
             f"splitting bound {n_split} (exhaustive p=3,5, i<=30), "
             f"polygon domination {n_poly} polynomials/{n_pts} points, "
             f"series defects {n_formal} rows")

@@ -277,3 +277,14 @@ def test_count_beyond_physical_memory_exits_2(capsys):
     assert doc["error"]["kind"] == "precondition"
     assert "m^2 = 95367412109376" in doc["error"]["message"]
     assert "cap of 4294967296" in doc["error"]["message"]
+
+
+def test_uncertified_point_frobenius_exits_4(capsys):
+    # the point Frobenius of (4,1,1,1) at p = 3 has an entry of negative order
+    code, out, err = run(capsys, ["frobenius-check", "--family", "4,1,1,1",
+                                  "--prime", "3", "--lam", "1"])
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "invariant"
+    assert error["message"].startswith("Frobenius entry (3,0) is not pi-integral")
+    assert "p = 3, splitting cutoff 35, nu0 8" in error["message"]

@@ -5,65 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsums.errors import PreconditionError
-from toricsums.exact import (
-    RationalPolygon,
-    integer_kernel,
-    invariant_factors,
-    lower_convex_hull,
-    mat_mul,
-    smith_normal_form,
-)
-
-small_int = st.integers(min_value=-30, max_value=30)
-
-
-def is_diagonal(S):
-    return all(S[i][j] == 0 for i in range(len(S)) for j in range(len(S[0])) if i != j)
-
-
-def test_snf_known_2x2():
-    # gcd of entries 2, |det| = 8, so the diagonal is 2, 4
-    U, S, V = smith_normal_form([[2, 4], [6, 8]])
-    assert [S[0][0], S[1][1]] == [2, 4]
-
-
-def test_snf_face_matrix_style():
-    assert invariant_factors([[3, 0], [0, 5]]) == (1, 15)
-    assert invariant_factors([[2, 0], [0, 4]]) == (2, 4)
-    assert invariant_factors([[0, -1], [1, -1]]) == (1, 1)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.lists(st.lists(small_int, min_size=2, max_size=2), min_size=2, max_size=2))
-def test_snf_is_a_congruence(rows):
-    U, S, V = smith_normal_form([list(r) for r in rows])
-    assert mat_mul(mat_mul(U, [list(r) for r in rows]), V) == S
-    assert is_diagonal(S)
-    diag = [S[i][i] for i in range(2)]
-    assert all(x >= 0 for x in diag)
-    if diag[0] and diag[1]:
-        assert diag[1] % diag[0] == 0
-    # unimodularity: integer matrices with det +-1
-    detU = U[0][0] * U[1][1] - U[0][1] * U[1][0]
-    detV = V[0][0] * V[1][1] - V[0][1] * V[1][0]
-    assert abs(detU) == 1 and abs(detV) == 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
-def test_integer_kernel_annihilates(t):
-    a, b, c, d = t
-    A = [[a, 0, -c], [0, b, -d]]
-    gens = integer_kernel(A)
-    assert len(gens) == 1
-    k = gens[0]
-    assert all(sum(A[i][j] * k[j] for j in range(3)) == 0 for i in range(2))
-    assert next(x for x in k if x) > 0
-
-
-def test_kernel_requires_full_row_rank():
-    with pytest.raises(PreconditionError):
-        integer_kernel([[1, 2], [2, 4]])
+from toricsums.exact import RationalPolygon, lower_convex_hull
 
 
 def test_hull_drops_interior_and_collinear():

@@ -8,7 +8,6 @@ from toricsums.errors import PreconditionError
 from toricsums.family import FamilyParams
 from toricsums.gkz import (
     apply_operator_to_log_series,
-    box_exponents,
     euler_factors,
     formal_solutions,
     indicial_roots,
@@ -32,7 +31,7 @@ def params_strategy():
 @given(params_strategy())
 def test_relation_generator(P):
     assert relation_lattice(P) == (P.b * P.c, P.a * P.d, P.a * P.b)
-    assert sum(box_exponents(P)) == P.degree
+    assert sum(relation_lattice(P)) == P.degree
 
 
 def test_operator_hand_example():

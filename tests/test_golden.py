@@ -5,6 +5,7 @@ recorded. A refactor that keeps results must keep these bytes; a change that
 means to alter an output re-records the file and says why.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 REDUCE = ["reduce", "--family", "1,1,1,2", "--monomial=-4,4"]
 COMMANDS = {
+    "basis": ["basis", "--family", "1,1,3,2"],
+    "hodge": ["hodge", "--family", "2,1,1,3"],
+    # face dets 2, 1, -6: ordinary_sufficient is true on two faces, false on one
+    "ordinary": ["ordinary", "--family", "2,1,1,3", "--prime", "5"],
+    "compare-polygons": ["compare-polygons", "--family", "1,1,1,1", "--prime", "3",
+                         "--lam", "1"],
+    "ode-solve": ["ode-solve", "--family", "2,1,1,1", "--order", "4"],
     "reduce-rational": REDUCE + ["--ring", "rational"],
     "reduce-prime": REDUCE + ["--ring", "prime", "--prime", "5", "--lam", "3"],
     "reduce-pilambda": REDUCE + ["--ring", "pilambda", "--prime", "5"],
@@ -50,6 +58,12 @@ COMMANDS = {
 
 def test_every_golden_file_has_a_command():
     assert {f.stem for f in GOLDEN.glob("*.json")} == set(COMMANDS)
+
+
+def test_every_subcommand_has_a_golden():
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in COMMANDS.values()} == set(sub.choices)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

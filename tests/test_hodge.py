@@ -168,6 +168,10 @@ def test_ordinarity_face_data():
     rep = ordinarity_report(P, 5)
     dets = {f.name: f.det for f in rep.faces}
     assert dets == {"coordinate": 2, "x2_pole": 1, "x1_pole": -6}
+    # (gcd of the entries, |det| / gcd); the coprimality pattern makes the gcd 1
+    assert [f.invariant_factors for f in rep.faces] == [(1, 2), (1, 1), (1, 6)]
+    # 6 does not divide p - 1 = 4
+    assert [f.ordinary_sufficient for f in rep.faces] == [True, True, False]
     assert rep.congruence_modulus == 2 * 1 * 3
     # 5 is not 1 mod 6, so the aggregate congruence guarantee does not apply
     assert rep.gcd_ad == 1
