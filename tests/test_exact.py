@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from toricsums.errors import PreconditionError
 from toricsums.exact import RationalPolygon, lower_convex_hull
+from toricsums.family import FamilyParams
+from toricsums.hodge import ordinarity_report
 
 
 def test_hull_drops_interior_and_collinear():
@@ -50,3 +52,16 @@ def test_domination_needs_matching_span():
     b = RationalPolygon(((Fraction(0), Fraction(0)), (Fraction(3), Fraction(0))))
     with pytest.raises(PreconditionError):
         a.dominates(b)
+
+
+def test_snf_face_matrix_style():
+    # The Smith invariant factors of the 2x2 face matrices, in the closed form
+    # (gcd of entries, |det| / gcd) that ordinarity_report uses.
+    def factors(family):
+        rep = ordinarity_report(FamilyParams(*family), 7)
+        return {f.matrix: f.invariant_factors for f in rep.faces}
+
+    assert factors((3, 5, 1, 1))[((3, 0), (0, 5))] == (1, 15)
+    assert factors((1, 1, 1, 1))[((0, -1), (1, -1))] == (1, 1)
+    # gcd(a, d) is unconstrained; the face [[a, -c], [0, -d]] still has gcd 1
+    assert factors((2, 1, 1, 4))[((2, -1), (0, -4))] == (1, 8)
