@@ -7,7 +7,7 @@ field and the same generator. Fp is the prime field as a plain value, the
 scalar of reductions with the deformation specialized to a residue.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import InvariantError, PreconditionError
@@ -180,7 +180,6 @@ class FieldTower:
         self.k = k
         self.q = p ** k
         self.modulus = find_irreducible(p, k)
-        self._basis_traces = None
 
     def element(self, coeffs):
         cs = [c % self.p for c in coeffs]
@@ -239,24 +238,28 @@ class FieldTower:
     def frobenius(self, x):
         return self.pow(x, self.p)
 
+    @cached_property
+    def basis_traces(self):
+        """Tr(t**j) down to F_p for j < k, as ints in [0, p): the trace is
+        the F_p-linear form with these coefficients."""
+        traces = []
+        for j in range(self.k):
+            e = [0] * self.k
+            e[j] = 1
+            e = tuple(e)
+            acc = e
+            cur = e
+            for _ in range(self.k - 1):
+                cur = self.frobenius(cur)
+                acc = self.add(acc, cur)
+            if any(acc[1:]):
+                raise PreconditionError("trace landed outside the prime field")
+            traces.append(acc[0])
+        return tuple(traces)
+
     def trace(self, x):
         """Trace down to F_p, returned as an int in [0, p)."""
-        if self._basis_traces is None:
-            traces = []
-            for j in range(self.k):
-                e = [0] * self.k
-                e[j] = 1
-                e = tuple(e)
-                acc = e
-                cur = e
-                for _ in range(self.k - 1):
-                    cur = self.frobenius(cur)
-                    acc = self.add(acc, cur)
-                if any(acc[1:]):
-                    raise PreconditionError("trace landed outside the prime field")
-                traces.append(acc[0])
-            self._basis_traces = traces
-        return sum(c * t for c, t in zip(x, self._basis_traces)) % self.p
+        return sum(c * t for c, t in zip(x, self.basis_traces)) % self.p
 
     def elements(self):
         for code in range(self.q):

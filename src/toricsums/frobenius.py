@@ -24,6 +24,7 @@ from .exact import mat_mul
 from .hodge import basis_set, weight_of
 from .lfunction import (
     check_count_size,
+    check_workers,
     coefficients_from_power_sums,
     exp_sum_series,
     l_polynomial,
@@ -759,8 +760,9 @@ class CharPolyComparison:
 def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8, workers=1):
     """det(1 - U T) at the Teichmuller point against the counted L-polynomial,
     matched through zeta -> E(1)."""
-    # refuse an oversized count before any Frobenius work
+    # refuse an oversized count or a bad thread count before any Frobenius work
     check_count_size(p, 1, params.degree)
+    check_workers(workers)
     fp = frobenius_at_point(params, p, lam_residue, pi_digits)
     det_coeffs = reciprocal_char_poly(fp.U, p)
     series = exp_sum_series(params, p, lam_residue, params.degree, workers=workers)

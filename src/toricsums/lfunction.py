@@ -8,6 +8,7 @@ every step.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -37,40 +38,98 @@ def check_count_size(p, atilde, k):
             f"(m = {m}), over the cap of {MAX_CELLS} = 2^32 histogram cells")
 
 
+def check_workers(workers):
+    """Refuse a thread count below one."""
+    if workers < 1:
+        raise PreconditionError(f"workers must be >= 1, got {workers}")
+
+
+def trace_table(tower, lam):
+    """T[i] = Tr(g**i) for i < m = q - 1, g the canonical generator, and
+    L = log_g(lam), for nonzero lam.
+
+    Multiplication by g**B, B = isqrt(m), is a fixed k x k matrix over F_p.
+    The first B powers of g are walked with FieldTower.mul; each later block
+    of B powers is the one before times that matrix, in int64 mod p, so only
+    one block is held at a time. Each block's coordinates are dotted with the
+    basis traces, giving T, and with p**j, giving the integer encodings; L is
+    the one power whose encoding is lam's.
+    """
+    p, k, m = tower.p, tower.k, tower.q - 1
+    g = tower.generator()
+    B = isqrt(m)
+    block = []
+    cur = tower.one
+    for _ in range(B):
+        block.append(cur)
+        cur = tower.mul(cur, g)
+    step = np.array([tower.mul(tower.from_code(p ** j), cur) for j in range(k)],
+                    dtype=np.int64)
+    forms = np.array([tower.basis_traces, [p ** j for j in range(k)]], dtype=np.int64).T
+    out = np.empty((-(-m // B) * B, 2), dtype=np.int64)
+    blk = np.array(block, dtype=np.int64)
+    for i in range(0, len(out), B):
+        out[i:i + B] = blk.dot(forms)
+        blk = blk.dot(step) % p
+    T = out[:m, 0] % p
+    hits = np.flatnonzero(out[:m, 1] == tower.to_code(lam))
+    if hits.size != 1:
+        raise InvariantError(f"{hits.size} powers of the generator equal the parameter")
+    return T, int(hits[0])
+
+
+def orbit_rows(m, q, k):
+    """Orbits of s -> q*s on Z/m, m = q**k - 1: orbit size e -> the least
+    element of each orbit of that size, ascending."""
+    s = np.arange(m, dtype=np.int64)
+    least = s.copy()
+    size = np.full(m, k)
+    r = s.copy()
+    for i in range(1, k):
+        r *= q
+        r %= m
+        np.minimum(least, r, out=least)
+        size[(r == s) & (size == k)] = i
+    reps = np.flatnonzero(least == s)
+    return {e: reps[size[reps] == e] for e in range(1, k + 1) if k % e == 0}
+
+
 def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
     """S_k: sum of zeta_p**Tr(F(lam, x)) over the torus of F_{q^k}, q = p**atilde.
 
     Runs on the generator power table: x1 = g**s, x2 = g**t with
-    m = q**k - 1, so every trace comes from T[i] = Tr(g**i). One walk over the
-    powers of g fills T and finds L = log_g(lam). The sum is the histogram of
-    A[s] + B[t] + C[s, t], the traces of x1**a, x2**b and lam / (x1**c x2**d),
-    taken over row chunks of about CHUNK_CELLS cells:
+    m = q**k - 1, so every trace comes from T[i] = Tr(g**i), built by
+    `trace_table` with L = log_g(lam). The sum is the histogram of
+    A[s] + B[t] + C[s, t], the traces of x1**a, x2**b and lam / (x1**c x2**d).
+
+    Since lam lies in F_q, x -> x**q fixes every summand, so (s, t) ->
+    (q*s, q*t) permutes the cells and each row s has the histogram of every
+    row q*s. Only the least row of each orbit of s -> q*s is binned, in
+    chunks of about CHUNK_CELLS cells, and counted e times for an orbit of
+    size e: about m*m/k cells in all. Within a chunk
 
     - C is gathered from T twice over at R[s] + P[t], R = (L - c*s) mod m and
       P = (-d*t) mod m, so no cell is reduced mod m;
     - the three traces are added in the narrowest unsigned dtype that holds
       3(p - 1) and binned unreduced; the bins are folded mod p once.
 
-    Peak memory is O(m) plus one chunk per worker; `workers` threads share
-    the chunks. A sum of more than MAX_CELLS cells is refused up front.
+    The weighted bins must total m*m, which also checks that the orbit sizes
+    add up to m. Peak memory is O(m) plus one chunk per worker; `workers`
+    threads share the chunks. A sum of more than MAX_CELLS cells is refused
+    up front.
     """
     params.check_prime(p)
     if k < 1:
         raise PreconditionError("k must be >= 1")
     check_count_size(p, atilde, k)
+    check_workers(workers)
     tower = FieldTower(p, atilde * k)
     m = tower.q - 1
     lam = tower.embed_subfield_code(p, atilde, lam_code)
     if lam == tower.zero:
         raise PreconditionError("deformation value must be nonzero")
-    g = tower.generator()
-    T = np.empty(m, dtype=np.min_scalar_type(3 * (p - 1)))
-    cur = tower.one
-    for i in range(m):
-        if cur == lam:
-            L = i
-        T[i] = tower.trace(cur)
-        cur = tower.mul(cur, g)
+    T, L = trace_table(tower, lam)
+    T = T.astype(np.min_scalar_type(3 * (p - 1)))
     a, b, c, d = params.a, params.b, params.c, params.d
     idx = np.arange(m, dtype=np.int64)
     A = T[(a * idx) % m]
@@ -79,20 +138,22 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
     R = ((L - c * idx) % m).astype(np.int32)
     P = ((-d * idx) % m).astype(np.int32)
     rows = max(1, CHUNK_CELLS // m)
+    chunks = [(e, reps[i:i + rows])
+              for e, reps in orbit_rows(m, p ** atilde, k).items()
+              for i in range(0, len(reps), rows)]
 
-    def hist(s0):
-        s = slice(s0, s0 + rows)
+    def hist(chunk):
+        e, s = chunk
         cells = T2[R[s, None] + P]
         cells += A[s, None]
         cells += B
-        return np.bincount(cells.ravel(), minlength=3 * p)
+        return e * np.bincount(cells.ravel(), minlength=3 * p)
 
-    starts = range(0, m, rows)
-    if workers <= 1:
-        counts = sum(map(hist, starts))
+    if workers == 1:
+        counts = sum(map(hist, chunks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = sum(ex.map(hist, starts))
+            counts = sum(ex.map(hist, chunks))
     if int(counts.sum()) != m * m:
         raise InvariantError("histogram lost torus points")
     total = CycloInt.zero(p)

@@ -205,6 +205,24 @@ def test_count_below_one_exits_2(capsys, count):
     assert json.loads(err)["error"]["message"] == f"count must be >= 1, got {count}"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["sums", "--family", "1,1,1,1", "--prime", "3", "--lam", "1", "--count", "2"],
+    ["lpoly", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
+    ["newton", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
+    ["compare-polygons", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
+    ["frobenius-check", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
+])
+def test_workers_below_one_exits_2(capsys, monkeypatch, argv, workers):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the point Frobenius ran before the workers check")
+
+    monkeypatch.setattr(frobenius, "frobenius_at_point", unreachable)
+    code, out, err = run(capsys, argv + ["--workers", workers])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == f"workers must be >= 1, got {workers}"
+
+
 def test_frobenius_check_refuses_an_oversized_count_first(capsys, monkeypatch):
     # (2,1,1,1) at p = 11 counts over F_{11^5}, past the cap
     def unreachable(*args, **kwargs):

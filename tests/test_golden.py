@@ -53,6 +53,9 @@ COMMANDS = {
     "newton": ["newton", "--family", "1,2,1,1", "--prime", "5", "--lam", "2"],
     # 16-bit cells: 3(p - 1) = 264 > 255
     "sums": ["sums", "--family", "1,1,1,1", "--prime", "89", "--lam", "5", "--count", "2"],
+    # q = 9 Frobenius orbits of rows, a parameter outside F_3, and c, d > 1
+    "sums-atilde": ["sums", "--family", "1,1,2,5", "--prime", "3", "--lam", "5",
+                    "--atilde", "2", "--count", "3"],
 }
 
 

@@ -6,13 +6,17 @@ the four torus points give values 0, 2, 2, 2 whose character sum is
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricsums import lfunction
 from toricsums.cyclotomic import CycloInt, ord_q
 from toricsums.errors import PreconditionError
 from toricsums.family import FamilyParams
+from toricsums.ffield import FieldTower
 from toricsums.hodge import hodge_polygon
 from toricsums.lfunction import (
     exp_sum,
@@ -21,6 +25,7 @@ from toricsums.lfunction import (
     l_polynomial,
     newton_polygon,
     predict_sum,
+    trace_table,
 )
 
 P1111 = FamilyParams(1, 1, 1, 1)
@@ -50,11 +55,84 @@ def test_histogram_and_direct_enumeration_agree(monkeypatch):
         assert exp_sum(params, p, lam, k) == exp_sum_direct(params, p, lam, k)
 
 
+def whole_field_sum(params, p, lam_code, k, atilde):
+    """S_k over F_{q^k} with lam in F_q, q = p**atilde, as S_1 over F_{q^k}
+    with lam read in F_{q^k}: there every orbit of rows has size 1, so no
+    row stands for another."""
+    tower = FieldTower(p, atilde * k)
+    code = tower.to_code(tower.embed_subfield_code(p, atilde, lam_code))
+    return exp_sum(params, p, code, 1, atilde=atilde * k)
+
+
 def test_extension_parameter_field():
-    # parameter drawn from F_9 rather than F_3: atilde = 2, code 3 is a
-    # generator-dependent element outside the prime field
-    got = exp_sum(P1111, 3, 3, 1, atilde=2)
-    assert got == exp_sum_direct(P1111, 3, 3, 1, atilde=2)
+    # parameter drawn from F_9 rather than F_3: atilde = 2, codes 3..8 are
+    # generator-dependent elements outside the prime field, moved by x -> x**3
+    for k, lam in [(1, 3), (2, 3), (2, 7), (3, 5), (3, 8)]:
+        got = exp_sum(P1111, 3, lam, k, atilde=2)
+        assert got == whole_field_sum(P1111, 3, lam, k, 2)
+        if k < 3:  # brute force over F_729 takes minutes
+            assert got == exp_sum_direct(P1111, 3, lam, k, atilde=2)
+
+
+def valid_family(abcd):
+    try:
+        return FamilyParams(*abcd)
+    except PreconditionError:
+        return None
+
+
+# (p, atilde, k) with q**k <= 729, q = p**atilde
+FIELDS = {p: [(p, at, k) for at in (1, 2, 3) for k in range(1, 10) if p ** (at * k) <= 729]
+          for p in (2, 3, 5, 7)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 3)] * 4).map(valid_family),
+       st.sampled_from(sorted(FIELDS)).flatmap(lambda p: st.sampled_from(FIELDS[p])),
+       st.data())
+def test_orbit_rows_give_the_full_sum(params, field, data):
+    assume(params is not None)
+    p, atilde, k = field
+    lam = data.draw(st.integers(1, p ** atilde - 1))
+    try:
+        params.check_prime(p)
+    except PreconditionError:  # p = 2, or p divides abcd
+        with pytest.raises(PreconditionError):
+            exp_sum(params, p, lam, k, atilde)
+        return
+    m = p ** (atilde * k) - 1
+    # three rows a chunk: each orbit-size group with more than three
+    # representatives spans several chunks, the last one short
+    with mock.patch.object(lfunction, "CHUNK_CELLS", 3 * m):
+        got = exp_sum(params, p, lam, k, atilde)
+        assert got == whole_field_sum(params, p, lam, k, atilde)
+    if m < 64:  # brute force over F_81 takes a second
+        assert got == exp_sum_direct(params, p, lam, k, atilde)
+
+
+# every field the benchmark's count jobs visit, and F_32, whose m = 31 is
+# prime, so its last block of isqrt(m) = 5 powers is cut short
+TABLE_FIELDS = ([(5, k) for k in range(1, 6)] + [(17, k) for k in range(1, 4)]
+                + [(3, k) for k in range(1, 9)] + [(2, 5)])
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_trace_table_equals_the_python_walk(p, k):
+    tower = FieldTower(p, k)
+    m = tower.q - 1
+    g = tower.generator()
+    walk = []
+    cur = tower.one
+    for _ in range(m):
+        walk.append(tower.trace(cur))
+        cur = tower.mul(cur, g)
+    lams = [tower.embed_prime(p - 1)]
+    if p == 3 and k % 2 == 0:
+        lams.append(tower.embed_subfield_code(3, 2, 5))
+    for lam in lams:
+        T, L = trace_table(tower, lam)
+        assert T.tolist() == walk
+        assert L == tower.log(lam)
 
 
 def test_workers_do_not_change_the_sum(monkeypatch):
