@@ -324,17 +324,3 @@ class FieldTower:
             acc = self.add(acc, self.mul(self.embed_prime(cc), rp))
             rp = self.mul(rp, root)
         return acc
-
-
-def evaluate_family(tower, params, lam, x1, x2):
-    """Value of x1**a + x2**b + lam / (x1**c x2**d) in the given field.
-
-    lam, x1, x2 are tower elements; x1 and x2 must be nonzero.
-    """
-    if x1 == tower.zero or x2 == tower.zero:
-        raise PreconditionError("family is only defined on the torus")
-    t1 = tower.pow(x1, params.a)
-    t2 = tower.pow(x2, params.b)
-    pole = tower.mul(tower.pow(x1, params.c), tower.pow(x2, params.d))
-    t3 = tower.mul(lam, tower.inv(pole))
-    return tower.add(tower.add(t1, t2), t3)

@@ -8,11 +8,10 @@ Frobenius is psi_p composed with multiplication by the splitting product
 
 truncated at a certified total degree. Everything downstream of the
 truncation is exact; the one analytic input is the coefficient bound
-ord_pi E_i >= i (p-1)^2 / p^2, which also bounds every dropped term. The
-reported precision margin subtracts the worst denominator introduced by the
-change to the derivative-flag basis (nu0 below); coordinate extraction
-itself does not lose pi-integrality on the weighted spaces, which is what
-makes the margin a certificate rather than a heuristic.
+ord_pi E_i >= i (p-1)^2 / p^2, which bounds every dropped term: that part of
+the margin is proved. The margin subtracts a reserve, nu0 for the series
+route's change to the flag basis and rho for the point route. Neither
+provably covers the pi-digit lost in each ladder step of reduce_to_basis.
 """
 
 from dataclasses import dataclass
@@ -427,15 +426,6 @@ def _series_inverse(F, count, p):
     return X
 
 
-def _flag_matrix(reps, params, pi, lam, p):
-    """Reduce the flag representatives at the deformation lam: the basis
-    order and F, whose column i holds the basis coordinates of reps[i] as
-    series."""
-    certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
-    order = basis_set(params)
-    return order, [[_series(c.coords[v], p) for c in certs] for v in order]
-
-
 def flag_data(params, p, count):
     """Derivative flag over the pi-adic deformation ring: the basis order,
     the representatives, F (column i = basis coordinates of flag i) and the
@@ -444,7 +434,9 @@ def flag_data(params, p, count):
     pi, lam = PiAdic.pi(p), Laurent({1: PiAdic.one(p)})
     n = params.degree
     reps = flag_representatives(params, pi, lam, n + 1)
-    order, G = _flag_matrix(reps, params, pi, lam, p)
+    order = basis_set(params)
+    certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
+    G = [[_series(c.coords[v], p) for c in certs] for v in order]
     F = [row[:n] for row in G]
     g = _mat_series_mul(_series_inverse(F, count, p), [row[n:] for row in G], count, p)
     zero = [PiAdic.zero(p)] * count
@@ -504,40 +496,50 @@ def _frobenius_images(reps, phi, lam_pows, p):
     return images
 
 
-def required_cutoff(p, pi_digits, nu0):
-    """Smallest total splitting degree whose dropped tail is provably
-    below pi**(pi_digits + nu0)."""
-    w = 0
-    while splitting_bound(p, w + 1) < pi_digits + nu0:
-        w += 1
-    return w
-
-
 def default_cutoff(params, p):
     wmax = max(weight_of(params, v) for v in basis_set(params))
     return 2 * params.degree + int(ceil(p * wmax))
+
+
+def reduction_reserve(p, cutoff):
+    """rho of frobenius_at_point: (p - 1) * floor(log_p cutoff)."""
+    k = 0
+    while p ** (k + 1) <= cutoff:
+        k += 1
+    return (p - 1) * k
 
 
 def _frobenius_core(params, p, reps, F, lam, lam_p, count, pi_digits, cutoff,
                     lift_ord=None):
     """U = F(lam_p)**-1 M to count terms in the deformation, where column j
     of M holds the basis coordinates at lam_p of psi_p(reps[j] * PHI), PHI
-    taken at lam. Returns (U, cutoff, nu0, margin).
+    taken at lam. Returns (U, cutoff, reserve, margin).
 
-    F is the flag matrix of reps as series in L, read at lam_p = L**p. At a
-    Teichmuller point the lift is its own p-th power to its certified order
-    lift_ord: count = 1, lam = lam_p is the lift, F(lam_p) is F, and
-    lift_ord caps the margin.
+    F is the flag matrix of reps as series in L, read at lam_p = L**p, and
+    the reserve is nu0, the worst denominator of F(lam_p)**-1. With F None,
+    reps are the basis monomials at a Teichmuller point: U = M, the reserve
+    is reduction_reserve, count = 1, lam = lam_p is the lift, and the lift's
+    certified order lift_ord, less the reserve, caps the margin.
     """
-    Finv = _series_inverse([[_spread(e, p, count) for e in row] for row in F], count, p)
-    # the worst denominator of the change to the flag basis
-    nu0 = max(0, -(_min_ord(c for row in Finv for e in row for c in e) or 0))
+    if F is None:
+        Finv = nu0 = None
+    else:
+        Finv = _series_inverse([[_spread(e, p, count) for e in row] for row in F], count, p)
+        nu0 = max(0, -(_min_ord(c for row in Finv for e in row for c in e) or 0))
+
+    def reserve_at(cut):
+        return reduction_reserve(p, cut) if nu0 is None else nu0
+
     if cutoff is None:
-        cutoff = max(required_cutoff(p, pi_digits, nu0), default_cutoff(params, p))
-    margin = int(splitting_bound(p, cutoff + 1)) - nu0
+        # the least cutoff from the default on whose margin covers the request
+        cutoff = default_cutoff(params, p)
+        while int(splitting_bound(p, cutoff + 1)) - reserve_at(cutoff) < pi_digits:
+            cutoff += 1
+    reserve = reserve_at(cutoff)
+    margin = int(splitting_bound(p, cutoff + 1)) - reserve
     limit, advice = f"splitting cutoff {cutoff}", "; raise the cutoff"
-    if lift_ord is not None and lift_ord - nu0 <= margin:
-        margin = lift_ord - nu0
+    if lift_ord is not None and lift_ord - reserve <= margin:
+        margin = lift_ord - reserve
         limit, advice = f"Teichmuller lift to pi**{lift_ord}", ""
     if margin < pi_digits:
         raise StarvationError(
@@ -549,16 +551,16 @@ def _frobenius_core(params, p, reps, F, lam, lam_p, count, pi_digits, cutoff,
     for img in _frobenius_images(reps, phi, _powers(lam / lam, lam, cutoff), p):
         coords = reduce_to_basis(img, params, pi, lam_p).coords
         for row, v in zip(M, basis):
-            row.append(_series(coords[v], p, floor_ord=pi_digits + nu0))
-    U = _mat_series_mul(Finv, M, count, p)
+            row.append(_series(coords[v], p, floor_ord=pi_digits + reserve))
+    U = M if Finv is None else _mat_series_mul(Finv, M, count, p)
     for j in range(len(basis)):
         for i, row in enumerate(U):
             bad = _min_ord(row[j])
             if bad is not None and bad < 0:
                 raise InvariantError(
                     f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad}) "
-                    f"at p = {p}, splitting cutoff {cutoff}, nu0 {nu0}")
-    return U, cutoff, nu0, margin
+                    f"at p = {p}, splitting cutoff {cutoff}, reserve {reserve}")
+    return U, cutoff, reserve, margin
 
 
 @dataclass
@@ -586,7 +588,8 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     fractional powers of the deformation into the reduction, which the
     series ring does not carry; for a*b > 1 the derivative-flag matrix is
     singular at L = 0, so its inverse has no power series. frobenius_at_point
-    takes c = d = 1 families at a single deformation value.
+    takes every family at a single deformation value. The margin's nu0 does
+    not count the digits that the reduction loses.
     """
     params.check_prime(p)
     if params.c * params.d != 1:
@@ -691,46 +694,36 @@ class FrobeniusPoint:
     pi_digits: int
     margin: int
     cutoff: int
-    nu0: int
+    nu0: int  # the reduction reserve rho of frobenius_at_point
     basis: list
     U: list   # PiAdic matrix
 
 
 def frobenius_at_point(params, p, lam_residue, pi_digits=8):
-    """Frobenius matrix at the Teichmuller point above a unit residue.
+    """Frobenius matrix at the Teichmuller point above a unit residue, on the
+    monomial basis: column j holds the basis coordinates of
+    psi_p(x**v_j * PHI) at the lift, which is its own p-th power, so the
+    reduction runs at one number for every (c, d). Every entry must be
+    pi-integral, or InvariantError names it.
 
-    The fiber is its own image (the lift is fixed by the p-power map), so U
-    is the series Frobenius cut to one term: a square PiAdic matrix certified
-    modulo pi**margin. Needs c = d = 1. U is returned only when every entry
-    is certified pi-integral; otherwise InvariantError names the entry. That
-    happens for some families, among them (3,1,1,1) and (1,3,1,1) at p = 5,
-    (4,1,1,1) and (5,1,1,1) at p = 3 and 7, (1,4,1,1) at p = 3, and
-    (2,3,1,1) and (3,2,1,1) at p = 5, each at lam = 1 and 2.
+    margin = floor(splitting_bound(p, cutoff + 1)) - rho, capped by
+    lift_ord - rho; the first term is proved. rho = (p - 1) floor(log_p
+    cutoff), reported as nu0, is measured (README, "Precision model"): it
+    covers the digits lost in reducing the image of E_(p**k), p**k the
+    least power of p above the cutoff.
     """
     params.check_prime(p)
-    if params.c * params.d != 1:
-        raise PreconditionError(
-            "the point Frobenius needs pole exponents c = d = 1")
     if pi_digits < 0:
         raise PreconditionError("pi_digits must be non-negative")
-    n = params.degree
-    lam_hat, lam_ord = teichmuller_lift(p, lam_residue, pi_digits + 2 * n * (p - 1))
-    pi = PiAdic.pi(p)
-    reps_lam = flag_representatives(params, pi, Laurent({1: PiAdic.one(p)}), n)
-
-    def specialize(lau):
-        acc = PiAdic.zero(p)
-        for e, c in lau.terms.items():
-            acc = acc + c * lam_hat ** e
-        return acc
-
-    reps = [{x: specialize(lau) for x, lau in rep.items()} for rep in reps_lam]
-    order, F = _flag_matrix(reps, params, pi, lam_hat, p)
-    U, cutoff, nu0, margin = _frobenius_core(
-        params, p, reps, F, lam_hat, lam_hat, 1, pi_digits, None, lift_ord=lam_ord)
+    lam_hat, lam_ord = teichmuller_lift(
+        p, lam_residue, pi_digits + 2 * params.degree * (p - 1))
+    basis, one = basis_set(params), PiAdic.one(p)
+    U, cutoff, rho, margin = _frobenius_core(
+        params, p, [{v: one} for v in basis], None, lam_hat, lam_hat, 1, pi_digits,
+        None, lift_ord=lam_ord)
     return FrobeniusPoint(params=params, p=p, lam_residue=lam_residue,
                           pi_digits=pi_digits, margin=margin, cutoff=cutoff,
-                          nu0=nu0, basis=order, U=[[e[0] for e in row] for row in U])
+                          nu0=rho, basis=basis, U=[[e[0] for e in row] for row in U])
 
 
 def reciprocal_char_poly(U, p):

@@ -15,7 +15,7 @@ import numpy as np
 from .cyclotomic import CycloInt, ord_q
 from .errors import InvariantError, PreconditionError
 from .exact import lower_convex_hull
-from .ffield import FieldTower, evaluate_family
+from .ffield import FieldTower
 
 
 # Rows of the histogram are walked in chunks of about this many cells, so a
@@ -164,19 +164,21 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
 
 
 def exp_sum_direct(params, p, lam_code, k, atilde=1):
-    """Same sum by brute enumeration of the torus; cross-check for exp_sum."""
+    """Same sum by brute enumeration of the torus, with no generator, log
+    table or orbit rows; cross-check for exp_sum. One field product a cell."""
     tower = FieldTower(p, atilde * k)
     lam = tower.embed_subfield_code(p, atilde, lam_code)
     if lam == tower.zero:
         raise PreconditionError("deformation value must be nonzero")
-    total = CycloInt.zero(p)
-    for c1 in range(1, tower.q):
-        x1 = tower.from_code(c1)
-        for c2 in range(1, tower.q):
-            x2 = tower.from_code(c2)
-            t = tower.trace(evaluate_family(tower, params, lam, x1, x2))
-            total = total + CycloInt.zeta_power(p, t)
-    return total
+    xs = [tower.from_code(code) for code in range(1, tower.q)]
+    ends = [(tower.trace(tower.pow(x, params.a)), tower.mul(lam, tower.pow(x, -params.c)))
+            for x in xs]
+    mids = [(tower.trace(tower.pow(x, params.b)), tower.pow(x, -params.d)) for x in xs]
+    counts = [0] * p
+    for t1, u1 in ends:
+        for t2, u2 in mids:
+            counts[(t1 + t2 + tower.trace(tower.mul(u1, u2))) % p] += 1
+    return sum((n * CycloInt.zeta_power(p, t) for t, n in enumerate(counts)), CycloInt.zero(p))
 
 
 @dataclass(frozen=True)

@@ -297,12 +297,21 @@ def test_count_beyond_physical_memory_exits_2(capsys):
     assert "cap of 4294967296" in doc["error"]["message"]
 
 
-def test_uncertified_point_frobenius_exits_4(capsys):
-    # the point Frobenius of (4,1,1,1) at p = 3 has an entry of negative order
-    code, out, err = run(capsys, ["frobenius-check", "--family", "4,1,1,1",
+def test_uncertified_point_frobenius_exits_4(capsys, monkeypatch):
+    # on the monomial basis the point Frobenius of (4,1,1,1) at p = 3 is
+    # pi-integral; on the flag basis it had an entry of order -4
+    code, out, _ = run(capsys, ["frobenius-check", "--family", "4,1,1,1",
+                                "--prime", "3", "--lam", "1"])
+    assert code == 0 and json.loads(out)["result"]["agrees_to_margin"] is True
+    # a splitting product scaled by 1/p takes p - 1 digits from every entry,
+    # and the unit root entry (0,0) goes negative
+    real = frobenius._phi_terms
+    monkeypatch.setattr(frobenius, "_phi_terms", lambda params, p, cutoff: [
+        (k, v, coeff / p) for k, v, coeff in real(params, p, cutoff)])
+    code, out, err = run(capsys, ["frobenius-check", "--family", "1,1,1,1",
                                   "--prime", "3", "--lam", "1"])
     assert code == 4 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "invariant"
-    assert error["message"].startswith("Frobenius entry (3,0) is not pi-integral")
-    assert "p = 3, splitting cutoff 35, nu0 8" in error["message"]
+    assert error["message"].startswith("Frobenius entry (0,0) is not pi-integral (ord -2)")
+    assert "p = 3, splitting cutoff 26, reserve 4" in error["message"]

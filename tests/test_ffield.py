@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsums.errors import PreconditionError
-from toricsums.family import FamilyParams
-from toricsums.ffield import FieldTower, evaluate_family, find_irreducible
+from toricsums.ffield import FieldTower, find_irreducible
 
 
 def test_find_irreducible_is_deterministic():
@@ -84,19 +82,3 @@ def test_log_inverts_power():
     g = tw.generator()
     for e in range(8):
         assert tw.log(tw.pow(g, e)) == e
-
-
-def test_evaluate_family_rejects_points_off_torus():
-    tw = FieldTower(3, 1)
-    P = FamilyParams(1, 1, 1, 1)
-    with pytest.raises(PreconditionError):
-        evaluate_family(tw, P, tw.one, tw.zero, tw.one)
-
-
-def test_evaluate_family_agrees_with_hand_value():
-    # F(1, x) = x1 + x2 + 1/(x1 x2) over F_3 at x1 = x2 = 2: 2+2+1/4 = 4+1 = 5 = 2
-    tw = FieldTower(3, 1)
-    P = FamilyParams(1, 1, 1, 1)
-    two = tw.embed_prime(2)
-    val = evaluate_family(tw, P, tw.one, two, two)
-    assert tw.to_code(val) == 2

@@ -6,9 +6,10 @@ machinery runs at lower precision plus exact unit tests for the scalars.
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricsums import frobenius
@@ -26,6 +27,7 @@ from toricsums.frobenius import (
     frobenius_at_point,
     frobenius_series,
     horizontality_residual,
+    ord_ge,
     reciprocal_char_poly,
     splitting_bound,
     splitting_coefficients,
@@ -390,11 +392,40 @@ def test_two_cutoffs_agree_within_margin():
                 assert congruent_mod_pi(ca, cb, a.margin)
 
 
+def _valid_family(abcd):
+    try:
+        return FamilyParams(*abcd)
+    except PreconditionError:
+        return None
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(*[st.integers(1, 3)] * 4), st.sampled_from([3, 5, 7]), st.integers(1, 6))
+# with no reduction reserve, digits of these two moved below the margin
+@example((2, 1, 1, 1), 3, 2)
+@example((1, 1, 2, 3), 5, 1)
+# cutoff 48 just below E_49: a reserve of 3 fell 2 digits short here
+@example((3, 2, 1, 3), 7, 1)
+def test_a_deeper_cutoff_moves_no_digit_below_the_margin(abcd, p, lam):
+    params = _valid_family(abcd)
+    assume(params is not None and lam < p and (params.a * params.b * params.c * params.d) % p)
+    fp = frobenius_at_point(params, p, lam)
+    with mock.patch.object(frobenius, "default_cutoff", lambda params, p: fp.cutoff + 10):
+        deep = frobenius_at_point(params, p, lam)
+    assert deep.cutoff == fp.cutoff + 10
+    for row, deep_row in zip(fp.U, deep.U):
+        for x, y in zip(row, deep_row):
+            assert congruent_mod_pi(x, y, fp.margin)
+
+
 def test_deeper_poles_are_rejected_up_front():
+    # the series route needs c = d = 1; the point Frobenius, on the monomial
+    # basis, certifies deeper poles
     with pytest.raises(PreconditionError):
         frobenius_series(FamilyParams(1, 1, 2, 1), 3, pi_digits=4)
-    with pytest.raises(PreconditionError):
-        frobenius_at_point(FamilyParams(1, 1, 2, 1), 3, 1, pi_digits=4)
+    fp = frobenius_at_point(FamilyParams(1, 1, 2, 1), 3, 1, pi_digits=4)
+    assert fp.margin >= 4 and len(fp.U) == 4
+    assert all(ord_ge(x, 0) for row in fp.U for x in row)
 
 
 def test_starvation_is_raised_not_fudged():
@@ -416,17 +447,16 @@ def test_starvation_at_a_point_names_the_lift(monkeypatch):
 
 
 def test_point_frobenius_matches_series_at_teichmuller_one():
-    # at the fixed point with residue 1 the series can be summed termwise
+    # at the fixed point with residue 1 the series can be summed termwise; the
+    # series is on the flag basis and the point on the monomial basis, so the
+    # two matrices are similar and their characteristic polynomials agree
     P = FamilyParams(1, 1, 1, 1)
     fs = frobenius_series(P, 3, pi_digits=4, lam_order=12)
     fp = frobenius_at_point(P, 3, 1, pi_digits=4)
     m = min(fs.margin, fp.margin)
-    for i in range(3):
-        for j in range(3):
-            total = PiAdic.zero(3)
-            for c in fs.U[i][j]:
-                total = total + c
-            assert congruent_mod_pi(total, fp.U[i][j], m)
+    summed = [[sum(entry, PiAdic.zero(3)) for entry in row] for row in fs.U]
+    for x, y in zip(reciprocal_char_poly(summed, 3), reciprocal_char_poly(fp.U, 3)):
+        assert congruent_mod_pi(x, y, m)
 
 
 def test_char_poly_of_identity():

@@ -48,6 +48,9 @@ COMMANDS = {
     # a*b > 1 at p > 3: the flag matrix at the point has a dense inverse
     "frobenius-check-ab-p5": ["frobenius-check", "--family", "2,1,1,1", "--prime", "5",
                               "--lam", "2"],
+    # c*d > 1 at a point: the monomial basis needs no flag
+    "frobenius-check-cd": ["frobenius-check", "--family", "1,1,1,2", "--prime", "5",
+                           "--lam", "2"],
     "lpoly": ["lpoly", "--family", "2,1,1,1", "--prime", "5", "--lam", "1"],
     # several histogram chunks per field, uint8 cells
     "newton": ["newton", "--family", "1,2,1,1", "--prime", "5", "--lam", "2"],

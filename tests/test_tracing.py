@@ -1,20 +1,43 @@
 """The benchmark tracer (perfbench/tracing.py) looks up the toricsums
-functions and methods it wraps by name when it is imported. Importing it
-here makes a refactor that drops or renames one of them fail the suite
-instead of breaking `perfbench/run.py --trace 1`.
+functions and methods it wraps by name when it is imported, and its hooks
+read fields of their results. Loading it here makes a refactor that drops or
+renames one of them fail the suite instead of breaking
+`perfbench/run.py --trace 1`.
 """
 
 import importlib.util
 from pathlib import Path
 
+from toricsums.family import FamilyParams
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_finds_every_wrapped_object():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_finds_every_wrapped_object():
+    tracing = load_tracing()
     for name, fns in {**tracing.SPANS, **tracing.CALL_COUNTERS}.items():
         assert fns and all(callable(f) for f in fns), name
     for metric, spans in tracing.SELF_TIMES.items():
         assert set(spans) <= set(tracing.SPANS), metric
+
+
+def test_frobenius_hook_reads_a_point_result():
+    tracing = load_tracing()
+    # collect the wrappers instead of installing them, so this process keeps
+    # the untraced package
+    wrappers = {}
+    tracing._replace_everywhere = lambda orig, new: wrappers.setdefault(orig, new)
+    tracer = tracing.Tracer()
+    tracer.install()
+    traced = wrappers[tracing._frob.frobenius_at_point]
+    fp = traced(FamilyParams(1, 1, 2, 1), 3, 1, pi_digits=4)
+    assert [tracer.counts[f"frobenius.{f}"] for f in ("cutoff", "nu0", "margin")] == [
+        fp.cutoff, fp.nu0, fp.margin]
+    assert [s[0] for s in tracer.spans] == ["frobenius.frobenius_at_point"]
