@@ -56,16 +56,26 @@ def _cone_index(params, v):
     raise InvariantError(f"fan does not cover {v}")  # unreachable
 
 
-def weight_of(params, v):
-    """Polytope gauge of v: the smallest t >= 0 with v inside t times the triangle."""
+def weight_units(params, v):
+    """The integer weight of v: its polytope gauge times weight_denominator(params).
+
+    The gauge is the smallest t >= 0 with v inside t times the triangle; it
+    lies in (1/weight_denominator)Z, so this is exact integer arithmetic.
+    """
     a, b, c, d = params.a, params.b, params.c, params.d
     v1, v2 = v
+    ell = lcm(c, d)
     cone = _cone_index(params, v)
     if cone == 0:
-        return Fraction(v1, a) + Fraction(v2, b)
+        return (b * v1 + a * v2) * ell
     if cone == 1:
-        return Fraction(-(a + c) * v2, a * d) + Fraction(v1, a)
-    return Fraction(-(b + d) * v1, b * c) + Fraction(v2, b)
+        return (d * v1 - (a + c) * v2) * b * (ell // d)
+    return (c * v2 - (b + d) * v1) * a * (ell // c)
+
+
+def weight_of(params, v):
+    """Polytope gauge of v: the smallest t >= 0 with v inside t times the triangle."""
+    return Fraction(weight_units(params, v), weight_denominator(params))
 
 
 def m_of(params, v):

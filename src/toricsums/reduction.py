@@ -22,9 +22,10 @@ deformation operator also needs S.theta(), which only Laurent has.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .errors import InvariantError
-from .hodge import basis_set
+from .hodge import basis_set, weight_units
 from .ratfunc import Laurent, RatFunc, add_term, solve_linear
 
 __all__ = [
@@ -96,21 +97,37 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     """Rewrite a class into basis coordinates with an exact certificate.
 
     Every step eliminates one off-basis monomial, pushing the difference into
-    D1/D2 images. Transient division by pi and by L is expected; the scalars
-    must support exact division by products of small integers, pi and L.
+    D1/D2 images. Pending monomials are popped heaviest first: largest
+    hodge.weight_units, then largest m, then largest n. A rewrite's terms
+    are mostly lighter, so each region of exponents is passed once instead
+    of being revisited. `steps` counts the monomials eliminated; a pending
+    monomial that cancels before it is popped is not counted.
+    Transient division by pi and by L is expected; the scalars must support
+    exact division by products of small integers, pi and L.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     basis = set(basis_set(params))
     pending = {}
-    for u, s in cls_.items():
+    heap = []  # keys (-weight, -m, -n); a monomial is pushed when it becomes pending
+
+    def add_pending(u, s):
+        if s and u not in pending:
+            heappush(heap, (-weight_units(params, u), -u[0], -u[1]))
         add_term(pending, u, s)
+
+    for u, s in cls_.items():
+        add_pending(u, s)
     coords = {}
     h1 = {}
     h2 = {}
     pi_lam = pi * lam
     steps = 0
-    while pending:
-        u, S = pending.popitem()
+    while heap:
+        key = heappop(heap)
+        u = (-key[1], -key[2])
+        S = pending.pop(u, None)
+        if S is None:
+            continue  # cancelled after it was pushed
         steps += 1
         if steps > max_steps:
             raise InvariantError(f"reduction exceeded {max_steps} steps at exponent {u}")
@@ -118,37 +135,37 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
         if m <= -c:
             # climb along x1: divide through the D1 relation at u + (c, d)
             Sp = S / (c * pi_lam)
-            add_term(pending, (m + c, n + d), Sp * (m + c))
-            add_term(pending, (m + c + a, n + d), Sp * a * pi)
+            add_pending((m + c, n + d), Sp * (m + c))
+            add_pending((m + c + a, n + d), Sp * a * pi)
             add_term(h1, (m + c, n + d), -Sp)
         elif n <= -d:
             Sp = S / (d * pi_lam)
-            add_term(pending, (m + c, n + d), Sp * (n + d))
-            add_term(pending, (m + c, n + d + b), Sp * b * pi)
+            add_pending((m + c, n + d), Sp * (n + d))
+            add_pending((m + c, n + d + b), Sp * b * pi)
             add_term(h2, (m + c, n + d), -Sp)
         elif m > a:
             # ladder down along x1 through the D1 relation at u - (a, 0)
             Sp = S / (a * pi)
-            add_term(pending, (m - a, n), -(Sp * (m - a)))
-            add_term(pending, (m - a - c, n - d), Sp * c * pi_lam)
+            add_pending((m - a, n), -(Sp * (m - a)))
+            add_pending((m - a - c, n - d), Sp * c * pi_lam)
             add_term(h1, (m - a, n), Sp)
         elif n > b:
             Sp = S / (b * pi)
-            add_term(pending, (m, n - b), -(Sp * (n - b)))
-            add_term(pending, (m - c, n - b - d), Sp * d * pi_lam)
+            add_pending((m, n - b), -(Sp * (n - b)))
+            add_pending((m - c, n - b - d), Sp * d * pi_lam)
             add_term(h2, (m, n - b), Sp)
         elif (m, n) not in basis:
             if _in_box_rewrite_choice(params, m, n):
                 # trade x**u against x**(u - (a,0)) and x**(u - (a,0) + (0,b))
                 w = (m - a, n)
-                add_term(pending, w, S * (c * n - (m - a) * d) / (a * d * pi))
-                add_term(pending, (m - a, n + b), S * (b * c) / (a * d))
+                add_pending(w, S * (c * n - (m - a) * d) / (a * d * pi))
+                add_pending((m - a, n + b), S * (b * c) / (a * d))
                 add_term(h1, w, S / (a * pi))
                 add_term(h2, w, -(S * c / (a * d * pi)))
             else:
                 w = (m, n - b)
-                add_term(pending, w, S * (d * m - (n - b) * c) / (b * c * pi))
-                add_term(pending, (m + a, n - b), S * (a * d) / (b * c))
+                add_pending(w, S * (d * m - (n - b) * c) / (b * c * pi))
+                add_pending((m + a, n - b), S * (a * d) / (b * c))
                 add_term(h2, w, S / (b * pi))
                 add_term(h1, w, -(S * d / (b * c * pi)))
         else:
@@ -162,8 +179,10 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
 def _in_box_rewrite_choice(params, m, n):
     """True: eliminate via the x1-shift identity; False: via the x2-shift one.
 
-    The choice keeps all descendants inside the bounding box for each of the
-    four (c, d) shapes, so the rewrite terminates.
+    For each of the four (c, d) shapes the choice keeps every descendant of
+    an in-box monomial inside the bounding box, so the terms a reduction
+    produces stay bounded; reduce_to_basis's max_steps is the guard that
+    turns a rewrite that still fails to finish into an error.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     if c > 1 and d > 1:

@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction
+from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,20 @@ PARAMS_POOL = [
 
 exponents = st.tuples(st.integers(-7, 7), st.integers(-7, 7))
 
+
+def _valid_families():
+    out = []
+    for a, b, c, d in product(range(1, 4), range(1, 4), range(1, 6), range(1, 6)):
+        try:
+            out.append(FamilyParams(a, b, c, d))
+        except PreconditionError:
+            pass
+    return out
+
+
+# every valid family with a, b <= 3 and c, d <= 5: 99 of them
+SMALL_FAMILIES = _valid_families()
+
 # Q[L, 1/L] with pi = 1, the variation setting
 L = Laurent({1: Fraction(1)})
 ONE = Laurent({0: Fraction(1)})
@@ -69,6 +84,38 @@ def test_reduction_is_linear(P, u, v):
     cy = reduce_to_basis(y, P, 1, L)
     merged = class_add(cx.coords, cy.coords)
     assert class_eq(both.coords, merged)
+
+
+def test_heaviest_first_reduces_a_far_monomial_quickly():
+    P = FamilyParams(1, 1, 1, 2)
+    cls_ = {(-7, 7): ONE}
+    cert = reduce_to_basis(cls_, P, 1, L)
+    assert cert.steps <= 100
+    assert verify_certificate(cls_, cert, P, 1, L)
+
+
+def _at(x, p, lam):
+    """A Laurent polynomial over Q evaluated at L = lam in F_p."""
+    out = Fp(p, 0)
+    for e, c in x.terms.items():
+        out = out + Fp(p, c.numerator) / c.denominator * Fp(p, pow(lam, e, p))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_FAMILIES),
+       st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       st.sampled_from([7, 11, 101, 10007]), st.integers(1, 10 ** 6))
+def test_prime_field_reduction_is_short_and_specializes(P, u, p, lam):
+    # p > 5 divides none of the integers a reduction divides by
+    lam = lam % (p - 1) + 1
+    cls_ = {u: Fp(p, 1)}
+    cert = reduce_to_basis(cls_, P, 1, Fp(p, lam))
+    assert verify_certificate(cls_, cert, P, 1, Fp(p, lam))
+    assert cert.steps <= 300
+    generic = reduce_to_basis({u: ONE}, P, 1, L)
+    assert {v: int(s) for v, s in cert.coords.items()} == {
+        v: int(_at(s, p, lam)) for v, s in generic.coords.items()}
 
 
 def test_basis_monomials_are_fixed_points():

@@ -8,7 +8,9 @@ renames one of them fail the suite instead of breaking
 import importlib.util
 from pathlib import Path
 
+from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
+from toricsums.reduction import reduce_to_basis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,16 +30,32 @@ def test_tracer_finds_every_wrapped_object():
         assert set(spans) <= set(tracing.SPANS), metric
 
 
-def test_frobenius_hook_reads_a_point_result():
-    tracing = load_tracing()
-    # collect the wrappers instead of installing them, so this process keeps
-    # the untraced package
+def install_collected(tracing):
+    """Install a Tracer, but collect its wrappers instead of patching them in,
+    so this process keeps the untraced package. Returns (tracer, wrappers)."""
     wrappers = {}
     tracing._replace_everywhere = lambda orig, new: wrappers.setdefault(orig, new)
     tracer = tracing.Tracer()
     tracer.install()
+    return tracer, wrappers
+
+
+def test_frobenius_hook_reads_a_point_result():
+    tracing = load_tracing()
+    tracer, wrappers = install_collected(tracing)
     traced = wrappers[tracing._frob.frobenius_at_point]
     fp = traced(FamilyParams(1, 1, 2, 1), 3, 1, pi_digits=4)
     assert [tracer.counts[f"frobenius.{f}"] for f in ("cutoff", "nu0", "margin")] == [
         fp.cutoff, fp.nu0, fp.margin]
     assert [s[0] for s in tracer.spans] == ["frobenius.frobenius_at_point"]
+
+
+def test_reduce_hook_counts_the_certificate_steps():
+    tracing = load_tracing()
+    tracer, wrappers = install_collected(tracing)
+    traced = wrappers[reduce_to_basis]
+    # the reduce-prime golden's class: three of its pending monomials cancel
+    # mod 5 after they are queued, and those are not steps
+    cert = traced({(-4, 4): Fp(5, 1)}, FamilyParams(1, 1, 1, 2), 1, Fp(5, 3))
+    assert tracer.counts["reduction.steps"] == cert.steps == 43
+    assert [s[0] for s in tracer.spans] == ["reduction.reduce_to_basis"]
