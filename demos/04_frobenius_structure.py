@@ -2,11 +2,11 @@
 The Frobenius matrix, its horizontality, and spectral consistency
 =================================================================
 
-The deepest structure: a matrix U(L) over a ramified p-adic ring that
-transports the connection at L to the connection at L^p.  Everything is
-computed to a certified pi-adic precision; the report says how many
-digits survived the truncations, and the code refuses to hand back
-fewer digits than it can certify.
+The deepest structure: a matrix U(L) over a ramified p-adic ring, on the
+monomial basis of the cohomology, that transports the connection at L to
+the connection at L^p.  Everything is computed to a certified pi-adic
+precision; the report says how many digits survived the truncations, and
+the code refuses to hand back fewer digits than it can certify.
 
 Two independent checks close the loop:
   * horizontality: theta(U) - U G + p G(L^p) U = 0 to the margin;
@@ -27,7 +27,7 @@ p = 3
 
 fs = frobenius_series(params, p, pi_digits=8, lam_order=12)
 print(f"certified pi-adic margin: {fs.margin} (requested 8)")
-print(f"series cutoff used: {fs.cutoff}, denominator reserve: {fs.nu0}")
+print(f"series cutoff used: {fs.cutoff}, reduction reserve: {fs.nu0}")
 print(f"basis: {fs.basis}")
 print()
 print("U(L) entry (0, 0), coefficients of L^0..L^3 as pi-digit strings:")

@@ -9,14 +9,17 @@ Frobenius is psi_p composed with multiplication by the splitting product
 truncated at a certified total degree. Everything downstream of the
 truncation is exact; the one analytic input is the coefficient bound
 ord_pi E_i >= i (p-1)^2 / p^2, which bounds every dropped term: that part of
-the margin is proved. The margin subtracts a reserve, nu0 for the series
-route's change to the flag basis and rho for the point route. Neither
-provably covers the pi-digit lost in each ladder step of reduce_to_basis.
+the margin is proved. Both routes, the series in L and the Teichmuller
+point, run one core on the monomial basis of hodge.basis_set and subtract
+one reserve, rho = reduction_reserve, which is measured: it does not
+provably cover the pi-digit lost in each ladder step of reduce_to_basis.
+flag_data and _series_inverse serve neither route; perfbench/tracing.py
+still wraps flag_data by name.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, comb, gcd, lcm
 
 from .errors import InvariantError, PreconditionError, StarvationError
 from .exact import mat_mul
@@ -29,7 +32,7 @@ from .lfunction import (
     l_polynomial,
 )
 from .ratfunc import Laurent, add_term, solve_linear
-from .reduction import flag_representatives, reduce_to_basis
+from .reduction import apply_D_lambda, flag_representatives, reduce_to_basis
 
 
 def _ord_p(n, p):
@@ -393,6 +396,11 @@ def _series(x, p, floor_ord=None):
     return [x.get(e, z) for e in range(max(x, default=-1) + 1)]
 
 
+def _fit(x, p, count):
+    """A power series cut or padded with zeros to exactly count terms."""
+    return x[:count] + [PiAdic.zero(p)] * (count - len(x))
+
+
 def _spread(x, p, count):
     """x(L**p) for a power series x, to count terms."""
     out = [PiAdic.zero(p)] * count
@@ -466,32 +474,25 @@ def _phi_terms(params, p, cutoff):
     return out
 
 
-def _powers(one, x, top):
-    out = [one]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
+def _frobenius_images(basis, phi, lam, p):
+    """psi_p(x**v * PHI) for each basis exponent v, exactly.
 
-
-def _frobenius_images(reps, phi, lam_pows, p):
-    """psi_p(rep * PHI) for each representative, exactly.
-
-    phi is the _phi_terms list and lam_pows[k] the k-th power of the source
-    deformation (a Laurent monomial, or a number at a point). psi_p keeps
+    phi is the _phi_terms list, taken at the deformation lam (a Laurent
+    monomial, or a number at a point). psi_p keeps
     the x-exponents with both coordinates divisible by p and divides them by
-    p, so a term of rep is multiplied only by the phi terms whose exponent
-    has the complementary residues mod p; the dropped products are never
-    formed.
+    p, so x**v meets only the phi terms whose exponent has the complementary
+    residues mod p; the dropped products are never formed.
     """
-    by_residue = {}
+    by_residue, lam_pows = {}, [lam / lam]
     for k, (v1, v2), coeff in phi:
+        while len(lam_pows) <= k:
+            lam_pows.append(lam_pows[-1] * lam)
         by_residue.setdefault((v1 % p, v2 % p), []).append((v1, v2, coeff * lam_pows[k]))
     images = []
-    for rep in reps:
+    for r1, r2 in basis:
         img = {}
-        for (r1, r2), rc in rep.items():
-            for v1, v2, t in by_residue.get((-r1 % p, -r2 % p), ()):
-                add_term(img, ((r1 + v1) // p, (r2 + v2) // p), rc * t)
+        for v1, v2, t in by_residue.get((-r1 % p, -r2 % p), ()):
+            add_term(img, ((r1 + v1) // p, (r2 + v2) // p), t)
         images.append(img)
     return images
 
@@ -501,42 +502,50 @@ def default_cutoff(params, p):
     return 2 * params.degree + int(ceil(p * wmax))
 
 
+# Work bound on the splitting product, which has comb(C + 3, 3) terms at
+# cutoff C, one per (k, i, j) with k + i + j <= C: this cap admits C <= 144.
+MAX_PHI_TERMS = 1 << 19
+
+
 def reduction_reserve(p, cutoff):
-    """rho of frobenius_at_point: (p - 1) * floor(log_p cutoff)."""
+    """rho of both Frobenius routes: (p - 1) * floor(log_p cutoff)."""
     k = 0
     while p ** (k + 1) <= cutoff:
         k += 1
     return (p - 1) * k
 
 
-def _frobenius_core(params, p, reps, F, lam, lam_p, count, pi_digits, cutoff,
-                    lift_ord=None):
-    """U = F(lam_p)**-1 M to count terms in the deformation, where column j
-    of M holds the basis coordinates at lam_p of psi_p(reps[j] * PHI), PHI
-    taken at lam. Returns (U, cutoff, reserve, margin).
+def _margin(p, cutoff):
+    return int(splitting_bound(p, cutoff + 1)) - reduction_reserve(p, cutoff)
 
-    F is the flag matrix of reps as series in L, read at lam_p = L**p, and
-    the reserve is nu0, the worst denominator of F(lam_p)**-1. With F None,
-    reps are the basis monomials at a Teichmuller point: U = M, the reserve
-    is reduction_reserve, count = 1, lam = lam_p is the lift, and the lift's
-    certified order lift_ord, less the reserve, caps the margin.
-    """
-    if F is None:
-        Finv = nu0 = None
-    else:
-        Finv = _series_inverse([[_spread(e, p, count) for e in row] for row in F], count, p)
-        nu0 = max(0, -(_min_ord(c for row in Finv for e in row for c in e) or 0))
 
-    def reserve_at(cut):
-        return reduction_reserve(p, cut) if nu0 is None else nu0
-
+def splitting_cutoff(params, p, pi_digits, cutoff=None):
+    """The given splitting cutoff, or the least one from default_cutoff whose
+    margin covers pi_digits. Either is refused, before any product term is
+    built, when the splitting product would pass MAX_PHI_TERMS terms."""
+    what = f"splitting cutoff {cutoff}"
     if cutoff is None:
-        # the least cutoff from the default on whose margin covers the request
         cutoff = default_cutoff(params, p)
-        while int(splitting_bound(p, cutoff + 1)) - reserve_at(cutoff) < pi_digits:
+        while _margin(p, cutoff) < pi_digits and comb(cutoff + 3, 3) <= MAX_PHI_TERMS:
             cutoff += 1
-    reserve = reserve_at(cutoff)
-    margin = int(splitting_bound(p, cutoff + 1)) - reserve
+        what = f"pi**{pi_digits} needs a splitting cutoff of at least {cutoff}, which"
+    elif cutoff < 0:
+        raise PreconditionError("cutoff must be non-negative")
+    if comb(cutoff + 3, 3) > MAX_PHI_TERMS:
+        raise PreconditionError(f"{what} has {comb(cutoff + 3, 3)} product terms, "
+                                f"over the cap of {MAX_PHI_TERMS} = 2^19")
+    return cutoff
+
+
+def _frobenius_core(params, p, lam, lam_p, count, pi_digits, cutoff, lift_ord=None):
+    """U on the monomial basis, each entry a series of exactly count terms:
+    column j holds the basis coordinates at lam_p of psi_p(x**v_j * PHI),
+    PHI cut at cutoff and taken at lam. Returns (U, reserve, margin), the
+    reserve being reduction_reserve. The series has lam = L, lam_p = L**p; a
+    point has count = 1 and lam = lam_p = the lift, whose order lift_ord,
+    less the reserve, caps the margin.
+    """
+    reserve, margin = reduction_reserve(p, cutoff), _margin(p, cutoff)
     limit, advice = f"splitting cutoff {cutoff}", "; raise the cutoff"
     if lift_ord is not None and lift_ord - reserve <= margin:
         margin = lift_ord - reserve
@@ -547,20 +556,17 @@ def _frobenius_core(params, p, reps, F, lam, lam_p, count, pi_digits, cutoff,
             achieved=margin, requested=pi_digits)
     phi = _phi_terms(params, p, cutoff)
     pi, basis = PiAdic.pi(p), basis_set(params)
-    M = [[] for _ in basis]
-    for img in _frobenius_images(reps, phi, _powers(lam / lam, lam, cutoff), p):
+    U = [[] for _ in basis]
+    for j, img in enumerate(_frobenius_images(basis, phi, lam, p)):
         coords = reduce_to_basis(img, params, pi, lam_p).coords
-        for row, v in zip(M, basis):
-            row.append(_series(coords[v], p, floor_ord=pi_digits + reserve))
-    U = M if Finv is None else _mat_series_mul(Finv, M, count, p)
-    for j in range(len(basis)):
-        for i, row in enumerate(U):
+        for i, (row, v) in enumerate(zip(U, basis)):
+            row.append(_fit(_series(coords[v], p, floor_ord=pi_digits + reserve), p, count))
             bad = _min_ord(row[j])
             if bad is not None and bad < 0:
                 raise InvariantError(
                     f"Frobenius entry ({i},{j}) is not pi-integral (ord {bad}) "
                     f"at p = {p}, splitting cutoff {cutoff}, reserve {reserve}")
-    return U, cutoff, reserve, margin
+    return U, reserve, margin
 
 
 @dataclass
@@ -570,35 +576,31 @@ class FrobeniusSeries:
     pi_digits: int
     margin: int
     cutoff: int
-    nu0: int
+    nu0: int  # the reduction reserve rho
     lam_order: int
-    basis: list
+    basis: list    # the monomials that index the rows and columns of U and B
     U: list        # U[i][j] = list of PiAdic, coefficient of L**n
-    B: list        # same shape, series of the structure matrix
+    B: list        # same shape, series of the connection matrix
 
 
 def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
-    """Frobenius matrix U(L) on the derivative flag, as an exact series in the
+    """Frobenius matrix U(L) on the monomial basis, as an exact series in the
     deformation, certified modulo pi**margin with margin >= pi_digits.
 
-    Column j holds the coordinates of the Frobenius image of the j-th flag
-    class in the flag at the p-th power of the deformation.
+    Column j holds the basis coordinates at L**p of psi_p(x**v_j * PHI(L)),
+    from the core of frobenius_at_point, with its margin and reserve rho
+    (nu0). B is the connection on the same basis: column j holds the basis
+    coordinates of (L d/dL + pi L x**mu) x**v_j at L. Every entry of U and
+    B has lam_order + 1 terms.
 
-    Supported only for a = b = c = d = 1. Deeper poles (c*d > 1) put
-    fractional powers of the deformation into the reduction, which the
-    series ring does not carry; for a*b > 1 the derivative-flag matrix is
-    singular at L = 0, so its inverse has no power series. frobenius_at_point
-    takes every family at a single deformation value. The margin's nu0 does
-    not count the digits that the reduction loses.
+    Supported for c = d = 1: deeper poles put fractional powers of the
+    deformation into the reduction, which the series ring does not carry.
+    frobenius_at_point takes every family at a single deformation value.
     """
     params.check_prime(p)
     if params.c * params.d != 1:
         raise PreconditionError(
             "the series Frobenius needs pole exponents c = d = 1")
-    if params.a * params.b != 1:
-        raise PreconditionError(
-            "the series Frobenius needs a*b = 1: for a*b > 1 the derivative-flag "
-            "matrix is singular at L = 0; use frobenius-check at a point instead")
     if pi_digits < 0:
         raise PreconditionError("pi_digits must be non-negative")
     if lam_order is not None and lam_order < 0:
@@ -606,17 +608,20 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     if lam_order is None:
         lam_order = 2 * p + 10
     count = lam_order + 1
-    basis, reps, F, B = flag_data(params, p, count)
-    one = PiAdic.one(p)
-    U, cutoff, nu0, margin = _frobenius_core(
-        params, p, reps, F, Laurent({1: one}), Laurent({p: one}), count, pi_digits, cutoff)
+    cutoff = splitting_cutoff(params, p, pi_digits, cutoff)
+    one, pi, basis = PiAdic.one(p), PiAdic.pi(p), basis_set(params)
+    lam = Laurent({1: one})
+    U, rho, margin = _frobenius_core(
+        params, p, lam, Laurent({p: one}), count, pi_digits, cutoff)
+    B = [[] for _ in basis]
+    for v in basis:
+        image = apply_D_lambda({v: Laurent({0: one})}, params, pi, lam)
+        coords = reduce_to_basis(image, params, pi, lam).coords
+        for row, u in zip(B, basis):
+            row.append(_fit(_series(coords[u], p), p, count))
     return FrobeniusSeries(params=params, p=p, pi_digits=pi_digits, margin=margin,
-                           cutoff=cutoff, nu0=nu0, lam_order=lam_order,
+                           cutoff=cutoff, nu0=rho, lam_order=lam_order,
                            basis=basis, U=U, B=B)
-
-
-def _series_theta(x):
-    return [c * i for i, c in enumerate(x)]
 
 
 def _mat_series_mul(A, B, count, p):
@@ -655,34 +660,27 @@ def horizontality_residual(fs, lam_checked=None):
     """Residual of theta(U) - U*B + p*B(L**p)*U and labeled variants.
 
     The stated shape should vanish to the certified precision; the variants
-    (transposed structure matrix, reversed transport) are diagnostics and are
-    reported without being silently substituted.
+    (transposed connection matrix, reversed transport) are diagnostics and
+    are reported without being silently substituted.
     """
     p = fs.p
     count = (fs.lam_order + 1) if lam_checked is None else min(lam_checked, fs.lam_order + 1)
     U = [[entry[:count] for entry in row] for row in fs.U]
-    B = [[entry[:count] for entry in row] for row in fs.B]
-    Bp = [[_spread(entry, p, count) for entry in row] for row in B]
-    n = len(U)
+    thU = [[[c * i for i, c in enumerate(e)] for e in row] for row in U]
 
-    def residual_ord(Bmat, Bpmat, left_to_right=True):
-        thU = [[_series_theta(e) for e in row] for row in U]
+    def residual_ord(B, left_to_right=True):
+        Bp = [[_spread(e, p, count) for e in row] for row in B]
         if left_to_right:
-            t1 = _mat_series_mul(U, Bmat, count, p)
-            t2 = _mat_series_mul(Bpmat, U, count, p)
+            t1, t2 = _mat_series_mul(U, B, count, p), _mat_series_mul(Bp, U, count, p)
         else:
-            t1 = _mat_series_mul(Bmat, U, count, p)
-            t2 = _mat_series_mul(U, Bpmat, count, p)
-        return _min_ord(a - b + c * p for i in range(n) for j in range(n)
-                        for a, b, c in zip(thU[i][j], t1[i][j], t2[i][j]))
+            t1, t2 = _mat_series_mul(B, U, count, p), _mat_series_mul(U, Bp, count, p)
+        return _min_ord(a - b + c * p for rows in zip(thU, t1, t2)
+                        for entries in zip(*rows) for a, b, c in zip(*entries))
 
-    Bt = [[B[j][i] for j in range(n)] for i in range(n)]
-    Bpt = [[Bp[j][i] for j in range(n)] for i in range(n)]
-    variants = {
-        "stated": residual_ord(B, Bp, True),
-        "transposed": residual_ord(Bt, Bpt, True),
-        "reversed": residual_ord(B, Bp, False),
-    }
+    B = [[entry[:count] for entry in row] for row in fs.B]
+    variants = {"stated": residual_ord(B),
+                "transposed": residual_ord([list(col) for col in zip(*B)]),
+                "reversed": residual_ord(B, False)}
     return HorizontalityReport(lam_checked=count, variants=variants, margin=fs.margin)
 
 
@@ -694,7 +692,7 @@ class FrobeniusPoint:
     pi_digits: int
     margin: int
     cutoff: int
-    nu0: int  # the reduction reserve rho of frobenius_at_point
+    nu0: int  # the reduction reserve rho
     basis: list
     U: list   # PiAdic matrix
 
@@ -715,15 +713,15 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8):
     params.check_prime(p)
     if pi_digits < 0:
         raise PreconditionError("pi_digits must be non-negative")
+    cutoff = splitting_cutoff(params, p, pi_digits)
     lam_hat, lam_ord = teichmuller_lift(
         p, lam_residue, pi_digits + 2 * params.degree * (p - 1))
-    basis, one = basis_set(params), PiAdic.one(p)
-    U, cutoff, rho, margin = _frobenius_core(
-        params, p, [{v: one} for v in basis], None, lam_hat, lam_hat, 1, pi_digits,
-        None, lift_ord=lam_ord)
+    U, rho, margin = _frobenius_core(
+        params, p, lam_hat, lam_hat, 1, pi_digits, cutoff, lift_ord=lam_ord)
     return FrobeniusPoint(params=params, p=p, lam_residue=lam_residue,
                           pi_digits=pi_digits, margin=margin, cutoff=cutoff,
-                          nu0=rho, basis=basis, U=[[e[0] for e in row] for row in U])
+                          nu0=rho, basis=basis_set(params),
+                          U=[[e[0] for e in row] for row in U])
 
 
 def reciprocal_char_poly(U, p):

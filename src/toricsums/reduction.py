@@ -15,7 +15,7 @@ constants pi and L are passed in as values of the same kind (or as ints).
 The rewrites divide only by small integers, by pi and by L, so three kinds
 of value cover every use: ratfunc.Laurent over Fraction with pi = 1 (the
 variation setting of the connection), ratfunc.Laurent over the pi-adic
-scalars (the Frobenius flag), and specialized fields where L is a number
+scalars (the series Frobenius), and specialized fields where L is a number
 (ffield.Fp with pi = 1, frobenius.PiAdic at a Teichmuller point). The
 deformation operator also needs S.theta(), which only Laurent has.
 """

@@ -259,12 +259,44 @@ def test_unknown_command_is_a_usage_error():
     assert info.value.code == 2
 
 
-def test_series_frobenius_rejects_ab_above_one(capsys):
-    code, out, err = run(capsys, ["frobenius", "--family", "2,1,1,1", "--prime", "3"])
+def test_series_frobenius_takes_ab_above_one_and_refuses_deeper_poles(capsys):
+    # on the monomial basis a*b > 1 needs no flag inverse; c*d > 1 would put
+    # fractional powers of L into the series
+    doc = run_json(capsys, ["frobenius", "--family", "2,1,1,1", "--prime", "3",
+                            "--lam-order", "4"])
+    assert doc["result"]["margin_certified"] >= 8
+    assert len(doc["result"]["basis"]) == len(doc["result"]["matrix"]) == 5
+    code, out, err = run(capsys, ["frobenius", "--family", "1,1,2,1", "--prime", "3"])
     assert code == 2 and out == ""
-    doc = json.loads(err)
-    assert doc["error"]["kind"] == "precondition"
-    assert "a*b = 1" in doc["error"]["message"]
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"] == "the series Frobenius needs pole exponents c = d = 1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobenius-check", "--family", "1,1,1,1", "--prime", "3", "--lam", "1",
+      "--pi-digits", "1000000000"],
+     "pi**1000000000 needs a splitting cutoff of at least 145, which has 529396 "
+     "product terms, over the cap of 524288 = 2^19"),
+    # a lift to pi**(10**9) would be a p-adic power of its own size
+    (["frobenius-check", "--family", "1,1,1,1", "--prime", "5", "--lam", "2",
+      "--pi-digits", "1000000000"], "needs a splitting cutoff of at least 145"),
+    (["frobenius", "--family", "1,1,1,1", "--prime", "3", "--pi-digits", "200"],
+     "needs a splitting cutoff of at least 145"),
+    (["frobenius", "--family", "1,1,1,1", "--prime", "3", "--cutoff", "145"],
+     "splitting cutoff 145 has 529396 product terms, over the cap of 524288 = 2^19"),
+])
+def test_oversized_frobenius_request_exits_2_before_any_product(capsys, monkeypatch,
+                                                                argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Frobenius work began before the cutoff cap")
+
+    monkeypatch.setattr(frobenius, "_phi_terms", unreachable)
+    monkeypatch.setattr(frobenius, "teichmuller_lift", unreachable)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition" and message in error["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,6 +316,13 @@ def test_negative_lam_order_exits_2(capsys):
                                   "--lam-order", "-3"])
     assert code == 2 and out == ""
     assert "lam_order must be non-negative" in json.loads(err)["error"]["message"]
+
+
+def test_negative_cutoff_exits_2(capsys):
+    code, out, err = run(capsys, ["frobenius", "--family", "1,1,1,1", "--prime", "3",
+                                  "--pi-digits", "0", "--cutoff", "-4"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == "cutoff must be non-negative"
 
 
 def test_count_beyond_physical_memory_exits_2(capsys):

@@ -406,6 +406,8 @@ def _valid_family(abcd):
 @example((1, 1, 2, 3), 5, 1)
 # cutoff 48 just below E_49: a reserve of 3 fell 2 digits short here
 @example((3, 2, 1, 3), 7, 1)
+# c = d = 1: the series route too
+@example((1, 2, 1, 1), 5, 1)
 def test_a_deeper_cutoff_moves_no_digit_below_the_margin(abcd, p, lam):
     params = _valid_family(abcd)
     assume(params is not None and lam < p and (params.a * params.b * params.c * params.d) % p)
@@ -416,6 +418,12 @@ def test_a_deeper_cutoff_moves_no_digit_below_the_margin(abcd, p, lam):
     for row, deep_row in zip(fp.U, deep.U):
         for x, y in zip(row, deep_row):
             assert congruent_mod_pi(x, y, fp.margin)
+    if params.c == params.d == 1:
+        fs = frobenius_series(params, p, lam_order=4)
+        deep = frobenius_series(params, p, lam_order=4, cutoff=fs.cutoff + 10)
+        for row, deep_row in zip(fs.U, deep.U):
+            for x, y in zip(row, deep_row):
+                assert all(congruent_mod_pi(a, b, fs.margin) for a, b in zip(x, y))
 
 
 def test_deeper_poles_are_rejected_up_front():
@@ -447,16 +455,43 @@ def test_starvation_at_a_point_names_the_lift(monkeypatch):
 
 
 def test_point_frobenius_matches_series_at_teichmuller_one():
-    # at the fixed point with residue 1 the series can be summed termwise; the
-    # series is on the flag basis and the point on the monomial basis, so the
-    # two matrices are similar and their characteristic polynomials agree
-    P = FamilyParams(1, 1, 1, 1)
-    fs = frobenius_series(P, 3, pi_digits=4, lam_order=12)
-    fp = frobenius_at_point(P, 3, 1, pi_digits=4)
-    m = min(fs.margin, fp.margin)
-    summed = [[sum(entry, PiAdic.zero(3)) for entry in row] for row in fs.U]
-    for x, y in zip(reciprocal_char_poly(summed, 3), reciprocal_char_poly(fp.U, 3)):
-        assert congruent_mod_pi(x, y, m)
+    # both routes are on the monomial basis, and the Teichmuller lift of 1 is
+    # 1, so the series summed termwise is the point matrix, entry by entry
+    for abcd, p, lam_order in [((1, 1, 1, 1), 3, 12), ((2, 1, 1, 1), 3, 8),
+                               ((2, 1, 1, 1), 5, 8), ((1, 2, 1, 1), 3, 8),
+                               ((1, 2, 1, 1), 5, 8)]:
+        params = FamilyParams(*abcd)
+        fs = frobenius_series(params, p, pi_digits=4, lam_order=lam_order)
+        fp = frobenius_at_point(params, p, 1, pi_digits=4)
+        assert fs.basis == fp.basis
+        m = min(fs.margin, fp.margin)
+        for row, point_row in zip(fs.U, fp.U):
+            for entry, y in zip(row, point_row):
+                assert congruent_mod_pi(sum(entry, PiAdic.zero(p)), y, m), (abcd, p)
+
+
+@pytest.mark.parametrize("ab", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)],
+                         ids=lambda ab: f"a{ab[0]}b{ab[1]}")
+def test_series_frobenius_serves_every_simple_pole_family(ab):
+    # c = d = 1, a, b <= 3 and gcd(a, b) = 1, at every admissible p < 8
+    params = FamilyParams(*ab, 1, 1)
+    for p in (3, 5, 7):
+        if (ab[0] * ab[1]) % p == 0:
+            continue
+        fs = frobenius_series(params, p, lam_order=8)
+        assert fs.nu0 == frobenius.reduction_reserve(p, fs.cutoff)
+        assert all(len(e) == 9 for M in (fs.U, fs.B) for row in M for e in row)
+        assert all(ord_ge(c, 0) for row in fs.U for e in row for c in e), (ab, p)
+        stated = horizontality_residual(fs).variants["stated"]
+        assert stated is None or stated >= fs.margin, (ab, p, stated, fs.margin)
+
+
+def test_cutoff_cap_admits_144_and_refuses_145():
+    # (C + 1)(C + 2)(C + 3)/6 product terms: 518665 at 144, 529396 at 145
+    params = FamilyParams(1, 1, 1, 1)
+    assert frobenius.splitting_cutoff(params, 3, 0, cutoff=144) == 144
+    with pytest.raises(PreconditionError, match="cutoff 145 has 529396 product terms"):
+        frobenius.splitting_cutoff(params, 3, 0, cutoff=145)
 
 
 def test_char_poly_of_identity():

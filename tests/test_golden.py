@@ -42,6 +42,9 @@ COMMANDS = {
     "frobenius-p7": ["frobenius", "--family", "1,1,1,1", "--prime", "7"],
     # the longest default series: lam_order 2p + 10 = 32, ten coordinates
     "frobenius-p11": ["frobenius", "--family", "1,1,1,1", "--prime", "11"],
+    # a*b > 1 as a series: the monomial basis has no flag to invert
+    "frobenius-ab": ["frobenius", "--family", "2,1,1,1", "--prime", "5",
+                     "--lam-order", "6"],
     # a*b > 1 at a point
     "frobenius-check-ab": ["frobenius-check", "--family", "1,2,1,1", "--prime", "3",
                            "--lam", "2"],
