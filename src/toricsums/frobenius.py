@@ -506,6 +506,14 @@ def default_cutoff(params, p):
 # cutoff C, one per (k, i, j) with k + i + j <= C: this cap admits C <= 144.
 MAX_PHI_TERMS = 1 << 19
 
+# Work bound on the series Frobenius: U and B have N**2 entries of
+# lam_order + 1 terms each, and every term is printed and enters the
+# horizontality check, so time, memory and output grow with
+# N**2 (lam_order + 1). The cap admits lam_order <= 1819 at N = 3, which for
+# (1,1,1,1) at p = 3 takes 1.5 s and 74 MB and prints 5.9 MB (2-core Xeon
+# KVM guest), and the default 2p + 10 at N = 11, (2,3,1,1), for p <= 61.
+MAX_SERIES_TERMS = 1 << 14
+
 
 def reduction_reserve(p, cutoff):
     """rho of both Frobenius routes: (p - 1) * floor(log_p cutoff)."""
@@ -591,7 +599,8 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     from the core of frobenius_at_point, with its margin and reserve rho
     (nu0). B is the connection on the same basis: column j holds the basis
     coordinates of (L d/dL + pi L x**mu) x**v_j at L. Every entry of U and
-    B has lam_order + 1 terms.
+    B has lam_order + 1 terms; N**2 (lam_order + 1) above MAX_SERIES_TERMS
+    is refused before any work.
 
     Supported for c = d = 1: deeper poles put fractional powers of the
     deformation into the reduction, which the series ring does not carry.
@@ -608,6 +617,11 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     if lam_order is None:
         lam_order = 2 * p + 10
     count = lam_order + 1
+    n = params.degree
+    if n * n * count > MAX_SERIES_TERMS:
+        raise PreconditionError(
+            f"lam_order {lam_order} needs N^2 (lam_order + 1) = {n * n * count} "
+            f"series terms at N = {n}, over the cap of {MAX_SERIES_TERMS} = 2^14")
     cutoff = splitting_cutoff(params, p, pi_digits, cutoff)
     one, pi, basis = PiAdic.one(p), PiAdic.pi(p), basis_set(params)
     lam = Laurent({1: one})

@@ -1,18 +1,18 @@
-"""Laurent polynomials and rational functions in the deformation L.
+"""Laurent polynomials in the deformation L, and exact linear solves.
 
 Laurent and solve_linear take any exact field elements supporting +, -, *,
 /, == and bool (False exactly for zero): fractions.Fraction, and the pi-adic
 scalar type of the Frobenius computation. Laurent is the scalar of the
 reduction engine wherever the deformation stays a variable: the rewrites
 divide only by integers, by pi and by L, so every coordinate is a Laurent
-polynomial and no gcd is ever needed.
+polynomial and no gcd is ever needed. No quotient is formed either: the
+connection is checked by substitution, and the CLI prints s as s * L**k
+over L**k, already in lowest terms.
 
 Laurent is also the one polynomial type: a value with no negative exponent
-is a polynomial, with a degree and long division, which poly_gcd runs on.
-RatFunc, the quotient of two such polynomials reduced by their gcd, carries
-Fractions only. It serves the exact solve of the connection matrix over
-Q(L); Laurent.to_ratfunc is the one bridge. The pi-adic Frobenius works on
-truncated power series instead and never builds a RatFunc.
+is a polynomial, with a degree and long division. poly_gcd and
+Laurent.divmod have no caller in the package; perfbench/tracing.py wraps
+poly_gcd by name, and they go with that wrapper.
 """
 
 from .errors import InvariantError, PreconditionError
@@ -147,67 +147,12 @@ class Laurent:
                     add_term(rem, k + e, c * oc)
         return Laurent._of(quo), Laurent._of(rem)
 
-    def to_ratfunc(self, one):
-        """The same element as a reduced RatFunc: shifted by its lowest
-        exponent, over that power of L; one is the coefficients' unit."""
-        low = min(min(self.terms, default=0), 0)
-        num = Laurent._of({e - low: c for e, c in self.terms.items()})
-        return RatFunc(num, Laurent._of({-low: one}))
-
 
 def poly_gcd(a, b):
     """Monic gcd of two polynomials over the coefficient field."""
     while b:
         a, b = b, a.divmod(b)[1]
     return a / a.terms[a.degree] if a else a
-
-
-class RatFunc:
-    """Quotient of two polynomials (Laurent values with no negative
-    exponent), reduced by their gcd, with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den) if num else den
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.terms[den.degree]
-        self.num, self.den = num / lead, den / lead
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den.terms == {0: 1}:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
 
 def solve_linear(A, B, *, one):

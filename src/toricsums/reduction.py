@@ -18,6 +18,9 @@ variation setting of the connection), ratfunc.Laurent over the pi-adic
 scalars (the series Frobenius), and specialized fields where L is a number
 (ffield.Fp with pi = 1, frobenius.PiAdic at a Teichmuller point). The
 deformation operator also needs S.theta(), which only Laurent has.
+
+connection_matrix solves nothing over Q(L): it checks the GKZ companion
+matrix against the reduced derivative flag by substitution.
 """
 
 from dataclasses import dataclass
@@ -25,8 +28,9 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import InvariantError
+from .gkz import companion_matrix
 from .hodge import basis_set, weight_units
-from .ratfunc import Laurent, RatFunc, add_term, solve_linear
+from .ratfunc import Laurent, add_term, solve_linear
 
 __all__ = [
     "ReductionCertificate", "apply_D1", "apply_D2", "apply_D_lambda",
@@ -217,27 +221,50 @@ def connection_matrix(params):
     """Matrix of the deformation derivative on the iterated-derivative basis.
 
     Rows follow the companion convention: row i says theta of period i is
-    period i+1 for i < N-1; the last row carries the solved coefficients.
-    Entries are rational functions of the deformation over Q (pi = 1).
+    period i+1 for i < N-1; the last row c solves F c = t, where column j of
+    F holds the basis coordinates of flag j and t those of flag N, reduced
+    over Q[L, 1/L] (pi = 1). c is taken from the GKZ companion matrix and
+    checked by substitution: F c == t exactly, and F is nonsingular, which
+    together say c = F**-1 t. The rows are polynomials in L, as Laurent
+    values over Fraction. A failed check raises InvariantError naming the
+    first row of F c = t that disagrees, or the singular flag.
     """
-    one = Fraction(1)
     n = params.degree
-    reps, certs = flag_coordinates(params, 1, Laurent({1: one}), n + 1)
     order = basis_set(params)
-    F = [[certs[j].coords[v].to_ratfunc(one) for j in range(n)] for v in order]
-    target = [certs[n].coords[v].to_ratfunc(one) for v in order]
     if len(order) != n:
         raise InvariantError("basis size mismatch")
-    unit = Laurent({0: one})
-    rf_one = RatFunc(unit, unit)
-    sol = solve_linear(F, [target], one=rf_one)[0]
-    rows = []
-    for i in range(n - 1):
-        row = [RatFunc(Laurent(), unit)] * n
-        row[i + 1] = rf_one
-        rows.append(row)
-    rows.append(list(sol))
+    _, certs = flag_coordinates(params, 1, Laurent({1: Fraction(1)}), n + 1)
+    F = [[certs[j].coords[v] for j in range(n)] for v in order]
+    rows = companion_matrix(params)
+    for i, (row, v) in enumerate(zip(F, order)):
+        if sum((f * c for f, c in zip(row, rows[-1])), Laurent()) != certs[n].coords[v]:
+            raise InvariantError(
+                f"row {i} of F c = t (basis monomial {v}) fails for the last "
+                f"row c of the companion matrix")
+    _check_nonsingular(F)
     return rows
+
+
+def _check_nonsingular(F):
+    """Raise InvariantError unless det F != 0, for F a square matrix of
+    Laurent values over Fraction. Row i times L**-(its lowest exponent) has
+    degree at most its exponent span, so det F is a power of L times a
+    polynomial of degree at most S, the sum of the spans: det F != 0 exactly
+    when F(L0) is nonsingular for one of L0 = 1, ..., S + 1."""
+    span = 0
+    for row in F:
+        exps = [e for s in row for e in s.terms]
+        span += max(exps, default=0) - min(exps, default=0)
+    for x in range(1, span + 2):
+        at = [[sum((c * Fraction(x) ** e for e, c in s.terms.items()), Fraction(0))
+               for s in row] for row in F]
+        try:
+            solve_linear(at, [], one=Fraction(1))
+            return
+        except InvariantError:
+            pass
+    raise InvariantError(
+        f"the derivative flag is singular: det F vanishes at L = 1, ..., {span + 1}")
 
 
 def euler_relation_defects(params):

@@ -1,10 +1,12 @@
 """End-to-end checks of the command line tool."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from toricsums import cli, frobenius
+from toricsums import cli, frobenius, reduction
+from toricsums.ratfunc import Laurent
 
 
 def run(capsys, argv):
@@ -95,6 +97,47 @@ def test_connection_equals_companion(capsys):
     assert doc["result"]["equal"] is True
 
 
+def test_connection_names_the_row_a_wrong_companion_breaks(capsys, monkeypatch):
+    # the flag matrix of (1,1,1,1) is lower triangular with a nonzero
+    # diagonal, so a change in the last companion entry shows first in row 2
+    real = reduction.companion_matrix
+
+    def perturbed(params):
+        rows = real(params)
+        rows[-1][-1] = rows[-1][-1] + 1
+        return rows
+
+    monkeypatch.setattr(reduction, "companion_matrix", perturbed)
+    code, out, err = run(capsys, ["connection", "--family", "1,1,1,1"])
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "invariant"
+    assert error["message"].startswith("row 2 of F c = t (basis monomial ")
+
+
+def test_connection_refuses_a_singular_flag(capsys, monkeypatch):
+    # every flag class replaced by the first: F has equal columns, and the
+    # companion row (1, 0, ..., 0) still solves F c = t
+    real_flag, real_companion = reduction.flag_coordinates, reduction.companion_matrix
+
+    def one_class(params, pi, lam, count):
+        reps, certs = real_flag(params, pi, lam, count)
+        return reps, [certs[0]] * count
+
+    def first_unit(params):
+        rows = real_companion(params)
+        rows[-1] = [Laurent({0: Fraction(1)})] + [Laurent()] * (len(rows) - 1)
+        return rows
+
+    monkeypatch.setattr(reduction, "flag_coordinates", one_class)
+    monkeypatch.setattr(reduction, "companion_matrix", first_unit)
+    code, out, err = run(capsys, ["connection", "--family", "2,1,1,1"])
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "invariant"
+    assert error["message"].startswith("the derivative flag is singular")
+
+
 def test_gkz_operator(capsys):
     doc = run_json(capsys, ["gkz", "--family", "1,1,1,1"])
     res = doc["result"]
@@ -108,6 +151,13 @@ def test_ode_solve(capsys):
     assert res["count"] == 3
     widths = sorted(s["log_width"] for s in res["solutions"])
     assert widths == [3, 3, 3]
+
+
+def test_ode_solve_prints_integers_of_any_size(capsys):
+    # Python's int-to-str conversion stops at 4300 digits unless told otherwise
+    doc = run_json(capsys, ["ode-solve", "--family", "1,1,1,1", "--order", "600"])
+    tables = [s["table"] for s in doc["result"]["solutions"]]
+    assert max(len(c) for table in tables for row in table for c in row) > 4300
 
 
 def test_frobenius_low_precision(capsys):
@@ -285,6 +335,9 @@ def test_series_frobenius_takes_ab_above_one_and_refuses_deeper_poles(capsys):
      "needs a splitting cutoff of at least 145"),
     (["frobenius", "--family", "1,1,1,1", "--prime", "3", "--cutoff", "145"],
      "splitting cutoff 145 has 529396 product terms, over the cap of 524288 = 2^19"),
+    (["frobenius", "--family", "1,1,1,1", "--prime", "3", "--lam-order", "1820"],
+     "lam_order 1820 needs N^2 (lam_order + 1) = 16389 series terms at N = 3, "
+     "over the cap of 16384 = 2^14"),
 ])
 def test_oversized_frobenius_request_exits_2_before_any_product(capsys, monkeypatch,
                                                                 argv, message):
@@ -309,6 +362,17 @@ def test_negative_pi_digits_exits_2(capsys, argv):
     code, out, err = run(capsys, argv + ["--pi-digits", "-2"])
     assert code == 2 and out == ""
     assert "pi_digits must be non-negative" in json.loads(err)["error"]["message"]
+
+
+def test_the_lam_order_cap_admits_its_boundary(monkeypatch):
+    # 9 (1819 + 1) = 16380 series terms at N = 3: the product is begun
+    def begun(*args, **kwargs):
+        raise AssertionError("the splitting product was begun")
+
+    monkeypatch.setattr(frobenius, "_phi_terms", begun)
+    with pytest.raises(AssertionError, match="splitting product was begun"):
+        cli.main(["frobenius", "--family", "1,1,1,1", "--prime", "3",
+                  "--lam-order", "1819"])
 
 
 def test_negative_lam_order_exits_2(capsys):

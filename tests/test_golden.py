@@ -27,7 +27,7 @@ COMMANDS = {
     "reduce-prime": REDUCE + ["--ring", "prime", "--prime", "5", "--lam", "3"],
     "reduce-pilambda": REDUCE + ["--ring", "pilambda", "--prime", "5"],
     "connection": ["connection", "--family", "2,1,1,1"],
-    # c, d > 1 in-box rewrites, with nontrivial gcds in the solve over Q(L)
+    # c, d > 1 in-box rewrites in the reduced flag that checks the companion rows
     "connection-cd": ["connection", "--family", "1,1,3,2"],
     "gkz": ["gkz", "--family", "2,3,1,1"],
     "frobenius": ["frobenius", "--family", "1,1,1,1", "--prime", "3",

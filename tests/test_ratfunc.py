@@ -1,11 +1,12 @@
-"""Laurent values as polynomials: long division, gcd and reduced quotients."""
+"""Laurent values as polynomials: long division and gcd; their num/den rendering."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsums.ratfunc import Laurent, RatFunc, poly_gcd
+from toricsums.cli import ratfunc_json
+from toricsums.ratfunc import Laurent, poly_gcd
 
 coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 polys = st.dictionaries(st.integers(0, 5), coefficients, max_size=4).map(Laurent)
@@ -35,10 +36,14 @@ def test_gcd_is_monic_and_divides_both(f, g, h):
 
 
 @settings(max_examples=200, deadline=None)
-@given(polys, nonzero_polys, nonzero_polys, nonzero_polys)
-def test_equal_quotients_compare_equal(num, den, m, k):
-    x, y = RatFunc(num * m, den * m), RatFunc(num * k, den * k)
-    assert x == y == RatFunc(num, den)
-    assert x.num == y.num and x.den == y.den
-    assert x.den.terms[x.den.degree] == 1
-    assert poly_gcd(x.num, x.den).degree <= 0
+@given(st.dictionaries(st.integers(-5, 5), coefficients, max_size=4).map(Laurent))
+def test_ratfunc_json_reads_back_as_the_laurent_value(s):
+    doc = ratfunc_json(s)
+    num, den = (Laurent({e: Fraction(c) for e, c in enumerate(doc[key])})
+                for key in ("num", "den"))
+    k = den.degree
+    assert den == Laurent({k: Fraction(1)})
+    assert num == s * den
+    assert k == max(0, -min(s.terms, default=0))
+    if k:
+        assert num.terms.get(0)  # so num and den = L**k are coprime
