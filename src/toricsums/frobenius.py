@@ -453,47 +453,45 @@ def flag_data(params, p, count):
     return order, reps[:n], F, B
 
 
-def _phi_terms(params, p, cutoff):
-    """Truncated splitting product: list of (lam_exp, x_exponent, PiAdic)."""
+def _frobenius_images(params, p, cutoff, lam):
+    """psi_p(x**v * PHI) for each basis exponent v, exactly, PHI cut at
+    cutoff and taken at the deformation lam (a Laurent monomial, or a number
+    at a point).
+
+    psi_p keeps the x-exponents with both coordinates divisible by p and
+    divides them by p. The term E_k lam**k E_i E_j of PHI has x-exponent
+    (i a - k c, j b - k d), so x**v meets it only when i = (k c - v1) / a and
+    j = (k d - v2) / b mod p (check_prime makes a and b units mod p). For
+    each residue class of the basis mod p, only those (k, i, j) are walked,
+    and each product is formed once and added to every image of the class.
+    """
     E = splitting_coefficients(p, cutoff + 1)
     a, b, c, d = params.a, params.b, params.c, params.d
-    out = []
-    for k in range(cutoff + 1):
-        if not E[k]:
-            continue
-        for i in range(cutoff + 1 - k):
-            if not E[i]:
+    a_inv, b_inv = pow(a, -1, p), pow(b, -1, p)
+    basis = basis_set(params)
+    images = [{} for _ in basis]
+    classes = {}
+    for v, img in zip(basis, images):
+        classes.setdefault((v[0] % p, v[1] % p), []).append((v, img))
+    lam_E, lam_k = [], lam / lam
+    for e in E:
+        lam_E.append(e * lam_k)
+        lam_k = lam_k * lam
+    for (r1, r2), members in classes.items():
+        for k, Ek in enumerate(lam_E):
+            if not Ek:
                 continue
-            Eki = E[k] * E[i]
-            for j in range(cutoff + 1 - k - i):
-                if not E[j]:
+            for i in range((k * c - r1) * a_inv % p, cutoff + 1 - k, p):
+                if not E[i]:
                     continue
-                coeff = Eki * E[j]
-                if coeff:
-                    out.append((k, (i * a - k * c, j * b - k * d), coeff))
-    return out
-
-
-def _frobenius_images(basis, phi, lam, p):
-    """psi_p(x**v * PHI) for each basis exponent v, exactly.
-
-    phi is the _phi_terms list, taken at the deformation lam (a Laurent
-    monomial, or a number at a point). psi_p keeps
-    the x-exponents with both coordinates divisible by p and divides them by
-    p, so x**v meets only the phi terms whose exponent has the complementary
-    residues mod p; the dropped products are never formed.
-    """
-    by_residue, lam_pows = {}, [lam / lam]
-    for k, (v1, v2), coeff in phi:
-        while len(lam_pows) <= k:
-            lam_pows.append(lam_pows[-1] * lam)
-        by_residue.setdefault((v1 % p, v2 % p), []).append((v1, v2, coeff * lam_pows[k]))
-    images = []
-    for r1, r2 in basis:
-        img = {}
-        for v1, v2, t in by_residue.get((-r1 % p, -r2 % p), ()):
-            add_term(img, ((r1 + v1) // p, (r2 + v2) // p), t)
-        images.append(img)
+                Eki = Ek * E[i]
+                for j in range((k * d - r2) * b_inv % p, cutoff + 1 - k - i, p):
+                    if not E[j]:
+                        continue
+                    t = Eki * E[j]
+                    for (v1, v2), img in members:
+                        add_term(img, ((v1 + i * a - k * c) // p,
+                                       (v2 + j * b - k * d) // p), t)
     return images
 
 
@@ -502,8 +500,9 @@ def default_cutoff(params, p):
     return 2 * params.degree + int(ceil(p * wmax))
 
 
-# Work bound on the splitting product, which has comb(C + 3, 3) terms at
-# cutoff C, one per (k, i, j) with k + i + j <= C: this cap admits C <= 144.
+# Work bound on the splitting product: at cutoff C it has comb(C + 3, 3)
+# terms, one per (k, i, j) with k + i + j <= C, which bounds the products
+# _frobenius_images forms (only those psi_p keeps). The cap admits C <= 144.
 MAX_PHI_TERMS = 1 << 19
 
 # Work bound on the series Frobenius: U and B have N**2 entries of
@@ -562,10 +561,9 @@ def _frobenius_core(params, p, lam, lam_p, count, pi_digits, cutoff, lift_ord=No
         raise StarvationError(
             f"{limit} certifies only pi**{margin}, need pi**{pi_digits}{advice}",
             achieved=margin, requested=pi_digits)
-    phi = _phi_terms(params, p, cutoff)
     pi, basis = PiAdic.pi(p), basis_set(params)
     U = [[] for _ in basis]
-    for j, img in enumerate(_frobenius_images(basis, phi, lam, p)):
+    for j, img in enumerate(_frobenius_images(params, p, cutoff, lam)):
         coords = reduce_to_basis(img, params, pi, lam_p).coords
         for i, (row, v) in enumerate(zip(U, basis)):
             row.append(_fit(_series(coords[v], p, floor_ord=pi_digits + reserve), p, count))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricsums import cli, frobenius, reduction
+from toricsums import cli, frobenius, gkz, reduction
 from toricsums.ratfunc import Laurent
 
 
@@ -158,6 +158,35 @@ def test_ode_solve_prints_integers_of_any_size(capsys):
     doc = run_json(capsys, ["ode-solve", "--family", "1,1,1,1", "--order", "600"])
     tables = [s["table"] for s in doc["result"]["solutions"]]
     assert max(len(c) for table in tables for row in table for c in row) > 4300
+
+
+@pytest.mark.parametrize("family, order, message", [
+    ("2,1,1,1", "2000", "order 2000 needs order^2 W = 100000000 at summed log width "
+     "W = 25, over the cap of 4194304 = 2^22"),
+    ("1,1,1,1", "1820", "order 1820 needs order^2 W = 29811600 at summed log width W = 9"),
+    ("1,1,1,1", "683", "order 683 needs order^2 W = 4198401"),
+    ("2,1,1,1", "410", "order 410 needs order^2 W = 4202500"),
+])
+def test_oversized_ode_order_exits_2_before_any_table(capsys, monkeypatch,
+                                                      family, order, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a log-series table was begun before the order cap")
+
+    monkeypatch.setattr(gkz, "_solve_log_series", unreachable)
+    code, out, err = run(capsys, ["ode-solve", "--family", family, "--order", order])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition" and message in error["message"]
+
+
+@pytest.mark.parametrize("family, order", [("1,1,1,1", "682"), ("2,1,1,1", "409")])
+def test_the_ode_order_cap_admits_its_boundary(monkeypatch, family, order):
+    def begun(*args, **kwargs):
+        raise AssertionError("a log-series table was begun")
+
+    monkeypatch.setattr(gkz, "_solve_log_series", begun)
+    with pytest.raises(AssertionError, match="log-series table was begun"):
+        cli.main(["ode-solve", "--family", family, "--order", order])
 
 
 def test_frobenius_low_precision(capsys):
@@ -344,7 +373,7 @@ def test_oversized_frobenius_request_exits_2_before_any_product(capsys, monkeypa
     def unreachable(*args, **kwargs):
         raise AssertionError("Frobenius work began before the cutoff cap")
 
-    monkeypatch.setattr(frobenius, "_phi_terms", unreachable)
+    monkeypatch.setattr(frobenius, "_frobenius_images", unreachable)
     monkeypatch.setattr(frobenius, "teichmuller_lift", unreachable)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -369,7 +398,7 @@ def test_the_lam_order_cap_admits_its_boundary(monkeypatch):
     def begun(*args, **kwargs):
         raise AssertionError("the splitting product was begun")
 
-    monkeypatch.setattr(frobenius, "_phi_terms", begun)
+    monkeypatch.setattr(frobenius, "_frobenius_images", begun)
     with pytest.raises(AssertionError, match="splitting product was begun"):
         cli.main(["frobenius", "--family", "1,1,1,1", "--prime", "3",
                   "--lam-order", "1819"])
@@ -408,9 +437,9 @@ def test_uncertified_point_frobenius_exits_4(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["result"]["agrees_to_margin"] is True
     # a splitting product scaled by 1/p takes p - 1 digits from every entry,
     # and the unit root entry (0,0) goes negative
-    real = frobenius._phi_terms
-    monkeypatch.setattr(frobenius, "_phi_terms", lambda params, p, cutoff: [
-        (k, v, coeff / p) for k, v, coeff in real(params, p, cutoff)])
+    real = frobenius._frobenius_images
+    monkeypatch.setattr(frobenius, "_frobenius_images", lambda params, p, cutoff, lam: [
+        {u: s / p for u, s in img.items()} for img in real(params, p, cutoff, lam)])
     code, out, err = run(capsys, ["frobenius-check", "--family", "1,1,1,1",
                                   "--prime", "3", "--lam", "1"])
     assert code == 4 and out == ""

@@ -35,7 +35,7 @@ from toricsums.frobenius import (
     teichmuller_lift,
 )
 from toricsums.cyclotomic import CycloInt
-from toricsums.ratfunc import Laurent, solve_linear
+from toricsums.ratfunc import Laurent, add_term, solve_linear
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -391,6 +391,41 @@ def test_two_cutoffs_agree_within_margin():
         for j in range(3):
             for ca, cb in zip(a.U[i][j], b.U[i][j]):
                 assert congruent_mod_pi(ca, cb, a.margin)
+
+
+def _brute_force_images(params, p, cutoff, lam):
+    # every term (k, i, j) of the truncated product, then psi_p
+    E = splitting_coefficients(p, cutoff + 1)
+    a, b, c, d = params.a, params.b, params.c, params.d
+    images = []
+    for v1, v2 in frobenius.basis_set(params):
+        img, lam_k = {}, lam / lam
+        for k in range(cutoff + 1):
+            for i in range(cutoff + 1 - k):
+                for j in range(cutoff + 1 - k - i):
+                    e1, e2 = v1 + i * a - k * c, v2 + j * b - k * d
+                    if e1 % p == 0 and e2 % p == 0:
+                        add_term(img, (e1 // p, e2 // p), E[k] * E[i] * E[j] * lam_k)
+            lam_k = lam_k * lam
+        images.append(img)
+    return images
+
+
+@pytest.mark.parametrize("abcd, p, residue, cutoff", [
+    # the basis pairs (0,0)/(3,0), (1,0)/(4,0), (1,1)/(4,1) share classes mod 3
+    ((4, 1, 1, 1), 3, 2, 26),
+    ((4, 1, 1, 1), 3, None, 26),
+    # c d > 1, at a lift that is not +-1
+    ((1, 1, 1, 2), 5, 2, 30),
+])
+def test_frobenius_images_match_every_product_term(abcd, p, residue, cutoff):
+    params = FamilyParams(*abcd)
+    if residue is None:
+        lam = Laurent({1: PiAdic.one(p)})
+    else:
+        lam = teichmuller_lift(p, residue, 10)[0]
+    assert frobenius._frobenius_images(params, p, cutoff, lam) == \
+        _brute_force_images(params, p, cutoff, lam)
 
 
 def _valid_family(abcd):
