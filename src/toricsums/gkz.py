@@ -5,7 +5,8 @@ relations are generated by (bc, ad, ab), the cross product of the two rows
 of the exponent matrix. Its entries are the block sizes of the ordinary
 differential operator satisfied by the periods, and their sum is the
 order. The operator has the split shape f0(theta) - L**(ab) with f0 a
-product of linear factors, which the log-series solver below exploits.
+product of linear factors, listed once by _factors; the log-series solver
+below exploits the split shape, one pass per class of indicial roots.
 """
 
 from collections import Counter
@@ -72,20 +73,24 @@ def _mul_linear(coeffs, alpha, beta):
     return out
 
 
+def _factors(params):
+    """One (alpha, beta) per linear factor alpha*theta - beta of f0: bc factors
+    of slope c/a, ad of slope d/b and ab of slope 1, each block's betas 0, 1, ..."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    return ([(Fraction(c, a), Fraction(i)) for i in range(b * c)]
+            + [(Fraction(d, b), Fraction(j)) for j in range(a * d)]
+            + [(Fraction(1), Fraction(k)) for k in range(a * b)])
+
+
 def picard_fuchs_operator(params):
     """The order ad+ab+bc operator annihilating the periods of the family."""
-    a, b, c, d = params.a, params.b, params.c, params.d
     coeffs = [Fraction(1)]
-    for i in range(b * c):
-        coeffs = _mul_linear(coeffs, Fraction(c, a), Fraction(i))
-    for j in range(a * d):
-        coeffs = _mul_linear(coeffs, Fraction(d, b), Fraction(j))
-    for k in range(a * b):
-        coeffs = _mul_linear(coeffs, Fraction(1), Fraction(k))
+    for alpha, beta in _factors(params):
+        coeffs = _mul_linear(coeffs, alpha, beta)
     if len(coeffs) != params.degree + 1:
         raise InvariantError("operator order does not match the family degree")
     theta_coeffs = [Laurent({0: co}) for co in coeffs]
-    theta_coeffs[0] = theta_coeffs[0] - Laurent({a * b: Fraction(1)})
+    theta_coeffs[0] = theta_coeffs[0] - Laurent({params.a * params.b: Fraction(1)})
     return ThetaOperator(tuple(theta_coeffs))
 
 
@@ -114,15 +119,7 @@ def companion_matrix(params):
 
 def indicial_roots(params):
     """Roots of the L -> 0 indicial polynomial, with multiplicity, sorted."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    roots = []
-    for i in range(b * c):
-        roots.append(Fraction(i * a, c))
-    for j in range(a * d):
-        roots.append(Fraction(j * b, d))
-    for k in range(a * b):
-        roots.append(Fraction(k))
-    return sorted(roots)
+    return sorted(beta / alpha for alpha, beta in _factors(params))
 
 
 def _taylor_coefficients(poly, s):
@@ -160,16 +157,19 @@ class LogSeries:
 # Work bound on formal_solutions: each solution has order rows of its log
 # width W_s, and the n-th row's coefficients have O(n) digits, so time, memory
 # and output grow with order**2 W, W = sum of W_s. The cap admits order <= 682
-# for (1,1,1,1) (W = 9), which takes 1.1 s and 65 MB and prints 10 MB (2-core
+# for (1,1,1,1) (W = 9), which takes 1.1 s and 52 MB and prints 10 MB (2-core
 # Xeon KVM guest), and order <= 409 for (2,1,1,1) (W = 25).
 MAX_LOG_SERIES_WORK = 1 << 22
 
 
 def formal_solutions(params, order):
     """Basis of formal log-series solutions at L = 0, one per indicial root
-    counted with multiplicity, each developed to L**(rho + order).
-    order**2 W above MAX_LOG_SERIES_WORK, W the summed log widths, is refused
-    before any table is built."""
+    counted with multiplicity, each developed to L**(rho + order). The roots
+    of a class (equal mod 1) share rho, and row n of each of their solutions
+    solves f0(rho + n + E) u_n = u_(n - ab), E the shift on log powers, so a
+    class is solved in one pass over the rows. order**2 W above
+    MAX_LOG_SERIES_WORK, W the summed log widths, is refused before any
+    table is built."""
     if order < 1:
         raise PreconditionError("need a positive expansion order")
     classes = {}
@@ -180,50 +180,39 @@ def formal_solutions(params, order):
         raise PreconditionError(
             f"order {order} needs order^2 W = {order * order * W} at summed log "
             f"width W = {W}, over the cap of {MAX_LOG_SERIES_WORK} = 2^22")
-    op = picard_fuchs_operator(params)
-    f0 = op.indicial_coefficients()
+    f0 = picard_fuchs_operator(params).indicial_coefficients()
     ab = params.a * params.b
+    zero = Fraction(0)
     sols = []
     for _, class_roots in sorted(classes.items()):
         rho = min(class_roots)
         mult_at = Counter(int(r - rho) for r in class_roots)
-        width = sum(mult_at.values())
-        for n0 in sorted(mult_at):
-            for ell in range(mult_at[n0]):
-                table = _solve_log_series(f0, ab, rho, mult_at, width, n0, ell, order)
-                sols.append(LogSeries(rho=rho, table=table, initial_position=(n0, ell)))
+        width = len(class_roots)
+        seeds = [(n0, ell) for n0 in sorted(mult_at) for ell in range(mult_at[n0])]
+        tables = [[] for _ in seeds]
+        for n in range(order):
+            mu = mult_at.get(n, 0)
+            betas = _taylor_coefficients(f0, rho + n)
+            if any(betas[:mu]) or (mu < len(betas) and betas[mu] == 0):
+                raise InvariantError("indicial multiplicity disagrees with the operator")
+            for (n0, ell), table in zip(seeds, tables):
+                rhs = table[n - ab] if n >= ab else (zero,) * width
+                u = [zero] * width
+                if n == n0:
+                    u[ell] = Fraction(1)
+                for k in range(width - 1 - mu, -1, -1):
+                    acc = rhs[k]
+                    for j in range(mu + 1, min(len(betas), width - k)):
+                        acc -= betas[j] * u[k + j]
+                    u[k + mu] = acc / betas[mu]
+                if any(rhs[width - mu:]):
+                    raise InvariantError("log depth overflow in the series recurrence")
+                table.append(tuple(u))
+        sols.extend(LogSeries(rho=rho, table=tuple(table), initial_position=seed)
+                    for seed, table in zip(seeds, tables))
     if len(sols) != params.degree:
         raise InvariantError("wrong number of formal solutions")
     return sols
-
-
-def _solve_log_series(f0, ab, rho, mult_at, width, n0, ell, order):
-    zero = Fraction(0)
-    table = []
-    for n in range(order):
-        mu = mult_at.get(n, 0)
-        betas = _taylor_coefficients(f0, rho + n)
-        for j in range(mu):
-            if betas[j] != 0:
-                raise InvariantError("indicial multiplicity disagrees with the operator")
-        if mu < len(betas) and betas[mu] == 0:
-            raise InvariantError("indicial multiplicity disagrees with the operator")
-        rhs = [table[n - ab][k] if n >= ab else zero for k in range(width)]
-        u = [zero] * width
-        for k in range(mu):
-            u[k] = Fraction(1) if (n == n0 and k == ell) else zero
-        for k in range(width - 1 - mu, -1, -1):
-            acc = rhs[k]
-            for j in range(mu + 1, len(betas)):
-                if k + j >= width:
-                    break
-                acc -= betas[j] * u[k + j]
-            u[k + mu] = acc / betas[mu]
-        for k in range(width - mu, width):
-            if rhs[k] != 0:
-                raise InvariantError("log depth overflow in the series recurrence")
-        table.append(tuple(u))
-    return tuple(table)
 
 
 def apply_operator_to_log_series(params, sol, order=None):

@@ -2,15 +2,14 @@
 
 The sums are exact elements of Z[zeta_p]; the L-polynomial coefficients come
 out of the exponential generating identity and are checked to be integral at
-every step.
+every step. numpy is imported inside the counting functions only, so the
+commands that count nothing do not load it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import numpy as np
 
 from .cyclotomic import CycloInt, ord_q
 from .errors import InvariantError, PreconditionError
@@ -55,6 +54,8 @@ def trace_table(tower, lam):
     basis traces, giving T, and with p**j, giving the integer encodings; L is
     the one power whose encoding is lam's.
     """
+    import numpy as np
+
     p, k, m = tower.p, tower.k, tower.q - 1
     g = tower.generator()
     B = isqrt(m)
@@ -81,6 +82,8 @@ def trace_table(tower, lam):
 def orbit_rows(m, q, k):
     """Orbits of s -> q*s on Z/m, m = q**k - 1: orbit size e -> the least
     element of each orbit of that size, ascending."""
+    import numpy as np
+
     s = np.arange(m, dtype=np.int64)
     least = s.copy()
     size = np.full(m, k)
@@ -118,6 +121,8 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
     threads share the chunks. A sum of more than MAX_CELLS cells is refused
     up front.
     """
+    import numpy as np
+
     params.check_prime(p)
     if k < 1:
         raise PreconditionError("k must be >= 1")

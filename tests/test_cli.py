@@ -1,7 +1,11 @@
 """End-to-end checks of the command line tool."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,18 @@ def run_json(capsys, argv):
     assert doc["job"]["argv"] == argv
     assert doc["job"]["version"]
     return doc
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported when a count runs, so the other commands never load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, toricsums.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('numpy')))"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_basis_json(capsys):
@@ -90,6 +106,41 @@ def test_reduce_prime_ring(capsys):
     res = doc["result"]
     assert res["verified"] is True
     assert all(isinstance(v, int) for v in res["coordinates"].values())
+
+
+RINGS = [["--ring", "rational"], ["--ring", "prime", "--prime", "5", "--lam", "2"],
+         ["--ring", "pilambda", "--prime", "5"]]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r[1])
+@pytest.mark.parametrize("family, monomial, message", [
+    ("1,1,1,2", "-400,400", "monomial -400,400 has weight 1600, over the cap of 200"),
+    ("1,1,1,2", "-51,51", "monomial -51,51 has weight 204"),
+    ("1,1,1,1", "-201,-201", "monomial -201,-201 has weight 201"),
+])
+def test_oversized_reduce_monomial_exits_2_before_any_rewrite(capsys, monkeypatch, ring,
+                                                               family, monomial, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rewrite was begun before the weight cap")
+
+    monkeypatch.setattr(cli, "reduce_to_basis", unreachable)
+    code, out, err = run(capsys, ["reduce", "--family", family, "--monomial", "1,1",
+                                  f"--monomial={monomial}"] + ring)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition" and message in error["message"]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r[1])
+@pytest.mark.parametrize("family, monomial", [
+    ("1,1,1,2", "-50,50"), ("1,1,1,1", "-200,-200"), ("1,1,3,2", "-600,-400")])
+def test_the_reduce_weight_cap_admits_its_boundary(monkeypatch, ring, family, monomial):
+    def begun(*args, **kwargs):
+        raise AssertionError("a rewrite was begun")
+
+    monkeypatch.setattr(cli, "reduce_to_basis", begun)
+    with pytest.raises(AssertionError, match="rewrite was begun"):
+        cli.main(["reduce", "--family", family, f"--monomial={monomial}"] + ring)
 
 
 def test_connection_equals_companion(capsys):
@@ -172,7 +223,7 @@ def test_oversized_ode_order_exits_2_before_any_table(capsys, monkeypatch,
     def unreachable(*args, **kwargs):
         raise AssertionError("a log-series table was begun before the order cap")
 
-    monkeypatch.setattr(gkz, "_solve_log_series", unreachable)
+    monkeypatch.setattr(gkz, "_taylor_coefficients", unreachable)
     code, out, err = run(capsys, ["ode-solve", "--family", family, "--order", order])
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
@@ -184,7 +235,7 @@ def test_the_ode_order_cap_admits_its_boundary(monkeypatch, family, order):
     def begun(*args, **kwargs):
         raise AssertionError("a log-series table was begun")
 
-    monkeypatch.setattr(gkz, "_solve_log_series", begun)
+    monkeypatch.setattr(gkz, "_taylor_coefficients", begun)
     with pytest.raises(AssertionError, match="log-series table was begun"):
         cli.main(["ode-solve", "--family", family, "--order", order])
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsums import gkz
 from toricsums.errors import PreconditionError
 from toricsums.family import FamilyParams
 from toricsums.gkz import (
@@ -118,6 +119,24 @@ def test_log_free_when_roots_are_simple():
     for frac in (Fraction(1, 3), Fraction(2, 3)):
         (s,) = by_class[frac]
         assert s.log_width == 1
+
+
+@pytest.mark.parametrize("P, order, calls", [
+    (FamilyParams(2, 3, 1, 1), 20, 20),  # one class of 11 seeds
+    (FamilyParams(2, 1, 1, 3), 6, 18),   # three classes, of widths 5, 2 and 2
+], ids=["2311", "2113"])
+def test_one_taylor_expansion_per_row_of_each_class(monkeypatch, P, order, calls):
+    # every seed of a class shares rho, so row n needs f0 expanded at rho + n once
+    expand = gkz._taylor_coefficients
+    points = []
+
+    def counted(poly, s):
+        points.append(s)
+        return expand(poly, s)
+
+    monkeypatch.setattr(gkz, "_taylor_coefficients", counted)
+    assert len(gkz.formal_solutions(P, order)) == P.degree
+    assert len(points) == len(set(points)) == calls
 
 
 def test_formal_solutions_rejects_bad_order():

@@ -23,6 +23,10 @@ COMMANDS = {
     "compare-polygons": ["compare-polygons", "--family", "1,1,1,1", "--prime", "3",
                          "--lam", "1"],
     "ode-solve": ["ode-solve", "--family", "2,1,1,1", "--order", "4"],
+    # one class of indicial roots, log width 11, with rows past ab = 6
+    "ode-solve-wide": ["ode-solve", "--family", "2,3,1,1", "--order", "8"],
+    # c*d > 1: three classes of indicial roots, of widths 5, 2 and 2
+    "ode-solve-classes": ["ode-solve", "--family", "2,1,1,3", "--order", "6"],
     "reduce-rational": REDUCE + ["--ring", "rational"],
     "reduce-prime": REDUCE + ["--ring", "prime", "--prime", "5", "--lam", "3"],
     "reduce-pilambda": REDUCE + ["--ring", "pilambda", "--prime", "5"],
