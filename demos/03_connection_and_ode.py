@@ -4,18 +4,22 @@ Reduction certificates, the deformation connection, and its solutions
 
 Two independent roads lead to the same ordinary differential operator.
 
-Road one is cohomological: reduce the iterated deformation derivatives
-of the constant monomial to the fixed basis, with an auditable
-certificate at every step, and read off the connection matrix.
+Road one is cohomological: reduce the deformation derivative of each
+basis monomial to the fixed basis, with an auditable certificate at
+every step. That gives the connection on the monomial basis, from which
+the iterated derivatives of the constant monomial follow without
+further reduction, and with them the connection matrix.
 
 Road two is combinatorial: the exponent vectors of the three monomials
 satisfy a single integer relation, and that relation spells out a
 hypergeometric operator in theta = L d/dL.
 
-connection_matrix walks both: it reduces the derivative flag, takes the
-last row of the operator's companion matrix, and checks by substitution
-that this row solves the flag's linear system, whose matrix it checks to
-be nonsingular. A disagreement raises InvariantError (exit 4 from the CLI).
+connection_matrix walks both: it builds the derivative flag from the
+connection on the monomial basis (one reduction per basis monomial),
+takes the last row of the operator's companion matrix, and checks by
+substitution that this row solves the flag's linear system, whose matrix
+it checks to be nonsingular. A disagreement raises InvariantError (exit 4
+from the CLI).
 The demo compares the two matrices, then solves the operator by formal
 log-series at L = 0.
 """

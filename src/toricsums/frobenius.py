@@ -32,7 +32,7 @@ from .lfunction import (
     l_polynomial,
 )
 from .ratfunc import Laurent, add_term, solve_linear
-from .reduction import apply_D_lambda, flag_representatives, reduce_to_basis
+from .reduction import basis_connection, flag_representatives, reduce_to_basis
 
 
 def _ord_p(n, p):
@@ -595,10 +595,9 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
 
     Column j holds the basis coordinates at L**p of psi_p(x**v_j * PHI(L)),
     from the core of frobenius_at_point, with its margin and reserve rho
-    (nu0). B is the connection on the same basis: column j holds the basis
-    coordinates of (L d/dL + pi L x**mu) x**v_j at L. Every entry of U and
-    B has lam_order + 1 terms; N**2 (lam_order + 1) above MAX_SERIES_TERMS
-    is refused before any work.
+    (nu0). B is reduction.basis_connection at L, on the same basis. Every
+    entry of U and B has lam_order + 1 terms; N**2 (lam_order + 1) above
+    MAX_SERIES_TERMS is refused before any work.
 
     Supported for c = d = 1: deeper poles put fractional powers of the
     deformation into the reduction, which the series ring does not carry.
@@ -625,12 +624,8 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     lam = Laurent({1: one})
     U, rho, margin = _frobenius_core(
         params, p, lam, Laurent({p: one}), count, pi_digits, cutoff)
-    B = [[] for _ in basis]
-    for v in basis:
-        image = apply_D_lambda({v: Laurent({0: one})}, params, pi, lam)
-        coords = reduce_to_basis(image, params, pi, lam).coords
-        for row, u in zip(B, basis):
-            row.append(_fit(_series(coords[u], p), p, count))
+    B = [[_fit(_series(s, p), p, count) for s in row]
+         for row in basis_connection(params, pi, lam)]
     return FrobeniusSeries(params=params, p=p, pi_digits=pi_digits, margin=margin,
                            cutoff=cutoff, nu0=rho, lam_order=lam_order,
                            basis=basis, U=U, B=B)

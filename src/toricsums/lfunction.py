@@ -37,10 +37,17 @@ def check_count_size(p, atilde, k):
             f"(m = {m}), over the cap of {MAX_CELLS} = 2^32 histogram cells")
 
 
+# exp_sum submits every chunk to its pool at once, so up to min(workers,
+# chunks) threads start, and a count has thousands of chunks.
+MAX_WORKERS = 64
+
+
 def check_workers(workers):
-    """Refuse a thread count below one."""
+    """Refuse a thread count below one or above MAX_WORKERS."""
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise PreconditionError(f"workers {workers} is over the cap of {MAX_WORKERS}")
 
 
 def trace_table(tower, lam):

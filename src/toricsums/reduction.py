@@ -20,7 +20,7 @@ scalars (the series Frobenius), and specialized fields where L is a number
 deformation operator also needs S.theta(), which only Laurent has.
 
 connection_matrix solves nothing over Q(L): it checks the GKZ companion
-matrix against the reduced derivative flag by substitution.
+matrix by substitution against the derivative flag built from basis_connection.
 """
 
 from dataclasses import dataclass
@@ -34,8 +34,8 @@ from .ratfunc import Laurent, add_term, solve_linear
 
 __all__ = [
     "ReductionCertificate", "apply_D1", "apply_D2", "apply_D_lambda",
-    "reduce_to_basis", "verify_certificate", "connection_matrix",
-    "euler_relation_defects", "flag_representatives", "flag_coordinates",
+    "reduce_to_basis", "verify_certificate", "connection_matrix", "flag_columns",
+    "euler_relation_defects", "flag_representatives", "basis_connection",
     "class_add", "class_scale", "class_eq",
 ]
 
@@ -212,36 +212,43 @@ def flag_representatives(params, pi, lam, count):
     return reps
 
 
-def flag_coordinates(params, pi, lam, count):
-    reps = flag_representatives(params, pi, lam, count)
-    return reps, [reduce_to_basis(r, params, pi, lam) for r in reps]
+def basis_connection(params, pi, lam):
+    """Matrix B of the deformation operator on hodge.basis_set: column j holds
+    the coordinates of (L d/dL + pi L x**mu) x**v_j = pi L x**(v_j + mu)."""
+    basis, (m0, n0) = basis_set(params), params.mu
+    cols = [reduce_to_basis({(m + m0, n + n0): pi * lam}, params, pi, lam).coords for m, n in basis]
+    return [[col[u] for col in cols] for u in basis]
+
+
+def flag_columns(params, count):
+    """Basis coordinates over Q[L, 1/L] (pi = 1) of (L d/dL + L x**mu)**j . 1,
+    j < count: that operator commutes with D1 and D2, so F_(j+1) = theta F_j + B F_j."""
+    B = basis_connection(params, 1, Laurent({1: Fraction(1)}))
+    F = [[Laurent({0: Fraction(1)}) if v == (0, 0) else Laurent() for v in basis_set(params)]]
+    for _ in range(count - 1):
+        F.append([s.theta() + sum((b * t for b, t in zip(row, F[-1])), Laurent())
+                  for s, row in zip(F[-1], B)])
+    return F
 
 
 def connection_matrix(params):
     """Matrix of the deformation derivative on the iterated-derivative basis.
 
     Rows follow the companion convention: row i says theta of period i is
-    period i+1 for i < N-1; the last row c solves F c = t, where column j of
-    F holds the basis coordinates of flag j and t those of flag N, reduced
-    over Q[L, 1/L] (pi = 1). c is taken from the GKZ companion matrix and
-    checked by substitution: F c == t exactly, and F is nonsingular, which
-    together say c = F**-1 t. The rows are polynomials in L, as Laurent
-    values over Fraction. A failed check raises InvariantError naming the
-    first row of F c = t that disagrees, or the singular flag.
+    period i+1 for i < N-1. The last row c, from the GKZ companion matrix,
+    is checked by substitution: F c == t for F the first N flag_columns and
+    t the last, and F is nonsingular, so c = F**-1 t. A failed check raises
+    InvariantError naming the first row of F c = t that fails, or the
+    singular flag. The rows are polynomials in L (Laurent over Fraction).
     """
     n = params.degree
-    order = basis_set(params)
-    if len(order) != n:
-        raise InvariantError("basis size mismatch")
-    _, certs = flag_coordinates(params, 1, Laurent({1: Fraction(1)}), n + 1)
-    F = [[certs[j].coords[v] for j in range(n)] for v in order]
-    rows = companion_matrix(params)
-    for i, (row, v) in enumerate(zip(F, order)):
-        if sum((f * c for f, c in zip(row, rows[-1])), Laurent()) != certs[n].coords[v]:
+    F, rows = flag_columns(params, n + 1), companion_matrix(params)
+    for i, v in enumerate(basis_set(params)):
+        if sum((F[j][i] * c for j, c in enumerate(rows[-1])), Laurent()) != F[n][i]:
             raise InvariantError(
                 f"row {i} of F c = t (basis monomial {v}) fails for the last "
                 f"row c of the companion matrix")
-    _check_nonsingular(F)
+    _check_nonsingular(F[:n])  # its columns: det F = det F**T
     return rows
 
 

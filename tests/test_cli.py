@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +26,20 @@ def run_json(capsys, argv):
     assert doc["job"]["argv"] == argv
     assert doc["job"]["version"]
     return doc
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    real, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        run_json(capsys, ["basis", "--family", "1,1,1,1"])
+    assert built == [1]
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -143,6 +156,45 @@ def test_the_reduce_weight_cap_admits_its_boundary(monkeypatch, ring, family, mo
         cli.main(["reduce", "--family", family, f"--monomial={monomial}"] + ring)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r[1])
+def test_oversized_reduce_pi_digits_exits_2_before_any_rewrite(capsys, monkeypatch, ring):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rewrite was begun before the pi-digits cap")
+
+    monkeypatch.setattr(cli, "reduce_to_basis", unreachable)
+    code, out, err = run(capsys, ["reduce", "--family", "1,1,1,1", "--monomial", "2,2",
+                                  "--pi-digits", str(cli.MAX_PI_DIGITS + 1)] + ring)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"] == "pi_digits 65537 is over the cap of 65536 = 2^16"
+
+
+def test_the_reduce_pi_digits_cap_admits_its_boundary(monkeypatch):
+    def begun(*args, **kwargs):
+        raise AssertionError("a rewrite was begun")
+
+    monkeypatch.setattr(cli, "reduce_to_basis", begun)
+    with pytest.raises(AssertionError, match="rewrite was begun"):
+        cli.main(["reduce", "--family", "1,1,1,1", "--monomial", "2,2", "--ring", "pilambda",
+                  "--prime", "3", "--pi-digits", str(cli.MAX_PI_DIGITS)])
+
+
+def test_a_prime_over_the_cap_exits_2(capsys):
+    # 2^40 + 15 is prime; it is refused before any trial division
+    code, out, err = run(capsys, ["ordinary", "--family", "1,1,1,1",
+                                  "--prime", "1099511627791"])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"] == "1099511627791 is over the prime cap of 1099511627776 = 2^40"
+
+
+def test_the_prime_cap_admits_a_prime_below_it(capsys):
+    doc = run_json(capsys, ["ordinary", "--family", "1,1,1,1", "--prime", str(2 ** 40 - 87)])
+    assert doc["result"]["prime"] == 2 ** 40 - 87
+
+
 def test_connection_equals_companion(capsys):
     doc = run_json(capsys, ["connection", "--family", "2,1,1,1"])
     assert doc["result"]["equal"] is True
@@ -167,21 +219,20 @@ def test_connection_names_the_row_a_wrong_companion_breaks(capsys, monkeypatch):
 
 
 def test_connection_refuses_a_singular_flag(capsys, monkeypatch):
-    # every flag class replaced by the first: F has equal columns, and the
-    # companion row (1, 0, ..., 0) still solves F c = t
-    real_flag, real_companion = reduction.flag_coordinates, reduction.companion_matrix
+    # with B = 0 every flag class after the first, the class of 1, is zero:
+    # F is singular, and the zero companion row still solves F c = t = 0
+    real_companion = reduction.companion_matrix
 
-    def one_class(params, pi, lam, count):
-        reps, certs = real_flag(params, pi, lam, count)
-        return reps, [certs[0]] * count
+    def zero_connection(params, pi, lam):
+        return [[Laurent()] * params.degree for _ in range(params.degree)]
 
-    def first_unit(params):
+    def zero_last_row(params):
         rows = real_companion(params)
-        rows[-1] = [Laurent({0: Fraction(1)})] + [Laurent()] * (len(rows) - 1)
+        rows[-1] = [Laurent()] * len(rows)
         return rows
 
-    monkeypatch.setattr(reduction, "flag_coordinates", one_class)
-    monkeypatch.setattr(reduction, "companion_matrix", first_unit)
+    monkeypatch.setattr(reduction, "basis_connection", zero_connection)
+    monkeypatch.setattr(reduction, "companion_matrix", zero_last_row)
     code, out, err = run(capsys, ["connection", "--family", "2,1,1,1"])
     assert code == 4 and out == ""
     error = json.loads(err)["error"]

@@ -196,3 +196,10 @@ def test_leading_coefficient_has_full_weight():
 def test_degenerate_parameter_zero_rejected():
     with pytest.raises(PreconditionError):
         exp_sum(P1111, 3, 0, 1)
+
+
+def test_workers_are_capped():
+    # checked by value only: a run with that many workers is never started
+    lfunction.check_workers(lfunction.MAX_WORKERS)
+    with pytest.raises(PreconditionError, match="workers 65 is over the cap of 64"):
+        lfunction.check_workers(65)

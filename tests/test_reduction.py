@@ -6,6 +6,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsums import reduction
 from toricsums.errors import InvariantError, PreconditionError
 from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
@@ -20,7 +21,8 @@ from toricsums.reduction import (
     class_scale,
     connection_matrix,
     euler_relation_defects,
-    flag_coordinates,
+    flag_columns,
+    flag_representatives,
     reduce_to_basis,
     verify_certificate,
 )
@@ -158,18 +160,49 @@ def test_connection_equals_companion(tup):
     assert connection_matrix(P) == companion_matrix(P)
 
 
-def test_flag_coordinates_triangular_shape():
+def test_flag_columns_triangular_shape():
     # the i-th derivative class has weight filtration level i, so the
     # coordinate matrix against the ordered basis is lower triangular with
-    # nonzero diagonal for this family
+    # nonzero diagonal for this family; column j of F is flag j
     P = FamilyParams(1, 1, 1, 1)
-    reps, certs = flag_coordinates(P, 1, L, 3)
-    order = basis_set(P)
-    F = [[certs[j].coords[v] for j in range(3)] for v in order]
+    F = flag_columns(P, 3)
     for i in range(3):
         assert F[i][i]
         for j in range(i + 1, 3):
-            assert not F[i][j]
+            assert not F[j][i]
+
+
+@pytest.mark.parametrize("tup", [
+    (1, 1, 1, 1), (2, 3, 1, 1), (2, 1, 1, 3), (1, 1, 3, 2), (1, 1, 2, 5)])
+def test_flag_columns_match_the_reduced_representatives(tup):
+    # the recurrence F_(j+1) = theta F_j + B F_j against a direct reduction
+    # of each representative (L d/dL + L x**mu)**j . 1; the families cover
+    # all four in-box rewrite shapes
+    P = FamilyParams(*tup)
+    n = P.degree
+    reps = flag_representatives(P, 1, L, n + 1)
+    cols = flag_columns(P, n + 1)
+    assert len(cols) == len(reps) == n + 1
+    for col, r in zip(cols, reps):
+        coords = reduce_to_basis(r, P, 1, L).coords
+        assert col == [coords[v] for v in basis_set(P)]
+
+
+@pytest.mark.parametrize("tup", [(2, 1, 1, 1), (1, 1, 3, 2)])
+def test_connection_reduces_only_one_monomial_classes(tup, monkeypatch):
+    # the flag comes from B, one reduction of pi L x**(v + mu) per basis
+    # monomial v, not from reducing the growing flag representatives
+    real = reduction.reduce_to_basis
+    sizes = []
+
+    def counted(cls_, *args):
+        sizes.append(len(cls_))
+        return real(cls_, *args)
+
+    monkeypatch.setattr(reduction, "reduce_to_basis", counted)
+    P = FamilyParams(*tup)
+    assert connection_matrix(P) == companion_matrix(P)
+    assert sizes == [1] * P.degree
 
 
 def test_prime_ring_rejects_division_by_p_multiples():
