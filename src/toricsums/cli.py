@@ -89,6 +89,14 @@ def polygon_json(poly):
     }
 
 
+# Work bound on every command: the degree N = ad + ab + bc is the size of the
+# basis, and connection time grows about as N**3.5. At the cap, (3,31,1,1)
+# (N = 127) took 24 s and 37 MB, (1,1,63,64) (N = 128) 10 s; (9,10,1,1)
+# (N = 109) took 12 s (2-core Xeon KVM guest). The cap also matches the
+# series Frobenius cap N**2 * (lam_order + 1) <= 2**14 at lam_order 0.
+MAX_DEGREE = 128
+
+
 def _family(args):
     parts = args.family.split(",")
     if len(parts) != 4:
@@ -97,7 +105,11 @@ def _family(args):
         a, b, c, d = (int(t) for t in parts)
     except ValueError as exc:
         raise PreconditionError(f"--family: {exc}") from None
-    return FamilyParams(a, b, c, d)
+    params = FamilyParams(a, b, c, d)
+    if params.degree > MAX_DEGREE:
+        raise PreconditionError(
+            f"family {args.family} has degree {params.degree}, over the cap of {MAX_DEGREE}")
+    return params
 
 
 def _family_json(params):

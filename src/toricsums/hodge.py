@@ -14,29 +14,31 @@ from .errors import InvariantError, PreconditionError
 from .exact import lower_convex_hull
 
 
-def basis_set(params):
-    """Monomial exponents representing the middle cohomology, as a sorted list.
-
-    Exactly params.degree points inside the box -c < v1 <= a, -d < v2 <= b,
-    carved out case by case on (c, d).
+def rewrite_axis(params, v):
+    """The box carve. For v in the box -c < v1 <= a, -d < v2 <= b: None when
+    x**v is a basis monomial, else the axis (0 for x1, 1 for x2) of the in-box
+    trade by which reduction.reduce_to_basis removes it. In each (c, d) shape
+    that choice keeps every descendant of an off-basis box monomial in the
+    box, so a reduction's terms stay bounded; reduce_to_basis's max_steps
+    turns a rewrite that still fails to finish into an error.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
-    pts = []
-    for v1 in range(1 - c, a + 1):
-        for v2 in range(1 - d, b + 1):
-            if c > 1 and d > 1:
-                lo = (d - 1) * (v1 - a) <= (c - 1) * v2
-                hi = (c - 1) * v2 < (d - 1) * v1 + b * (c - 1)
-                keep = lo and hi
-            elif c == 1 and d > 1:
-                keep = not (v1 == a and 1 - d <= v2 <= 0)
-            elif c > 1 and d == 1:
-                keep = not (v2 == b and 1 - c <= v1 <= 0)
-            else:
-                keep = (v1, v2) != (0, b)
-            if keep:
-                pts.append((v1, v2))
-    pts.sort()
+    v1, v2 = v
+    if c > 1 and d > 1:
+        if (c - 1) * v2 < (d - 1) * (v1 - a):
+            return 0
+        return 1 if (c - 1) * (v2 - b) >= (d - 1) * v1 else None
+    if c == 1 and d > 1:
+        return 0 if v1 == a and v2 <= 0 else None
+    # d = 1: the excluded points sit on v2 = b (the box has v1 >= 0 when c = 1)
+    return 1 if v2 == b and v1 <= 0 else None
+
+
+def basis_set(params):
+    """Monomial exponents representing the middle cohomology, as a sorted list:
+    the params.degree points of the box that rewrite_axis maps to None."""
+    pts = [(v1, v2) for v1 in range(1 - params.c, params.a + 1)
+           for v2 in range(1 - params.d, params.b + 1) if rewrite_axis(params, (v1, v2)) is None]
     if len(pts) != params.degree:
         raise InvariantError(f"basis has {len(pts)} points, expected {params.degree}")
     return pts
@@ -111,15 +113,8 @@ class WeightProfile:
 
 
 def weight_profile(params):
-    den = weight_denominator(params)
-    ws = []
-    for v in basis_set(params):
-        w = weight_of(params, v)
-        if (w * den).denominator != 1:
-            raise InvariantError(f"weight {w} not in (1/{den})Z")
-        ws.append(w)
-    ws.sort()
-    return WeightProfile(den, tuple(ws))
+    ws = sorted(weight_of(params, v) for v in basis_set(params))
+    return WeightProfile(weight_denominator(params), tuple(ws))
 
 
 def hodge_polygon(params):

@@ -168,11 +168,9 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
             counts = sum(ex.map(hist, chunks))
     if int(counts.sum()) != m * m:
         raise InvariantError("histogram lost torus points")
-    total = CycloInt.zero(p)
-    for t, n in enumerate(counts.reshape(3, p).sum(axis=0)):
-        if n:
-            total = total + int(n) * CycloInt.zeta_power(p, t)
-    return total
+    # sum_t n_t zeta**t has coordinates n_t - n_(p-1) on the power basis
+    n = counts.reshape(3, p).sum(axis=0).tolist()
+    return CycloInt(p, [x - n[-1] for x in n[:-1]])
 
 
 def exp_sum_direct(params, p, lam_code, k, atilde=1):

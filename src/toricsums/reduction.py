@@ -6,8 +6,10 @@ u in Z^2 to nonzero scalars S_u. The two operators
     D1 = x1 d/dx1 + pi*(a x1**a - c L x**mu)
     D2 = x2 d/dx2 + pi*(b x2**b - d L x**mu)
 
-generate the relations; reduce_to_basis rewrites any class as a combination
-of the degree-many basis monomials plus explicit D1/D2 certificates, exactly.
+generate the relations, whose terms _relation lists once. reduce_to_basis
+writes any class exactly as a combination of the degree-many basis monomials
+plus D1/D2 certificates, by one rule: a climb below the box, a ladder above
+it, or an in-box trade on the axis hodge.rewrite_axis names.
 
 Scalars are plain values: they support + and - among themselves, * and /
 by each other and by Python ints, and bool() is False exactly at zero. The
@@ -29,7 +31,7 @@ from heapq import heappop, heappush
 
 from .errors import InvariantError
 from .gkz import companion_matrix
-from .hodge import basis_set, weight_units
+from .hodge import basis_set, rewrite_axis, weight_units
 from .ratfunc import Laurent, add_term, solve_linear
 
 __all__ = [
@@ -58,23 +60,35 @@ def class_eq(x, y):
     return not any(class_add(x, class_scale(y, -1)).values())
 
 
-def _apply_D(cls_, axis, power, pole, mu, pi, lam):
-    """x_i d/dx_i + pi*(power x_i**power - pole L x**mu), i = axis + 1."""
+def _relation(params, axis, pi, lam):
+    """D_i = x_i d/dx_i + pi*(power x_i**power - pole L x**mu), i = axis + 1,
+    as the map w -> the three (monomial, coefficient) pairs of D_i x**w: the
+    Euler term at w, the power term at w + power e_i, the pole term at w + mu."""
+    power, pole = (params.a, params.c) if axis == 0 else (params.b, params.d)
+    e1, e2 = (power, 0) if axis == 0 else (0, power)
+    (m0, n0), up, down = params.mu, pi * power, -(pi * pole * lam)
+
+    def terms(w):
+        m, n = w
+        return ((w, w[axis]), ((m + e1, n + e2), up), ((m + m0, n + n0), down))
+    return terms
+
+
+def _apply_D(cls_, params, axis, pi, lam):
+    D = _relation(params, axis, pi, lam)
     out = {}
-    for u, s in cls_.items():
-        add_term(out, u, s * u[axis])
-        up = (u[0] + power, u[1]) if axis == 0 else (u[0], u[1] + power)
-        add_term(out, up, s * power * pi)
-        add_term(out, (u[0] + mu[0], u[1] + mu[1]), -(s * pole * pi * lam))
+    for w, s in cls_.items():
+        for u, coef in D(w):
+            add_term(out, u, s * coef)
     return out
 
 
 def apply_D1(cls_, params, pi, lam):
-    return _apply_D(cls_, 0, params.a, params.c, params.mu, pi, lam)
+    return _apply_D(cls_, params, 0, pi, lam)
 
 
 def apply_D2(cls_, params, pi, lam):
-    return _apply_D(cls_, 1, params.b, params.d, params.mu, pi, lam)
+    return _apply_D(cls_, params, 1, pi, lam)
 
 
 def apply_D_lambda(cls_, params, pi, lam):
@@ -100,8 +114,16 @@ class ReductionCertificate:
 def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     """Rewrite a class into basis coordinates with an exact certificate.
 
-    Every step eliminates one off-basis monomial, pushing the difference into
-    D1/D2 images. Pending monomials are popped heaviest first: largest
+    One rule removes each off-basis monomial S x**u: for C x**u a term of
+    D_i x**w, add t = S/C to h_i[w] and subtract t D_i x**w. The pair (i, w):
+    a climb below the box (u1 <= -c, else u2 <= -d) takes u as the pole term,
+    w = u - mu; a ladder above it (u1 > a, else u2 > b) and an in-box trade
+    on the axis hodge.rewrite_axis names take u as the power term,
+    w = u - a e_1 or u - b e_2. In the box the other relation D_j at w, with
+    t' = -t pole_i/pole_j, cancels the pole term, so that term is skipped.
+    The box monomials that rewrite_axis maps to None are the coordinates.
+
+    Pending monomials are popped heaviest first: largest
     hodge.weight_units, then largest m, then largest n. A rewrite's terms
     are mostly lighter, so each region of exponents is passed once instead
     of being revisited. `steps` counts the monomials eliminated; a pending
@@ -110,8 +132,8 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     exact division by products of small integers, pi and L.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
-    basis = set(basis_set(params))
-    pending = {}
+    D = (_relation(params, 0, pi, lam), _relation(params, 1, pi, lam))
+    coords, h, pending = {}, ({}, {}), {}
     heap = []  # keys (-weight, -m, -n); a monomial is pushed when it becomes pending
 
     def add_pending(u, s):
@@ -119,12 +141,15 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
             heappush(heap, (-weight_units(params, u), -u[0], -u[1]))
         add_term(pending, u, s)
 
+    def subtract(axis, w, t, terms):
+        """h_axis[w] += t, and t times the given terms of D_axis x**w leave the class."""
+        add_term(h[axis], w, t)
+        t = -t
+        for v, s in terms:
+            add_pending(v, t * s)
+
     for u, s in cls_.items():
         add_pending(u, s)
-    coords = {}
-    h1 = {}
-    h2 = {}
-    pi_lam = pi * lam
     steps = 0
     while heap:
         key = heappop(heap)
@@ -136,65 +161,27 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
         if steps > max_steps:
             raise InvariantError(f"reduction exceeded {max_steps} steps at exponent {u}")
         m, n = u
-        if m <= -c:
-            # climb along x1: divide through the D1 relation at u + (c, d)
-            Sp = S / (c * pi_lam)
-            add_pending((m + c, n + d), Sp * (m + c))
-            add_pending((m + c + a, n + d), Sp * a * pi)
-            add_term(h1, (m + c, n + d), -Sp)
-        elif n <= -d:
-            Sp = S / (d * pi_lam)
-            add_pending((m + c, n + d), Sp * (n + d))
-            add_pending((m + c, n + d + b), Sp * b * pi)
-            add_term(h2, (m + c, n + d), -Sp)
-        elif m > a:
-            # ladder down along x1 through the D1 relation at u - (a, 0)
-            Sp = S / (a * pi)
-            add_pending((m - a, n), -(Sp * (m - a)))
-            add_pending((m - a - c, n - d), Sp * c * pi_lam)
-            add_term(h1, (m - a, n), Sp)
-        elif n > b:
-            Sp = S / (b * pi)
-            add_pending((m, n - b), -(Sp * (n - b)))
-            add_pending((m - c, n - b - d), Sp * d * pi_lam)
-            add_term(h2, (m, n - b), Sp)
-        elif (m, n) not in basis:
-            if _in_box_rewrite_choice(params, m, n):
-                # trade x**u against x**(u - (a,0)) and x**(u - (a,0) + (0,b))
-                w = (m - a, n)
-                add_pending(w, S * (c * n - (m - a) * d) / (a * d * pi))
-                add_pending((m - a, n + b), S * (b * c) / (a * d))
-                add_term(h1, w, S / (a * pi))
-                add_term(h2, w, -(S * c / (a * d * pi)))
-            else:
-                w = (m, n - b)
-                add_pending(w, S * (d * m - (n - b) * c) / (b * c * pi))
-                add_pending((m + a, n - b), S * (a * d) / (b * c))
-                add_term(h2, w, S / (b * pi))
-                add_term(h1, w, -(S * d / (b * c * pi)))
-        else:
-            add_term(coords, (m, n), S)
-    zero = pi_lam * 0  # every basis monomial gets a coordinate
-    for v in basis:
+        if m <= -c or n <= -d:  # climb
+            axis, w = 0 if m <= -c else 1, (m + c, n + d)
+            euler, power, pole = D[axis](w)
+            subtract(axis, w, S / pole[1], (euler, power))
+            continue
+        trade = m <= a and n <= b
+        axis = rewrite_axis(params, u) if trade else 0 if m > a else 1
+        if axis is None:
+            add_term(coords, u, S)
+            continue
+        w = (m - a, n) if axis == 0 else (m, n - b)
+        euler, power, pole = D[axis](w)
+        t = S / power[1]
+        subtract(axis, w, t, (euler,) if trade else (euler, pole))
+        if trade:  # the other relation at w cancels the pole term
+            other = 1 - axis
+            subtract(other, w, t * (c, d)[axis] / -(c, d)[other], D[other](w)[:2])
+    zero = pi * lam * 0  # every basis monomial gets a coordinate
+    for v in basis_set(params):
         coords.setdefault(v, zero)
-    return ReductionCertificate(coords=coords, h1=h1, h2=h2, steps=steps)
-
-
-def _in_box_rewrite_choice(params, m, n):
-    """True: eliminate via the x1-shift identity; False: via the x2-shift one.
-
-    For each of the four (c, d) shapes the choice keeps every descendant of
-    an in-box monomial inside the bounding box, so the terms a reduction
-    produces stay bounded; reduce_to_basis's max_steps is the guard that
-    turns a rewrite that still fails to finish into an error.
-    """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    if c > 1 and d > 1:
-        return (c - 1) * n < (d - 1) * (m - a)
-    if c == 1 and d > 1:
-        return True
-    # covers c > 1, d = 1 and c = d = 1: the excluded corner sits on v2 = b
-    return False
+    return ReductionCertificate(coords=coords, h1=h[0], h2=h[1], steps=steps)
 
 
 def verify_certificate(cls_, cert, params, pi, lam):
@@ -275,16 +262,9 @@ def _check_nonsingular(F):
 
 
 def euler_relation_defects(params):
-    """Reduce a*x1**a - c*L*x**mu and b*x2**b - d*L*x**mu over Q[L, 1/L]
-    (pi = 1); both are D-images, so every basis coordinate must vanish.
-    Returns the two coordinate dicts."""
+    """Reduce D1(1) and D2(1) over Q[L, 1/L] (pi = 1): both are D-images, so
+    every basis coordinate must vanish. Returns the two coordinate dicts."""
     lam = Laurent({1: Fraction(1)})
-    one = lam / lam
-    mu = params.mu
-    first = {(params.a, 0): one * params.a, mu: lam * -params.c}
-    second = {(0, params.b): one * params.b, mu: lam * -params.d}
-    out = []
-    for cls_ in (first, second):
-        cert = reduce_to_basis(cls_, params, 1, lam)
-        out.append({v: s for v, s in cert.coords.items() if s})
-    return out
+    one = {(0, 0): lam / lam}
+    certs = (reduce_to_basis(D(one, params, 1, lam), params, 1, lam) for D in (apply_D1, apply_D2))
+    return [{v: s for v, s in cert.coords.items() if s} for cert in certs]

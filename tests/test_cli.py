@@ -195,6 +195,26 @@ def test_the_prime_cap_admits_a_prime_below_it(capsys):
     assert doc["result"]["prime"] == 2 ** 40 - 87
 
 
+@pytest.mark.parametrize("family, degree", [("1,1,64,64", 129), ("10,11,1,1", 131)])
+def test_a_family_over_the_degree_cap_exits_2_before_any_work(capsys, monkeypatch,
+                                                              family, degree):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the flag was begun before the degree cap")
+
+    monkeypatch.setattr(reduction, "flag_columns", unreachable)
+    code, out, err = run(capsys, ["connection", "--family", family])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"] == f"family {family} has degree {degree}, over the cap of 128"
+
+
+def test_the_degree_cap_admits_its_boundary(capsys):
+    doc = run_json(capsys, ["basis", "--family", "1,1,63,64"])
+    assert doc["result"]["family"]["degree"] == cli.MAX_DEGREE == 128
+    assert doc["result"]["count"] == 128
+
+
 def test_connection_equals_companion(capsys):
     doc = run_json(capsys, ["connection", "--family", "2,1,1,1"])
     assert doc["result"]["equal"] is True

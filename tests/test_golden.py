@@ -15,6 +15,7 @@ from toricsums import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 REDUCE = ["reduce", "--family", "1,1,1,2", "--monomial=-4,4"]
+STRIP = ["reduce", "--family", "1,2,3,1", "--monomial=-7,5", "--monomial=6,-4:3"]
 COMMANDS = {
     "basis": ["basis", "--family", "1,1,3,2"],
     "hodge": ["hodge", "--family", "2,1,1,3"],
@@ -30,6 +31,9 @@ COMMANDS = {
     "reduce-rational": REDUCE + ["--ring", "rational"],
     "reduce-prime": REDUCE + ["--ring", "prime", "--prime", "5", "--lam", "3"],
     "reduce-pilambda": REDUCE + ["--ring", "pilambda", "--prime", "5"],
+    # c > 1 = d: in-box x2 trades on the strip v2 = b, climbs and ladders on both axes
+    "reduce-strip-rational": STRIP + ["--ring", "rational"],
+    "reduce-strip-pilambda": STRIP + ["--ring", "pilambda", "--prime", "5", "--pi-digits", "4"],
     "connection": ["connection", "--family", "2,1,1,1"],
     # c, d > 1 in-box rewrites in the reduced flag that checks the companion rows
     "connection-cd": ["connection", "--family", "1,1,3,2"],

@@ -55,6 +55,21 @@ def test_histogram_and_direct_enumeration_agree(monkeypatch):
         assert exp_sum(params, p, lam, k) == exp_sum_direct(params, p, lam, k)
 
 
+def test_exp_sum_builds_its_result_once(monkeypatch):
+    # the folded bins give the power-basis coordinates directly; summing p
+    # products n_t * zeta**t instead builds about 3p CycloInts of p - 1 entries
+    built = []
+    init = CycloInt.__init__
+
+    def counting_init(self, p, coeffs):
+        built.append(p)
+        init(self, p, coeffs)
+
+    monkeypatch.setattr(CycloInt, "__init__", counting_init)
+    exp_sum(P1111, 101, 2, 1)
+    assert len(built) <= 2
+
+
 def whole_field_sum(params, p, lam_code, k, atilde):
     """S_k over F_{q^k} with lam in F_q, q = p**atilde, as S_1 over F_{q^k}
     with lam read in F_{q^k}: there every orbit of rows has size 1, so no

@@ -130,6 +130,20 @@ def test_basis_monomials_are_fixed_points():
             assert nonzero == [v]
 
 
+def test_in_box_trades_stay_in_the_box():
+    """The invariant hodge.rewrite_axis keeps: every off-basis box monomial
+    reduces with all of its D1/D2 cochain inside the box."""
+    p, lam = 10007, Fp(10007, 5)
+    for P in SMALL_FAMILIES:
+        basis = set(basis_set(P))
+        box = set(product(range(1 - P.c, P.a + 1), range(1 - P.d, P.b + 1)))
+        for u in sorted(box - basis):
+            cls_ = {u: Fp(p, 1)}
+            cert = reduce_to_basis(cls_, P, 1, lam)
+            assert verify_certificate(cls_, cert, P, 1, lam), (P, u)
+            assert set(cert.h1) <= box and set(cert.h2) <= box, (P, u)
+
+
 def test_euler_relations_reduce_to_zero():
     for P in PARAMS_POOL:
         first, second = euler_relation_defects(P)
