@@ -14,6 +14,7 @@ from .hodge import (
     weight_profile,
 )
 from .lfunction import (
+    count_l_polynomial,
     exp_sum,
     exp_sum_series,
     l_polynomial,
@@ -50,6 +51,7 @@ __all__ = [
     "companion_matrix",
     "compare_char_poly_with_lfunction",
     "connection_matrix",
+    "count_l_polynomial",
     "exp_sum",
     "exp_sum_series",
     "formal_solutions",

@@ -40,7 +40,7 @@ from .gkz import (
 )
 from .hodge import hodge_polygon, ordinarity_report, weight_of, weight_profile
 from .hodge import basis_set as hodge_basis_set
-from .lfunction import exp_sum_series, l_polynomial, newton_polygon
+from .lfunction import count_l_polynomial, exp_sum_series, newton_polygon
 from .ratfunc import Laurent
 from .reduction import connection_matrix, reduce_to_basis, verify_certificate
 
@@ -179,9 +179,8 @@ def cmd_sums(args):
 
 
 def _lpoly_of(args, params):
-    series = exp_sum_series(params, args.prime, args.lam, params.degree,
-                            atilde=args.atilde, workers=args.workers)
-    return l_polynomial(series)
+    return count_l_polynomial(params, args.prime, args.lam, atilde=args.atilde,
+                              workers=args.workers)
 
 
 def cmd_lpoly(args):
@@ -470,7 +469,7 @@ def build_parser():
         return q
 
     counted("sums", cmd_sums, "exponential sums S_1..S_count", with_count=True)
-    counted("lpoly", cmd_lpoly, "inverse L-function from degree-many sums")
+    counted("lpoly", cmd_lpoly, "inverse L-function from floor(N/2) + 1 sums")
     counted("newton", cmd_newton, "q-adic Newton polygon of the L-polynomial")
     counted("compare-polygons", cmd_compare_polygons,
             "Newton polygon against the Hodge lower bound")

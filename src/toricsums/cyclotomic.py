@@ -90,6 +90,21 @@ class CycloInt:
             raise InvariantError(f"{self!r} is not divisible by {n} in Z[zeta_p]")
         return CycloInt(self.p, tuple(c // n for c in self.coeffs))
 
+    def _fold(self, full):
+        """The element sum full[i] zeta**i, i < p, on the power basis."""
+        return CycloInt(self.p, [c - full[-1] for c in full[:-1]])
+
+    def conj(self):
+        """Image under zeta -> zeta**-1, complex conjugation in every embedding."""
+        full = self.coeffs + (0,)
+        return self._fold(full[:1] + full[:0:-1])
+
+    def times_zeta(self, j):
+        """self * zeta**j, a rotation of the p coordinates on 1, ..., zeta**(p-1)."""
+        full = self.coeffs + (0,)
+        j %= self.p
+        return self._fold(full[-j:] + full[:-j]) if j else self
+
     def __eq__(self, other):
         return isinstance(other, CycloInt) and self.p == other.p and self.coeffs == other.coeffs
 

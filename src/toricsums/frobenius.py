@@ -28,8 +28,8 @@ from .lfunction import (
     check_count_size,
     check_workers,
     coefficients_from_power_sums,
-    exp_sum_series,
-    l_polynomial,
+    count_l_polynomial,
+    sums_needed,
 )
 from .ratfunc import Laurent, add_term, solve_linear
 from .reduction import basis_connection, flag_representatives, reduce_to_basis
@@ -756,15 +756,16 @@ class CharPolyComparison:
 
 
 def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8, workers=1):
-    """det(1 - U T) at the Teichmuller point against the counted L-polynomial,
-    matched through zeta -> E(1)."""
+    """det(1 - U T) at the Teichmuller point against the L-polynomial that
+    count_l_polynomial derives from S_1..S_h, h = floor(N/2) + 1, matched
+    through zeta -> E(1). The count cap is checked over F_{p^h}, the field
+    that is counted, before any Frobenius work."""
     # refuse an oversized count or a bad thread count before any Frobenius work
-    check_count_size(p, 1, params.degree)
+    check_count_size(p, 1, sums_needed(params.degree))
     check_workers(workers)
     fp = frobenius_at_point(params, p, lam_residue, pi_digits)
     det_coeffs = reciprocal_char_poly(fp.U, p)
-    series = exp_sum_series(params, p, lam_residue, params.degree, workers=workers)
-    lp = l_polynomial(series)
+    lp = count_l_polynomial(params, p, lam_residue, workers=workers)
     zeta_hat, _ = dwork_root(p, fp.margin + 2)
     embedded = [embed_cyclotomic(c, zeta_hat) for c in lp.coeffs]
     diffs = [dc - ec for dc, ec in zip(det_coeffs, embedded)]

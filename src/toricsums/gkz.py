@@ -161,6 +161,14 @@ class LogSeries:
 # Xeon KVM guest), and order <= 409 for (2,1,1,1) (W = 25).
 MAX_LOG_SERIES_WORK = 1 << 22
 
+# Second work bound: a row of a class of width w is solved for its w seeds in
+# about w**3 products, so time also grows with order V, V = sum of w**3 over
+# the classes. The cap 2^21 = 128**3 admits order 1 for every family under the
+# degree cap: (3,31,1,1) (one class, V = 127**3) takes 4.9 s at order 1 and
+# 8.9 s at order 2, which is refused; (2,3,1,1) (V = 1331) is admitted up to
+# the order 186 of the first bound (0.6 s) (2-core Xeon KVM guest).
+MAX_LOG_SERIES_SOLVE = 1 << 21
+
 
 def formal_solutions(params, order):
     """Basis of formal log-series solutions at L = 0, one per indicial root
@@ -168,8 +176,9 @@ def formal_solutions(params, order):
     of a class (equal mod 1) share rho, and row n of each of their solutions
     solves f0(rho + n + E) u_n = u_(n - ab), E the shift on log powers, so a
     class is solved in one pass over the rows. order**2 W above
-    MAX_LOG_SERIES_WORK, W the summed log widths, is refused before any
-    table is built."""
+    MAX_LOG_SERIES_WORK, W the summed log widths, or order V above
+    MAX_LOG_SERIES_SOLVE, V the summed cubes of the class widths, is refused
+    before any table is built."""
     if order < 1:
         raise PreconditionError("need a positive expansion order")
     classes = {}
@@ -180,6 +189,11 @@ def formal_solutions(params, order):
         raise PreconditionError(
             f"order {order} needs order^2 W = {order * order * W} at summed log "
             f"width W = {W}, over the cap of {MAX_LOG_SERIES_WORK} = 2^22")
+    V = sum(len(class_roots) ** 3 for class_roots in classes.values())
+    if order * V > MAX_LOG_SERIES_SOLVE:
+        raise PreconditionError(
+            f"order {order} needs order V = {order * V} at summed cubed class "
+            f"width V = {V}, over the cap of {MAX_LOG_SERIES_SOLVE} = 2^21")
     f0 = picard_fuchs_operator(params).indicial_coefficients()
     ab = params.a * params.b
     zero = Fraction(0)

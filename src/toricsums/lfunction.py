@@ -241,22 +241,66 @@ def coefficients_from_power_sums(sums, one):
     return coeffs
 
 
-def l_polynomial(series):
-    """Assemble the inverse L-function from exactly degree-many sums.
+def sums_needed(degree):
+    """h = floor(N/2) + 1: the sums S_1..S_h that l_polynomial starts from."""
+    return degree // 2 + 1
 
-    Every coefficient of log L lives in Z[zeta_p] only after the exponential;
-    integrality of each output coefficient is asserted (CycloInt division by
-    m is exact or raises InvariantError), not assumed.
+
+def l_polynomial(series, workers=1):
+    """Assemble the inverse L-function from the first k >= h sums of the
+    series, h = sums_needed(N); sums past the N-th are not used.
+
+    Every admissible fiber is nondegenerate: check_prime makes p prime to
+    a*b*c*d, so to the edge determinants ab, bc and ad of the Newton
+    triangle, the parameter is nonzero, and the origin lies inside the
+    triangle. So the reciprocal roots are pure of weight 2 (Denef-Loeser,
+    Invent. Math. 106, 1991; Adolphson-Sperber, Annals 130, 1989), and the
+    coefficients satisfy the functional equation
+
+        A_(N-s) q**(2s) = A_N conj(A_s),  conj: zeta -> zeta**-1.
+
+    Newton's identities give A_0..A_k. A_N is the one value of the 2p
+    values +-zeta**j q**N that satisfies the equation at every s of the
+    overlap N - k <= s <= k, and A_(N-s) = A_N conj(A_s) / q**(2s) for
+    s < N - k. When every coefficient of the overlap is zero, S_(k+1) is
+    counted with `workers` threads and the derivation starts over.
+
+    Integrality is asserted, not assumed: the divisions in Newton's
+    identities and by q**(2s) here are exact or raise InvariantError, as
+    does an overlap that no leading value, or more than one, satisfies.
     """
-    params = series.params
-    n = params.degree
-    if len(series.sums) < n:
-        raise PreconditionError(f"need {n} sums, got {len(series.sums)}")
-    p = series.p
-    out = tuple(coefficients_from_power_sums(series.sums[:n], CycloInt.from_int(p, 1)))
-    if not out[-1]:
-        raise InvariantError("leading coefficient vanished; polynomial degree dropped")
-    return LPolynomial(params, p, series.atilde, series.lam_code, out)
+    params, p = series.params, series.p
+    n, h = params.degree, sums_needed(params.degree)
+    if len(series.sums) < h:
+        raise PreconditionError(f"need {h} sums, got {len(series.sums)}")
+    q = p ** series.atilde
+    sums = list(series.sums[:n])
+    while True:
+        A = coefficients_from_power_sums(sums, CycloInt.from_int(p, 1))
+        overlap = range(n - len(sums), len(sums) + 1)
+        if any(A[s] for s in overlap):
+            break
+        sums.append(exp_sum(params, p, series.lam_code, len(sums) + 1, series.atilde, workers))
+    # A_N = u q**N with u = +-zeta**j: u q**N conj(A_s) = A_(N-s) q**(2s) on the overlap
+    pairs = [(A[s].conj() * q ** n, A[n - s] * q ** (2 * s)) for s in overlap]
+    units = [(sign, j) for sign in (1, -1) for j in range(p)
+             if all(y.times_zeta(j) * sign == x for y, x in pairs)]
+    if len(units) != 1:
+        raise InvariantError(
+            f"{len(units)} leading values +-zeta^j q^{n} satisfy the functional equation "
+            f"on A_{overlap.start}..A_{overlap.stop - 1}, expected 1")
+    [(sign, j)] = units
+    lead = CycloInt.from_int(p, sign * q ** n).times_zeta(j)
+    A += [lead * A[s].conj() / q ** (2 * s) for s in reversed(range(n - len(sums)))]
+    return LPolynomial(params, p, series.atilde, series.lam_code, tuple(A))
+
+
+def count_l_polynomial(params, p, lam_code, atilde=1, workers=1):
+    """The L-polynomial from S_1..S_h, h = sums_needed(N): the count cap is
+    checked over F_{q^h}, the largest field counted unless the overlap of
+    l_polynomial vanishes."""
+    series = exp_sum_series(params, p, lam_code, sums_needed(params.degree), atilde, workers)
+    return l_polynomial(series, workers)
 
 
 def predict_sum(lpoly, k):

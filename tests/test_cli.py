@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from toricsums import cli, frobenius, gkz, reduction
+from toricsums import cli, frobenius, gkz, lfunction, reduction
+from toricsums.cyclotomic import CycloInt
 from toricsums.ratfunc import Laurent
 
 
@@ -288,6 +289,10 @@ def test_ode_solve_prints_integers_of_any_size(capsys):
     ("1,1,1,1", "1820", "order 1820 needs order^2 W = 29811600 at summed log width W = 9"),
     ("1,1,1,1", "683", "order 683 needs order^2 W = 4198401"),
     ("2,1,1,1", "410", "order 410 needs order^2 W = 4202500"),
+    # one class of width 127: order^2 W = 258064 is under its cap, order V is not
+    ("3,31,1,1", "4", "order 4 needs order V = 8193532 at summed cubed class width "
+     "V = 2048383, over the cap of 2097152 = 2^21"),
+    ("3,31,1,1", "2", "order 2 needs order V = 4096766"),
 ])
 def test_oversized_ode_order_exits_2_before_any_table(capsys, monkeypatch,
                                                       family, order, message):
@@ -301,7 +306,8 @@ def test_oversized_ode_order_exits_2_before_any_table(capsys, monkeypatch,
     assert error["kind"] == "precondition" and message in error["message"]
 
 
-@pytest.mark.parametrize("family, order", [("1,1,1,1", "682"), ("2,1,1,1", "409")])
+@pytest.mark.parametrize("family, order", [("1,1,1,1", "682"), ("2,1,1,1", "409"),
+                                           ("2,3,1,1", "186"), ("3,31,1,1", "1")])
 def test_the_ode_order_cap_admits_its_boundary(monkeypatch, family, order):
     def begun(*args, **kwargs):
         raise AssertionError("a log-series table was begun")
@@ -425,15 +431,45 @@ def test_workers_below_one_exits_2(capsys, monkeypatch, argv, workers):
 
 
 def test_frobenius_check_refuses_an_oversized_count_first(capsys, monkeypatch):
-    # (2,1,1,1) at p = 11 counts over F_{11^5}, past the cap
+    # (2,3,1,1) at p = 7 counts S_1..S_6 over F_{7^6} (m = 117648), past the cap
     def unreachable(*args, **kwargs):
         raise AssertionError("the point Frobenius ran before the count cap")
 
     monkeypatch.setattr(frobenius, "frobenius_at_point", unreachable)
-    code, out, err = run(capsys, ["frobenius-check", "--family", "2,1,1,1",
-                                  "--prime", "11", "--lam", "2"])
+    code, out, err = run(capsys, ["frobenius-check", "--family", "2,3,1,1",
+                                  "--prime", "7", "--lam", "2"])
     assert code == 2 and out == ""
     assert "over the cap of 4294967296" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("family, prime, lam", [("2,1,1,1", "11", "2"), ("1,2,1,1", "13", "3")])
+def test_frobenius_check_counts_half_the_sums(capsys, family, prime, lam):
+    # degree 5: S_1..S_3 over F_{p^3}; S_5 over F_{p^5} is past the count cap
+    doc = run_json(capsys, ["frobenius-check", "--family", family,
+                            "--prime", prime, "--lam", lam])
+    assert doc["result"]["agrees_to_margin"] is True
+
+
+# (family, prime, lam, atilde) of degree N, each with S_1..S_h counted, h = N // 2 + 1
+CORRUPTIBLE = [("1,1,1,1", "3", "1", "1", 2), ("2,1,1,1", "3", "1", "1", 3),
+               ("1,2,1,1", "5", "2", "1", 3), ("1,1,2,1", "3", "2", "1", 3),
+               ("1,1,1,1", "17", "3", "1", 2), ("1,1,1,1", "3", "5", "2", 2)]
+
+
+@pytest.mark.parametrize("family, prime, lam, atilde, k", [
+    case[:4] + (k,) for case in CORRUPTIBLE for k in range(1, case[4] + 1)])
+def test_a_sum_off_by_p_makes_lpoly_exit_4(capsys, monkeypatch, family, prime, lam, atilde, k):
+    real = lfunction.exp_sum
+
+    def corrupted(params, p, lam_code, j, atilde=1, workers=1):
+        s = real(params, p, lam_code, j, atilde, workers)
+        return s + CycloInt.from_int(p, p) if j == k else s
+
+    monkeypatch.setattr(lfunction, "exp_sum", corrupted)
+    code, out, err = run(capsys, ["lpoly", "--family", family, "--prime", prime,
+                                  "--lam", lam, "--atilde", atilde])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"]["kind"] == "invariant"
 
 
 def test_starved_frobenius_exits_3(capsys):
@@ -541,13 +577,14 @@ def test_negative_cutoff_exits_2(capsys):
 
 
 def test_count_beyond_physical_memory_exits_2(capsys):
-    # F_{5^10}: (5**10 - 1)**2, about 9.5e13 torus points, is over the 2^32 cap
+    # S_1..S_3 over F_{5^9}: (5**9 - 1)**2, about 3.8e12 torus points, is over
+    # the 2^32 cap
     code, out, err = run(capsys, ["lpoly", "--family", "2,1,1,1", "--prime", "5",
-                                  "--lam", "1", "--atilde", "2"])
+                                  "--lam", "1", "--atilde", "3"])
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"]["kind"] == "precondition"
-    assert "m^2 = 95367412109376" in doc["error"]["message"]
+    assert "m^2 = 3814693359376" in doc["error"]["message"]
     assert "cap of 4294967296" in doc["error"]["message"]
 
 

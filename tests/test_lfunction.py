@@ -5,6 +5,9 @@ the four torus points give values 0, 2, 2, 2 whose character sum is
 1 + 3 zeta**2 = -2 - 3 zeta on the power basis.
 """
 
+import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -14,17 +17,19 @@ from hypothesis import strategies as st
 
 from toricsums import lfunction
 from toricsums.cyclotomic import CycloInt, ord_q
-from toricsums.errors import PreconditionError
+from toricsums.errors import InvariantError, PreconditionError
 from toricsums.family import FamilyParams
 from toricsums.ffield import FieldTower
 from toricsums.hodge import hodge_polygon
 from toricsums.lfunction import (
+    coefficients_from_power_sums,
     exp_sum,
     exp_sum_direct,
     exp_sum_series,
     l_polynomial,
     newton_polygon,
     predict_sum,
+    sums_needed,
     trace_table,
 )
 
@@ -180,9 +185,64 @@ def test_polynomial_predicts_later_sums():
 
 
 def test_lpolynomial_needs_enough_sums():
-    ser = exp_sum_series(P1111, 3, 1, 2)
+    # degree 3 needs h = 2 sums
+    ser = exp_sum_series(P1111, 3, 1, 1)
     with pytest.raises(PreconditionError):
         l_polynomial(ser)
+
+
+def _families_counted_in_full():
+    """(family, p, atilde) with a, b <= 3, c, d <= 5 and p <= 13 whose full
+    count has (q**N - 1)**2 <= 4e7 cells, plus (1,1,1,1) over F_9."""
+    cases = [((1, 1, 1, 1), 3, 2)]
+    for abcd in itertools.product(range(1, 4), range(1, 4), range(1, 6), range(1, 6)):
+        try:
+            params = FamilyParams(*abcd)
+        except PreconditionError:
+            continue
+        cases += [(abcd, p, 1) for p in (3, 5, 7, 11, 13)
+                  if math.prod(abcd) % p and (p ** params.degree - 1) ** 2 <= 4 * 10 ** 7]
+    return [pytest.param(FamilyParams(*abcd), p, atilde,
+                         id=f"{','.join(map(str, abcd))}-p{p}-atilde{atilde}")
+            for abcd, p, atilde in cases]
+
+
+@pytest.mark.parametrize("params, p, atilde", _families_counted_in_full())
+def test_half_the_sums_give_the_full_count(params, p, atilde):
+    # every parameter in F_q*: the functional equation completes S_1..S_h to
+    # the polynomial that Newton's identities give on all N counted sums
+    n = params.degree
+    for lam in range(1, p ** atilde):
+        full = exp_sum_series(params, p, lam, n, atilde)
+        want = tuple(coefficients_from_power_sums(full.sums, CycloInt.from_int(p, 1)))
+        half = replace(full, sums=full.sums[:sums_needed(n)])
+        assert l_polynomial(half).coeffs == want, (params, p, lam)
+        assert l_polynomial(full).coeffs == want, (params, p, lam)
+
+
+def test_a_vanishing_overlap_counts_one_more_sum(monkeypatch):
+    # (1 - 3T)(1 + 81T^4) has reciprocal roots of absolute value 3 and
+    # A_2 = A_3 = 0, the whole overlap of h = 3 sums for degree 5
+    P2111 = FamilyParams(2, 1, 1, 1)
+    coeffs = tuple(CycloInt.from_int(3, c) for c in (1, -3, 0, 0, 81, -243))
+    synthetic = lfunction.LPolynomial(P2111, 3, 1, 1, coeffs)
+    asked = []
+
+    def served(params, p, lam_code, k, atilde=1, workers=1):
+        asked.append(k)
+        return predict_sum(synthetic, k)
+
+    monkeypatch.setattr(lfunction, "exp_sum", served)
+    assert lfunction.count_l_polynomial(P2111, 3, 1).coeffs == coeffs
+    assert asked == [1, 2, 3, 4]
+
+
+def test_an_overlap_no_leading_value_fits_is_an_invariant_failure():
+    # S_3 + 3 keeps Newton's identities integral for (2,1,1,1) at p = 3
+    ser = exp_sum_series(FamilyParams(2, 1, 1, 1), 3, 1, 3)
+    bad = replace(ser, sums=ser.sums[:2] + (ser.sums[2] + CycloInt.from_int(3, 3),))
+    with pytest.raises(InvariantError, match="0 leading values"):
+        l_polynomial(bad)
 
 
 def test_newton_polygon_flagship_is_ordinary():
