@@ -103,7 +103,7 @@ class CycloInt:
         """self * zeta**j, a rotation of the p coordinates on 1, ..., zeta**(p-1)."""
         full = self.coeffs + (0,)
         j %= self.p
-        return self._fold(full[-j:] + full[:-j]) if j else self
+        return self._fold(full[-j:] + full[:-j])
 
     def __eq__(self, other):
         return isinstance(other, CycloInt) and self.p == other.p and self.coeffs == other.coeffs

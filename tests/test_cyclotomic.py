@@ -44,6 +44,18 @@ def test_ring_axioms_p5(xs, ys, zs):
     assert x + (-x) == CycloInt.zero(5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(coeffs5, coeffs5, st.integers(-12, 12))
+def test_conj_and_rotation_p5(xs, ys, j):
+    # conj is the ring automorphism zeta -> zeta**-1; times_zeta is the product
+    x, y = CycloInt(5, tuple(xs)), CycloInt(5, tuple(ys))
+    assert x.times_zeta(j) == x * zeta(5, j)
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert (x + y).conj() == x.conj() + y.conj()
+    assert x.conj().conj() == x
+    assert zeta(5, j).conj() == zeta(5, -j)
+
+
 def test_pi_valuation_basics():
     p = 5
     one = CycloInt.from_int(p, 1)
