@@ -167,8 +167,7 @@ def cmd_ordinary(args):
 
 def cmd_sums(args):
     params = _family(args)
-    series = exp_sum_series(params, args.prime, args.lam, args.count,
-                            atilde=args.atilde, workers=args.workers)
+    series = exp_sum_series(params, args.prime, args.lam, args.count, atilde=args.atilde)
     return {
         "family": _family_json(params),
         "prime": args.prime,
@@ -179,8 +178,7 @@ def cmd_sums(args):
 
 
 def _lpoly_of(args, params):
-    return count_l_polynomial(params, args.prime, args.lam, atilde=args.atilde,
-                              workers=args.workers)
+    return count_l_polynomial(params, args.prime, args.lam, atilde=args.atilde)
 
 
 def cmd_lpoly(args):
@@ -383,8 +381,7 @@ def cmd_frobenius(args):
 def cmd_frobenius_check(args):
     params = _family(args)
     rep = compare_char_poly_with_lfunction(params, args.prime, args.lam,
-                                           pi_digits=args.pi_digits,
-                                           workers=args.workers)
+                                           pi_digits=args.pi_digits)
     show = min(args.pi_digits, rep.margin)
     agree = ["exact" if v is None else v for v in rep.agreement]
     ok = all(v is None or v >= rep.margin for v in rep.agreement)
@@ -463,7 +460,6 @@ def build_parser():
                        help="parameter residue (subfield element code for atilde > 1)")
         q.add_argument("--atilde", type=int, default=1,
                        help="degree of the parameter field over the prime field")
-        q.add_argument("--workers", type=int, default=1)
         if with_count:
             q.add_argument("--count", type=int, required=True)
         return q
@@ -499,7 +495,6 @@ def build_parser():
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--pi-digits", type=int, default=8, dest="pi_digits")
-    p.add_argument("--workers", type=int, default=1)
 
     return top
 

@@ -51,15 +51,6 @@ class CycloInt:
     def from_int(cls, p, n):
         return cls(p, (n,) + (0,) * (p - 2))
 
-    @classmethod
-    def zeta_power(cls, p, t):
-        t %= p
-        if t < p - 1:
-            cs = [0] * (p - 1)
-            cs[t] = 1
-            return cls(p, cs)
-        return cls(p, (-1,) * (p - 1))
-
     def _like(self, other):
         if not isinstance(other, CycloInt) or other.p != self.p:
             raise PreconditionError("mixed cyclotomic operands")

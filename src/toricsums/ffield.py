@@ -261,10 +261,6 @@ class FieldTower:
         """Trace down to F_p, returned as an int in [0, p)."""
         return sum(c * t for c, t in zip(x, self.basis_traces)) % self.p
 
-    def elements(self):
-        for code in range(self.q):
-            yield self.from_code(code)
-
     def generator(self):
         """Least primitive element by integer encoding."""
         m = self.q - 1

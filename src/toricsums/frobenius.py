@@ -26,7 +26,6 @@ from .exact import mat_mul
 from .hodge import basis_set, weight_of
 from .lfunction import (
     check_count_size,
-    check_workers,
     coefficients_from_power_sums,
     count_l_polynomial,
     sums_needed,
@@ -291,10 +290,6 @@ def ord_ge(x, m):
     """True when ord_pi(x) >= m (zero counts as infinite order)."""
     v = x.ord_pi()
     return v is None or v >= m
-
-
-def congruent_mod_pi(x, y, m):
-    return ord_ge(x - y, m)
 
 
 def splitting_coefficients(p, count):
@@ -755,17 +750,15 @@ class CharPolyComparison:
     margin: int
 
 
-def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8, workers=1):
+def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8):
     """det(1 - U T) at the Teichmuller point against the L-polynomial that
     count_l_polynomial derives from S_1..S_h, h = floor(N/2) + 1, matched
     through zeta -> E(1). The count cap is checked over F_{p^h}, the field
     that is counted, before any Frobenius work."""
-    # refuse an oversized count or a bad thread count before any Frobenius work
     check_count_size(p, 1, sums_needed(params.degree))
-    check_workers(workers)
     fp = frobenius_at_point(params, p, lam_residue, pi_digits)
     det_coeffs = reciprocal_char_poly(fp.U, p)
-    lp = count_l_polynomial(params, p, lam_residue, workers=workers)
+    lp = count_l_polynomial(params, p, lam_residue)
     zeta_hat, _ = dwork_root(p, fp.margin + 2)
     embedded = [embed_cyclotomic(c, zeta_hat) for c in lp.coeffs]
     diffs = [dc - ec for dc, ec in zip(det_coeffs, embedded)]

@@ -228,28 +228,3 @@ def formal_solutions(params, order):
         raise InvariantError("wrong number of formal solutions")
     return sols
 
-
-def apply_operator_to_log_series(params, sol, order=None):
-    """Vectors P(rho+n+E) u_n - u_{n-ab} for each n; all-zero iff the series
-    satisfies the operator through the computed order."""
-    op = picard_fuchs_operator(params)
-    f0 = op.indicial_coefficients()
-    ab = params.a * params.b
-    width = sol.log_width
-    upto = len(sol.table) if order is None else min(order, len(sol.table))
-    zero = Fraction(0)
-    defects = []
-    for n in range(upto):
-        betas = _taylor_coefficients(f0, sol.rho + n)
-        u = sol.table[n]
-        prev = sol.table[n - ab] if n >= ab else (zero,) * width
-        row = []
-        for k in range(width):
-            acc = -prev[k]
-            for j, beta in enumerate(betas):
-                if k + j >= width:
-                    break
-                acc += beta * u[k + j]
-            row.append(acc)
-        defects.append(tuple(row))
-    return defects

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError
 from .exact import lower_convex_hull
 
 
@@ -80,27 +80,8 @@ def weight_of(params, v):
     return Fraction(weight_units(params, v), weight_denominator(params))
 
 
-def m_of(params, v):
-    """Smallest r >= 0 such that L**r x**v lies in the coordinate ring of the
-    cone over the polytope: max(0, -v1/c, -v2/d)."""
-    return max(Fraction(0), Fraction(-v[0], params.c), Fraction(-v[1], params.d))
-
-
 def weight_denominator(params):
     return params.a * params.b * lcm(params.c, params.d)
-
-
-def deformation_weight(params, s):
-    """Weight of L**s relative to the s = m(v) normalization: s * N / (a*b)."""
-    return Fraction(params.degree, params.a * params.b) * s
-
-
-def total_weight(params, r, v):
-    """Weight of L**r x**v for r >= m(v)."""
-    m = m_of(params, v)
-    if r < m:
-        raise PreconditionError(f"exponent r = {r} below m(v) = {m}")
-    return weight_of(params, v) + deformation_weight(params, r - m)
 
 
 @dataclass(frozen=True)

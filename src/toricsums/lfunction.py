@@ -6,7 +6,6 @@ every step. numpy is imported inside the counting functions only, so the
 commands that count nothing do not load it.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -18,7 +17,7 @@ from .ffield import FieldTower
 
 
 # Rows of the histogram are walked in chunks of about this many cells, so a
-# sum holds its length-m tables and one chunk per worker, never an m x m array.
+# sum holds its length-m tables and one chunk, never an m x m array.
 CHUNK_CELLS = 1 << 20
 
 # Work bound: a sum over F_{q^k} visits m * m torus points, m = q**k - 1.
@@ -27,27 +26,23 @@ MAX_CELLS = 1 << 32
 
 def check_count_size(p, atilde, k):
     """Refuse a count over F_{q^k}, q = p**atilde, with more than MAX_CELLS
-    torus points (m = q**k - 1 above 65536), or with atilde < 1."""
+    torus points (m = q**k - 1 above 65536), or with atilde < 1.
+
+    From field exponent 17 on every prime is over the cap (2**17 - 1 >
+    65536), so such a count is refused from the exponent alone, before
+    p**(atilde*k) is formed."""
     if atilde < 1:
         raise PreconditionError(f"atilde must be >= 1, got {atilde}")
-    m = p ** (atilde * k) - 1
+    e = atilde * k
+    if e >= 17:
+        raise PreconditionError(
+            f"counting over F_{p}^{e}: a field exponent of 17 or more puts every prime "
+            f"over the cap of {MAX_CELLS} = 2^32 histogram cells")
+    m = p ** e - 1
     if m * m > MAX_CELLS:
         raise PreconditionError(
-            f"counting over F_{p}^{atilde * k} visits m^2 = {m * m} torus points "
+            f"counting over F_{p}^{e} visits m^2 = {m * m} torus points "
             f"(m = {m}), over the cap of {MAX_CELLS} = 2^32 histogram cells")
-
-
-# exp_sum submits every chunk to its pool at once, so up to min(workers,
-# chunks) threads start, and a count has thousands of chunks.
-MAX_WORKERS = 64
-
-
-def check_workers(workers):
-    """Refuse a thread count below one or above MAX_WORKERS."""
-    if workers < 1:
-        raise PreconditionError(f"workers must be >= 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise PreconditionError(f"workers {workers} is over the cap of {MAX_WORKERS}")
 
 
 def trace_table(tower, lam):
@@ -104,7 +99,7 @@ def orbit_rows(m, q, k):
     return {e: reps[size[reps] == e] for e in range(1, k + 1) if k % e == 0}
 
 
-def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
+def exp_sum(params, p, lam_code, k, atilde=1):
     """S_k: sum of zeta_p**Tr(F(lam, x)) over the torus of F_{q^k}, q = p**atilde.
 
     Runs on the generator power table: x1 = g**s, x2 = g**t with
@@ -124,9 +119,8 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
       3(p - 1) and binned unreduced; the bins are folded mod p once.
 
     The weighted bins must total m*m, which also checks that the orbit sizes
-    add up to m. Peak memory is O(m) plus one chunk per worker; `workers`
-    threads share the chunks. A sum of more than MAX_CELLS cells is refused
-    up front.
+    add up to m. Peak memory is O(m) plus one chunk. A sum of more than
+    MAX_CELLS cells is refused up front.
     """
     import numpy as np
 
@@ -134,7 +128,6 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
     if k < 1:
         raise PreconditionError("k must be >= 1")
     check_count_size(p, atilde, k)
-    check_workers(workers)
     tower = FieldTower(p, atilde * k)
     m = tower.q - 1
     lam = tower.embed_subfield_code(p, atilde, lam_code)
@@ -161,34 +154,12 @@ def exp_sum(params, p, lam_code, k, atilde=1, workers=1):
         cells += B
         return e * np.bincount(cells.ravel(), minlength=3 * p)
 
-    if workers == 1:
-        counts = sum(map(hist, chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = sum(ex.map(hist, chunks))
+    counts = sum(map(hist, chunks))
     if int(counts.sum()) != m * m:
         raise InvariantError("histogram lost torus points")
     # sum_t n_t zeta**t has coordinates n_t - n_(p-1) on the power basis
     n = counts.reshape(3, p).sum(axis=0).tolist()
     return CycloInt(p, [x - n[-1] for x in n[:-1]])
-
-
-def exp_sum_direct(params, p, lam_code, k, atilde=1):
-    """Same sum by brute enumeration of the torus, with no generator, log
-    table or orbit rows; cross-check for exp_sum. One field product a cell."""
-    tower = FieldTower(p, atilde * k)
-    lam = tower.embed_subfield_code(p, atilde, lam_code)
-    if lam == tower.zero:
-        raise PreconditionError("deformation value must be nonzero")
-    xs = [tower.from_code(code) for code in range(1, tower.q)]
-    ends = [(tower.trace(tower.pow(x, params.a)), tower.mul(lam, tower.pow(x, -params.c)))
-            for x in xs]
-    mids = [(tower.trace(tower.pow(x, params.b)), tower.pow(x, -params.d)) for x in xs]
-    counts = [0] * p
-    for t1, u1 in ends:
-        for t2, u2 in mids:
-            counts[(t1 + t2 + tower.trace(tower.mul(u1, u2))) % p] += 1
-    return sum((n * CycloInt.zeta_power(p, t) for t, n in enumerate(counts)), CycloInt.zero(p))
 
 
 @dataclass(frozen=True)
@@ -200,11 +171,11 @@ class ExpSumSeries:
     sums: tuple  # CycloInt, sums[i] is S_{i+1}
 
 
-def exp_sum_series(params, p, lam_code, count, atilde=1, workers=1):
+def exp_sum_series(params, p, lam_code, count, atilde=1):
     if count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
     check_count_size(p, atilde, count)
-    sums = tuple(exp_sum(params, p, lam_code, k, atilde, workers) for k in range(1, count + 1))
+    sums = tuple(exp_sum(params, p, lam_code, k, atilde) for k in range(1, count + 1))
     return ExpSumSeries(params, p, atilde, lam_code, sums)
 
 
@@ -246,7 +217,7 @@ def sums_needed(degree):
     return degree // 2 + 1
 
 
-def l_polynomial(series, workers=1):
+def l_polynomial(series):
     """Assemble the inverse L-function from the first k >= h sums of the
     series, h = sums_needed(N); sums past the N-th are not used.
 
@@ -263,7 +234,7 @@ def l_polynomial(series, workers=1):
     values +-zeta**j q**N that satisfies the equation at every s of the
     overlap N - k <= s <= k, and A_(N-s) = A_N conj(A_s) / q**(2s) for
     s < N - k. When every coefficient of the overlap is zero, S_(k+1) is
-    counted with `workers` threads and the derivation starts over.
+    counted and the derivation starts over.
 
     Integrality is asserted, not assumed: the divisions in Newton's
     identities and by q**(2s) here are exact or raise InvariantError, as
@@ -280,7 +251,7 @@ def l_polynomial(series, workers=1):
         overlap = range(n - len(sums), len(sums) + 1)
         if any(A[s] for s in overlap):
             break
-        sums.append(exp_sum(params, p, series.lam_code, len(sums) + 1, series.atilde, workers))
+        sums.append(exp_sum(params, p, series.lam_code, len(sums) + 1, series.atilde))
     # A_N = u q**N with u = +-zeta**j: u q**N conj(A_s) = A_(N-s) q**(2s) on the overlap
     pairs = [(A[s].conj() * q ** n, A[n - s] * q ** (2 * s)) for s in overlap]
     units = [(sign, j) for sign in (1, -1) for j in range(p)
@@ -295,12 +266,12 @@ def l_polynomial(series, workers=1):
     return LPolynomial(params, p, series.atilde, series.lam_code, tuple(A))
 
 
-def count_l_polynomial(params, p, lam_code, atilde=1, workers=1):
+def count_l_polynomial(params, p, lam_code, atilde=1):
     """The L-polynomial from S_1..S_h, h = sums_needed(N): the count cap is
     checked over F_{q^h}, the largest field counted unless the overlap of
     l_polynomial vanishes."""
-    series = exp_sum_series(params, p, lam_code, sums_needed(params.degree), atilde, workers)
-    return l_polynomial(series, workers)
+    series = exp_sum_series(params, p, lam_code, sums_needed(params.degree), atilde)
+    return l_polynomial(series)
 
 
 def predict_sum(lpoly, k):

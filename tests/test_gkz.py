@@ -8,7 +8,6 @@ from toricsums import gkz
 from toricsums.errors import PreconditionError
 from toricsums.family import FamilyParams
 from toricsums.gkz import (
-    apply_operator_to_log_series,
     euler_factors,
     formal_solutions,
     indicial_roots,
@@ -16,6 +15,8 @@ from toricsums.gkz import (
     picard_fuchs_operator,
     relation_lattice,
 )
+
+from reference import apply_operator_to_log_series
 
 
 def params_strategy():

@@ -17,12 +17,9 @@ from toricsums.errors import InvariantError, PreconditionError
 from toricsums.family import FamilyParams
 from toricsums.hodge import (
     basis_set,
-    deformation_weight,
     hodge_polygon,
-    m_of,
     ordinarity_report,
     slope_multiset_ab,
-    total_weight,
     weight_denominator,
     weight_of,
     weight_profile,
@@ -81,15 +78,6 @@ def test_weight_is_max_of_facet_functionals(P, v1, v2):
     assert weight_of(P, v) >= 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(params_strategy(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
-       st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
-def test_pole_order_m_is_subadditive(P, u, v):
-    w = (u[0] + v[0], u[1] + v[1])
-    assert m_of(P, w) <= m_of(P, u) + m_of(P, v)
-    assert m_of(P, u) >= 0
-
-
 @settings(max_examples=120, deadline=None)
 @given(params_strategy())
 def test_weights_clear_their_denominator(P):
@@ -99,16 +87,6 @@ def test_weights_clear_their_denominator(P):
     for w in prof.weights:
         assert (w * den).denominator == 1
     assert len(prof.weights) == P.degree
-
-
-def test_total_weight_combines_pole_and_gauge():
-    P = FamilyParams(1, 1, 1, 1)
-    # r copies of the deformation weight on top of the monomial gauge
-    assert deformation_weight(P, 1) == 3
-    assert total_weight(P, 0, (1, 1)) == 2
-    assert total_weight(P, 2, (-1, -1)) == 1 + 3
-    with pytest.raises(PreconditionError):
-        total_weight(P, 0, (-1, -1))
 
 
 def test_hodge_polygon_flagship_slopes():

@@ -24,7 +24,6 @@ from toricsums.hodge import hodge_polygon
 from toricsums.lfunction import (
     coefficients_from_power_sums,
     exp_sum,
-    exp_sum_direct,
     exp_sum_series,
     l_polynomial,
     newton_polygon,
@@ -33,7 +32,10 @@ from toricsums.lfunction import (
     trace_table,
 )
 
+from reference import exp_sum_direct
+
 P1111 = FamilyParams(1, 1, 1, 1)
+
 
 
 def test_s1_hand_value():
@@ -155,16 +157,6 @@ def test_trace_table_equals_the_python_walk(p, k):
         assert L == tower.log(lam)
 
 
-def test_workers_do_not_change_the_sum(monkeypatch):
-    # F_9 splits into 2 chunks of 50 cells, F_27 into 26: four workers are
-    # more than the chunks of one field and fewer than those of the other
-    monkeypatch.setattr(lfunction, "CHUNK_CELLS", 50)
-    for k in (2, 3):
-        one = exp_sum(P1111, 3, 1, k, workers=1)
-        four = exp_sum(P1111, 3, 1, k, workers=4)
-        assert one == four
-
-
 def test_lpolynomial_flagship():
     ser = exp_sum_series(P1111, 3, 1, 3)
     lp = l_polynomial(ser)
@@ -228,7 +220,7 @@ def test_a_vanishing_overlap_counts_one_more_sum(monkeypatch):
     synthetic = lfunction.LPolynomial(P2111, 3, 1, 1, coeffs)
     asked = []
 
-    def served(params, p, lam_code, k, atilde=1, workers=1):
+    def served(params, p, lam_code, k, atilde=1):
         asked.append(k)
         return predict_sum(synthetic, k)
 
@@ -271,10 +263,3 @@ def test_leading_coefficient_has_full_weight():
 def test_degenerate_parameter_zero_rejected():
     with pytest.raises(PreconditionError):
         exp_sum(P1111, 3, 0, 1)
-
-
-def test_workers_are_capped():
-    # checked by value only: a run with that many workers is never started
-    lfunction.check_workers(lfunction.MAX_WORKERS)
-    with pytest.raises(PreconditionError, match="workers 65 is over the cap of 64"):
-        lfunction.check_workers(65)

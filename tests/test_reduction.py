@@ -20,7 +20,6 @@ from toricsums.reduction import (
     class_eq,
     class_scale,
     connection_matrix,
-    euler_relation_defects,
     flag_columns,
     flag_representatives,
     reduce_to_basis,
@@ -145,10 +144,14 @@ def test_in_box_trades_stay_in_the_box():
 
 
 def test_euler_relations_reduce_to_zero():
+    # D1(1) and D2(1) are D-images, so over Q[L, 1/L] (pi = 1) every basis
+    # coordinate of their reductions vanishes
+    lam = Laurent({1: Fraction(1)})
+    one = {(0, 0): lam / lam}
     for P in PARAMS_POOL:
-        first, second = euler_relation_defects(P)
-        assert first == {}
-        assert second == {}
+        for D in (apply_D1, apply_D2):
+            cert = reduce_to_basis(D(one, P, 1, lam), P, 1, lam)
+            assert not any(cert.coords.values()), (P, D.__name__)
 
 
 def test_scale_distributes_over_class():

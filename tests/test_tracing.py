@@ -10,6 +10,7 @@ from pathlib import Path
 
 from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
+from toricsums.lfunction import exp_sum
 from toricsums.reduction import reduce_to_basis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -59,3 +60,13 @@ def test_reduce_hook_counts_the_certificate_steps():
     cert = traced({(-4, 4): Fp(5, 1)}, FamilyParams(1, 1, 1, 2), 1, Fp(5, 3))
     assert tracer.counts["reduction.steps"] == cert.steps == 43
     assert [s[0] for s in tracer.spans] == ["reduction.reduce_to_basis"]
+
+
+def test_exp_sum_hook_reads_the_field_from_the_arguments():
+    # the hook reads p, k and atilde by position: S_1 over F_9 is 8 x 8 cells
+    tracing = load_tracing()
+    tracer, wrappers = install_collected(tracing)
+    traced = wrappers[exp_sum]
+    traced(FamilyParams(1, 1, 1, 1), 3, 5, 1, 2)
+    assert tracer.counts["lfunction.histogram_cells"] == (9 - 1) ** 2
+    assert [s[0] for s in tracer.spans] == ["lfunction.exp_sum"]
