@@ -20,6 +20,7 @@ still wraps flag_data by name.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
+from operator import add, sub
 
 from .errors import InvariantError, PreconditionError, StarvationError
 from .exact import mat_mul
@@ -52,9 +53,10 @@ class PiAdic:
     the entries of num have gcd 1 (zero is num = (0, ..., 0), den = 1). The
     form is canonical, so == and hash compare (num, den). The public
     constructor takes rational coordinates and brings them to this form;
-    arithmetic builds its results with `_of`, which trusts the invariant, or
-    `_reduced`, which restores it with one gcd pass. `coeffs` gives the
-    coordinates on 1, pi, ..., pi**(p-2) as Fractions.
+    arithmetic builds every result with the one module-level constructor
+    `_piadic`, which restores the form with a single gcd pass, skipped when
+    the denominator is 1. `coeffs` gives the coordinates on 1, pi, ...,
+    pi**(p-2) as Fractions.
 
     ord_pi is exact: the p-orders of the p-1 coordinates are distinct mod
     p-1, so the minimum over i + (p-1)*ord_p(c_i) is attained once.
@@ -72,24 +74,6 @@ class PiAdic:
         self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self.den = den
 
-    @classmethod
-    def _of(cls, p, num, den):
-        """Wrap p - 1 ints over den > 0, already in lowest terms."""
-        x = cls.__new__(cls)
-        x.p = p
-        x.num = num
-        x.den = den
-        return x
-
-    @classmethod
-    def _reduced(cls, p, num, den):
-        """Wrap p - 1 ints over den > 0, dividing out their common factor."""
-        g = gcd(den, *num)
-        if g != 1:
-            num = tuple(x // g for x in num)
-            den //= g
-        return cls._of(p, num, den)
-
     @property
     def coeffs(self):
         """The coordinates on 1, pi, ..., pi**(p-2), as Fractions."""
@@ -97,7 +81,7 @@ class PiAdic:
 
     @classmethod
     def zero(cls, p):
-        return cls._of(p, (0,) * (p - 1), 1)
+        return _piadic(p, (0,) * (p - 1), 1)
 
     @classmethod
     def one(cls, p):
@@ -106,42 +90,46 @@ class PiAdic:
     @classmethod
     def from_fraction(cls, p, fr):
         fr = Fraction(fr)
-        return cls._of(p, (fr.numerator,) + (0,) * (p - 2), fr.denominator)
+        return _piadic(p, (fr.numerator,) + (0,) * (p - 2), fr.denominator)
 
     @classmethod
     def pi(cls, p):
-        return cls._of(p, (0, 1) + (0,) * (p - 3), 1)
+        return _piadic(p, (0, 1) + (0,) * (p - 3), 1)
 
     def _coerce(self, other):
-        """other as a PiAdic of the same p; None for foreign types."""
+        """other as a PiAdic; None for foreign types."""
         if isinstance(other, PiAdic):
-            if other.p != self.p:
-                raise PreconditionError("mixed pi-adic operands")
             return other
         if isinstance(other, (int, Fraction)):
             return PiAdic.from_fraction(self.p, other)
         return None
 
     def _plus(self, other, sign):
-        """self + sign * other for a PiAdic other of the same p."""
+        """self + sign * other for a PiAdic other; sign is 1 or -1."""
+        p = self.p
+        if other.p != p:
+            raise PreconditionError("mixed pi-adic operands")
         d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _piadic(p, tuple(map(add if sign > 0 else sub, self.num, other.num)), d1)
         g = gcd(d1, d2)
         s, t = d2 // g, sign * (d1 // g)
-        num = tuple(x * s + y * t for x, y in zip(self.num, other.num))
-        return PiAdic._reduced(self.p, num, d1 * s)
+        return _piadic(p, tuple([x * s + y * t for x, y in zip(self.num, other.num)]), d1 * s)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not PiAdic:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not PiAdic:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self._plus(other, -1)
 
     def __rsub__(self, other):
@@ -151,20 +139,25 @@ class PiAdic:
         return other._plus(self, -1)
 
     def __neg__(self):
-        return PiAdic._of(self.p, tuple(-x for x in self.num), self.den)
+        return _piadic(self.p, tuple([-x for x in self.num]), self.den)
 
     def _scale(self, a, b):
         """self * a / b for ints a and b > 0."""
-        return PiAdic._reduced(self.p, tuple(x * a for x in self.num), self.den * b)
+        return _piadic(self.p, tuple([x * a for x in self.num]), self.den * b)
 
     def __mul__(self, other):
-        if not isinstance(other, PiAdic):
+        if type(other) is not PiAdic:
             if isinstance(other, (int, Fraction)):
                 return self._scale(other.numerator, other.denominator)
             return NotImplemented
         p = self.p
         if other.p != p:
             raise PreconditionError("mixed pi-adic operands")
+        if p == 3:
+            # (x0 + x1 pi)(y0 + y1 pi) with pi**2 = -3
+            (x0, x1), (y0, y1) = self.num, other.num
+            return _piadic(3, (x0 * y0 - 3 * x1 * y1, x0 * y1 + x1 * y0),
+                           self.den * other.den)
         n = p - 1
         ys = [(j, y) for j, y in enumerate(other.num) if y]
         out = [0] * (2 * n - 1)
@@ -176,7 +169,7 @@ class PiAdic:
         for k in range(2 * n - 2, n - 1, -1):
             if out[k]:
                 out[k - n] -= p * out[k]
-        return PiAdic._reduced(p, tuple(out[:n]), self.den * other.den)
+        return _piadic(p, tuple(out[:n]), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -194,9 +187,9 @@ class PiAdic:
             out = [0] * n
             if i == 0:
                 out[0] = d
-                return PiAdic._of(p, tuple(out), c)
+                return _piadic(p, tuple(out), c)
             out[n - i] = -d
-            return PiAdic._reduced(p, tuple(out), p * c)
+            return _piadic(p, tuple(out), p * c)
         cols = []
         for j in range(n):
             e = [Fraction(0)] * n
@@ -279,6 +272,22 @@ class PiAdic:
             out.append(d)
             a = a[1:] + [(d - a[0]) // p]
         return out
+
+
+def _piadic(p, num, den):
+    """The PiAdic sum(num[i] * pi**i) / den for a tuple num of p - 1 ints and
+    an int den > 0, brought to lowest terms: the one constructor of results.
+    A denominator of 1 is already lowest, so it skips the gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    x = object.__new__(PiAdic)
+    x.p = p
+    x.num = num
+    x.den = den
+    return x
 
 
 def _min_ord(values):
@@ -727,13 +736,24 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8):
 
 
 def reciprocal_char_poly(U, p):
-    """Coefficients of det(1 - U T) from trace power sums, exact."""
+    """Coefficients of det(1 - U T) from the trace power sums tr(U**k),
+    k = 1..N, exact.
+
+    Only U**1..U**h, h = ceil(N/2), are formed. Past h, every k = h + j has
+    j <= h and tr(U**(h+j)) = sum over a, b of (U**h)[a][b] * (U**j)[b][a],
+    N**2 products instead of a matrix product: h - 1 matrix products in all,
+    not N - 1, for the same exact traces.
+    """
     n = len(U)
-    traces = []
-    power = U
-    for _ in range(n):
-        traces.append(sum((power[i][i] for i in range(n)), PiAdic.zero(p)))
-        power = mat_mul(power, U)
+    h = (n + 1) // 2
+    powers = [U]
+    for _ in range(h - 1):
+        powers.append(mat_mul(powers[-1], U))
+    zero = PiAdic.zero(p)
+    traces = [sum((P[i][i] for i in range(n)), zero) for P in powers]
+    H = powers[-1]
+    for P in powers[:n - h]:
+        traces.append(sum((H[a][b] * P[b][a] for a in range(n) for b in range(n)), zero))
     return coefficients_from_power_sums(traces, PiAdic.one(p))
 
 

@@ -4,8 +4,11 @@ command runs them, so they live here rather than in toricsums."""
 from fractions import Fraction
 
 from toricsums.cyclotomic import CycloInt
+from toricsums.exact import mat_mul
 from toricsums.ffield import FieldTower
+from toricsums.frobenius import PiAdic
 from toricsums.gkz import _taylor_coefficients, picard_fuchs_operator
+from toricsums.lfunction import coefficients_from_power_sums
 
 
 def zeta_power(p, t):
@@ -57,3 +60,16 @@ def apply_operator_to_log_series(params, sol):
             row.append(acc)
         defects.append(tuple(row))
     return defects
+
+
+def reciprocal_char_poly_all_powers(U, p):
+    """Coefficients of det(1 - U T) from the traces of U**1..U**N, each
+    power formed by a matrix product: the reference for
+    frobenius.reciprocal_char_poly."""
+    n = len(U)
+    traces = []
+    power = U
+    for _ in range(n):
+        traces.append(sum((power[i][i] for i in range(n)), PiAdic.zero(p)))
+        power = mat_mul(power, U)
+    return coefficients_from_power_sums(traces, PiAdic.one(p))

@@ -36,6 +36,8 @@ from toricsums.frobenius import (
 from toricsums.cyclotomic import CycloInt
 from toricsums.ratfunc import Laurent, add_term, solve_linear
 
+from reference import reciprocal_char_poly_all_powers
+
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
 
@@ -135,8 +137,9 @@ class Ref:
         p, n = self.p, self.p - 1
         out = [Fraction(0)] * (2 * n - 1)
         for i, x in enumerate(self.cs):
-            for j, y in enumerate(o.cs):
-                out[i + j] += x * y
+            if x:
+                for j, y in enumerate(o.cs):
+                    out[i + j] += x * y
         for k in range(2 * n - 2, n - 1, -1):
             out[k - n] -= p * out[k]
         return Ref(p, out[:n])
@@ -144,7 +147,7 @@ class Ref:
     def inverse(self):
         n = self.p - 1
         basis = [Ref(self.p, [int(k == j) for k in range(n)]) for j in range(n)]
-        cols = [(self * e).cs for e in basis]
+        cols = [(e * self).cs for e in basis]
         M = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
         for k in range(n):
             piv = next(i for i in range(k, n) if M[i][k])
@@ -189,9 +192,16 @@ def _monomial(p):
                      _coord(p).filter(bool), st.integers(0, p - 2))
 
 
-# (p, x, y, z, w): x and y dense, z a nonzero monomial, w dense and pi-integral
-ref_cases = st.sampled_from([3, 5, 7]).flatmap(
-    lambda p: st.tuples(st.just(p), _dense(p), _dense(p), _monomial(p), _dense(p, 0)))
+def _integral(p):
+    return st.lists(st.integers(-60, 60), min_size=p - 1, max_size=p - 1)
+
+
+# (p, x, y, z, w, k, j): x and y dense, z a nonzero monomial, w dense and
+# pi-integral, k and j integer coordinates (denominator 1). p = 3 takes the
+# closed-form product, the others the convolution and fold.
+ref_cases = st.sampled_from([3, 5, 7, 11, 13]).flatmap(
+    lambda p: st.tuples(st.just(p), _dense(p), _dense(p), _monomial(p), _dense(p, 0),
+                        _integral(p), _integral(p)))
 
 
 def _assert_canonical(x):
@@ -203,22 +213,35 @@ def _assert_canonical(x):
 @settings(max_examples=120, deadline=None)
 @given(ref_cases, st.integers(0, 8))
 def test_piadic_matches_fraction_reference(case, count):
-    p, xs, ys, zs, ws = case
-    x, y, z = PiAdic(p, xs), PiAdic(p, ys), PiAdic(p, zs)
-    rx, ry, rz = Ref(p, xs), Ref(p, ys), Ref(p, zs)
+    p, xs, ys, zs, ws, ks, js = case
+    x, y, z, k, j = (PiAdic(p, cs) for cs in (xs, ys, zs, ks, js))
+    rx, ry, rz, rk, rj = (Ref(p, cs) for cs in (xs, ys, zs, ks, js))
+    # adding an integral element keeps the denominator: x and xk share one
+    xk, rxk = x + k, rx + rk
+    assert xk.den == x.den and k.den == j.den == 1
 
     def const(c):
         return Ref(p, [c] + [0] * (p - 2))
 
+    rz_inv = rz.inverse()
     checks = [
         (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, const(0) - rx),
-        (z.inverse(), rz.inverse()), (x / z, rx * rz.inverse()),
+        (z.inverse(), rz_inv), (x / z, rx * rz_inv),
         (z ** -2, (rz * rz).inverse()),
         (x * 3 - Fraction(1, 4), rx * const(3) - const(Fraction(1, 4))),
+        # equal denominators, and a common factor that cancels down to 1
+        (x + xk, rx + rxk), (xk - x, rxk - rx), (x - xk, rx - rxk), (xk * x, rxk * rx),
+        # denominator 1 on one side or both
+        (k + j, rk + rj), (k - j, rk - rj), (k * j, rk * rj), (k * x, rk * rx),
+        (x - k, rx - rk), (k * 5, rk * const(5)),
+        # a monomial on either side
+        (z * x, rz * rx), (x * z, rx * rz), (z + x, rz + rx), (x - z, rx - rz),
+        (z * z, rz * rz), (z * k, rz * rk),
     ]
     if y:
-        checks += [(y.inverse(), ry.inverse()), (x / y, rx * ry.inverse()),
-                   (y ** -1, ry.inverse()), (Fraction(2, 3) / y, const(Fraction(2, 3)) * ry.inverse())]
+        ry_inv = ry.inverse()
+        checks += [(y.inverse(), ry_inv), (x / y, rx * ry_inv),
+                   (y ** -1, ry_inv), (Fraction(2, 3) / y, const(Fraction(2, 3)) * ry_inv)]
     for got, ref in checks:
         _assert_canonical(got)
         assert got.coeffs == ref.cs
@@ -226,6 +249,11 @@ def test_piadic_matches_fraction_reference(case, count):
     # equal values built different ways are equal and hash equal
     for a, b in [((x + y) - y, x), (x * y, y * x), (PiAdic(p, (x * y).coeffs), x * y)]:
         assert a == b and hash(a) == hash(b)
+    # cancellation gives the canonical zero, however it is reached
+    zero = PiAdic.zero(p)
+    for a in (x - x, x + (-x), xk - xk, k - k, k + (-k), z - z):
+        assert a.num == (0,) * (p - 1) and a.den == 1
+        assert a == zero and hash(a) == hash(zero)
     assert PiAdic(p, ws).digits(count) == Ref(p, ws).digits(count)
     v = x.ord_pi()
     if v is None or v >= 0:
@@ -548,6 +576,31 @@ def test_char_poly_of_identity():
     assert coeffs[0] == one
     assert coeffs[1] == PiAdic.from_fraction(3, -2)
     assert coeffs[2] == one
+
+
+def _piadic_matrix(p, n):
+    """An n x n PiAdic matrix: integer coordinates, one small denominator an entry."""
+    def build(nums, dens):
+        entries = [PiAdic(p, [Fraction(c, d) for c in nums[k * (p - 1):(k + 1) * (p - 1)]])
+                   for k, d in enumerate(dens)]
+        return [entries[i * n:(i + 1) * n] for i in range(n)]
+    size = n * n
+    return st.builds(build, st.lists(st.integers(-30, 30), min_size=size * (p - 1),
+                                     max_size=size * (p - 1)),
+                     st.lists(st.integers(1, 9), min_size=size, max_size=size))
+
+
+# (p, U): a square PiAdic matrix of size 1..6
+char_poly_cases = st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(p), _piadic_matrix(p, n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(char_poly_cases)
+def test_char_poly_from_half_the_powers_matches_all_powers(case):
+    p, U = case
+    assert reciprocal_char_poly(U, p) == reciprocal_char_poly_all_powers(U, p)
 
 
 def test_low_precision_comparison_agrees():
