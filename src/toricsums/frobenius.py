@@ -31,7 +31,7 @@ from .lfunction import (
     count_l_polynomial,
     sums_needed,
 )
-from .ratfunc import Laurent, add_term, solve_linear
+from .ratfunc import Laurent, solve_linear
 from .reduction import basis_connection, flag_representatives, reduce_to_basis
 
 
@@ -304,24 +304,36 @@ def ord_ge(x, m):
 def splitting_coefficients(p, count):
     """Coefficients E_0..E_{count-1} of exp(pi (t - t**p)), exact.
 
+    exp(pi t) exp(-pi t**p) gives E_i = sum_j (-1)**j pi**(i - (p-1) j) /
+    ((i - p j)! j!), and (-1)**j pi**(-(p-1) j) = p**-j, so E_i = r_i pi**i
+    with r_i = sum_j p**-j / ((i - p j)! j!) rational: one nonzero
+    coordinate, at i mod (p - 1). Over i! p**J, J = floor(i/p), r_i has the
+    integer numerator sum_j p**(J-j) i! / ((i - p j)! j!).
+
     Satisfies ord_pi E_i >= i (p-1)^2 / p^2; E_0 = 1, E_1 = pi.
     """
-    pi = PiAdic.pi(p)
-    pi_pows = [PiAdic.one(p)]
-    for _ in range(count):
-        pi_pows.append(pi_pows[-1] * pi)
+    n = p - 1
     fact = [1]
-    for i in range(1, count + 1):
+    for i in range(1, count):
         fact.append(fact[-1] * i)
-    out = [PiAdic.zero(p) for _ in range(count)]
-    j = 0
-    while p * j < count:
-        b = pi_pows[j] * Fraction((-1) ** j, fact[j])
-        for i in range(count - p * j):
-            a = pi_pows[i] * Fraction(1, fact[i])
-            out[i + p * j] = out[i + p * j] + a * b
-        j += 1
+    out = []
+    for i in range(count):
+        top = i // p
+        r = sum(p ** (top - j) * (fact[i] // (fact[i - p * j] * fact[j]))
+                for j in range(top + 1))
+        num = [0] * n
+        num[i % n] = r * (-p) ** (i // n)
+        out.append(_piadic(p, tuple(num), fact[i] * p ** top))
     return out
+
+
+def _over_one_denominator(E):
+    """(C, delta) with E_i = C[i] pi**(i mod (p - 1)) / delta for the
+    one-coordinate splitting coefficients E, delta their least common
+    denominator."""
+    n = E[0].p - 1
+    delta = lcm(*(e.den for e in E))
+    return [e.num[i % n] * (delta // e.den) for i, e in enumerate(E)], delta
 
 
 def splitting_bound(p, i):
@@ -339,11 +351,12 @@ def dwork_root(p, target_ord):
     count = 1
     while splitting_bound(p, count) < target_ord:
         count += 1
-    coeffs = splitting_coefficients(p, count + 1)
-    total = PiAdic.zero(p)
-    for c in coeffs:
-        total = total + c
-    return total, target_ord
+    C, delta = _over_one_denominator(splitting_coefficients(p, count + 1))
+    n = p - 1
+    num = [0] * n
+    for i, x in enumerate(C):
+        num[i % n] += x
+    return _piadic(p, tuple(num), delta), target_ord
 
 
 def embed_cyclotomic(x, zeta_hat):
@@ -459,43 +472,66 @@ def flag_data(params, p, count):
 
 def _frobenius_images(params, p, cutoff, lam):
     """psi_p(x**v * PHI) for each basis exponent v, exactly, PHI cut at
-    cutoff and taken at the deformation lam (a Laurent monomial, or a number
-    at a point).
+    cutoff and taken at the deformation lam: the Laurent L for the series,
+    or a Teichmuller lift, a rational integer, at a point.
 
     psi_p keeps the x-exponents with both coordinates divisible by p and
     divides them by p. The term E_k lam**k E_i E_j of PHI has x-exponent
     (i a - k c, j b - k d), so x**v meets it only when i = (k c - v1) / a and
     j = (k d - v2) / b mod p (check_prime makes a and b units mod p). For
-    each residue class of the basis mod p, only those (k, i, j) are walked,
-    and each product is formed once and added to every image of the class.
+    each residue class of the basis mod p, only those (k, i, j) are walked.
+    With E_i = C_i pi**(i mod (p-1)) / delta (_over_one_denominator), each
+    product is C_k C_i C_j, times lam**k at a point, folded into p - 1 plain
+    ints with pi**(p-1) = -p; the series keys it by the L-exponent k. The
+    members of a class share these sums, shifted by (v - v') / p, and each
+    image coefficient is built once over delta**3.
     """
-    E = splitting_coefficients(p, cutoff + 1)
+    C, delta = _over_one_denominator(splitting_coefficients(p, cutoff + 1))
     a, b, c, d = params.a, params.b, params.c, params.d
     a_inv, b_inv = pow(a, -1, p), pow(b, -1, p)
+    n, den = p - 1, delta ** 3
+    series = isinstance(lam, Laurent)
+    lift = 1 if series else lam.num[0]
+    lam_C = [x * lift ** k for k, x in enumerate(C)]
     basis = basis_set(params)
-    images = [{} for _ in basis]
     classes = {}
-    for v, img in zip(basis, images):
-        classes.setdefault((v[0] % p, v[1] % p), []).append((v, img))
-    lam_E, lam_k = [], lam / lam
-    for e in E:
-        lam_E.append(e * lam_k)
-        lam_k = lam_k * lam
+    for idx, v in enumerate(basis):
+        classes.setdefault((v[0] % p, v[1] % p), []).append(idx)
+    images = [None] * len(basis)
     for (r1, r2), members in classes.items():
-        for k, Ek in enumerate(lam_E):
-            if not Ek:
+        v1, v2 = basis[members[0]]
+        sums = {}  # (x-exponent of the first member's image, k or 0) -> p - 1 ints
+        for k, ck in enumerate(lam_C):
+            if not ck:
                 continue
             for i in range((k * c - r1) * a_inv % p, cutoff + 1 - k, p):
-                if not E[i]:
+                cki = ck * C[i]
+                if not cki:
                     continue
-                Eki = Ek * E[i]
+                s = k % n + i % n
+                if s >= n:
+                    s, cki = s - n, -p * cki
+                e1, key = (v1 + i * a - k * c) // p, k if series else 0
                 for j in range((k * d - r2) * b_inv % p, cutoff + 1 - k - i, p):
-                    if not E[j]:
+                    t = cki * C[j]
+                    if not t:
                         continue
-                    t = Eki * E[j]
-                    for (v1, v2), img in members:
-                        add_term(img, ((v1 + i * a - k * c) // p,
-                                       (v2 + j * b - k * d) // p), t)
+                    sj = s + j % n
+                    if sj >= n:
+                        sj, t = sj - n, -p * t
+                    e = (e1, (v2 + j * b - k * d) // p, key)
+                    row = sums.get(e)
+                    if row is None:
+                        sums[e] = row = [0] * n
+                    row[sj] += t
+        coeffs = {}
+        for (e1, e2, k), row in sums.items():
+            if any(row):
+                coeffs.setdefault((e1, e2), {})[k] = _piadic(p, tuple(row), den)
+        coeffs = {e: Laurent._of(terms) if series else terms[0] for e, terms in coeffs.items()}
+        for idx in members:
+            s1, s2 = (basis[idx][0] - v1) // p, (basis[idx][1] - v2) // p
+            images[idx] = {(e1 + s1, e2 + s2): x for (e1, e2), x in coeffs.items()}
     return images
 
 
@@ -638,24 +674,28 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
 def _mat_series_mul(A, B, count, p):
     """A*B for matrices of power series, truncated to count terms.
 
-    Each entry accumulates into one list, and zero coefficients of either
-    factor form no product.
+    The nonzero terms of every entry are listed once, and each output entry
+    sums its products in a sparse dict: zero coefficients form no product.
     """
+    def nonzero(M):
+        return [[[(k, x) for k, x in enumerate(e[:count]) if x] for e in row] for row in M]
+
     z = PiAdic.zero(p)
+    A, B = nonzero(A), nonzero(B)
     out = []
     for row in A:
         out_row = []
         for j in range(len(B[0])):
-            acc = [z] * count
+            acc = {}
             for x, Brow in zip(row, B):
-                y = [(k, b) for k, b in enumerate(Brow[j][:count]) if b]
-                for i, a in enumerate(x[:count]):
-                    if a:
-                        for k, b in y:
-                            if i + k >= count:
-                                break
-                            acc[i + k] = acc[i + k] + a * b
-            out_row.append(acc)
+                y = Brow[j]
+                for i, a in x:
+                    for k, b in y:
+                        if i + k >= count:
+                            break
+                        s = acc.get(i + k)
+                        acc[i + k] = a * b if s is None else s + a * b
+            out_row.append([acc.get(k, z) for k in range(count)])
         out.append(out_row)
     return out
 
@@ -686,7 +726,8 @@ def horizontality_residual(fs, lam_checked=None):
         else:
             t1, t2 = _mat_series_mul(B, U, count, p), _mat_series_mul(U, Bp, count, p)
         return _min_ord(a - b + c * p for rows in zip(thU, t1, t2)
-                        for entries in zip(*rows) for a, b, c in zip(*entries))
+                        for entries in zip(*rows) for a, b, c in zip(*entries)
+                        if a or b or c)
 
     B = [[entry[:count] for entry in row] for row in fs.B]
     variants = {"stated": residual_ord(B),

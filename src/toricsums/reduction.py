@@ -9,7 +9,10 @@ u in Z^2 to nonzero scalars S_u. The two operators
 generate the relations, whose terms _relation lists once. reduce_to_basis
 writes any class exactly as a combination of the degree-many basis monomials
 plus D1/D2 certificates, by one rule: a climb below the box, a ladder above
-it, or an in-box trade on the axis hodge.rewrite_axis names.
+it, or an in-box trade on the axis hodge.rewrite_axis names. The scalar
+factors of each rule are built once per call, on the rule's first use, from
+the scalars' own operations on ints, pi and L; a step is then a product by a
+factor plus integer scalings, and divides by nothing.
 
 Scalars are plain values: they support + and - among themselves, * and /
 by each other and by Python ints, and bool() is False exactly at zero. The
@@ -123,6 +126,12 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     t' = -t pole_i/pole_j, cancels the pole term, so that term is skipped.
     The box monomials that rewrite_axis maps to None are the coordinates.
 
+    Each rule takes S to t by one factor, 1/(pi power_i) or, for a climb,
+    1/(-pi pole_i L), and S to the term that moves by a pi-free carry:
+    power_i/(pole_i L) for a climb, pole_i L/power_i for a ladder and
+    pole_i power_j/(pole_j power_i) for a trade, whose t' is t times
+    -pole_i/pole_j. The Euler terms are integer scalings of t and t'.
+
     Pending monomials are popped heaviest first: largest
     hodge.weight_units, then largest m, then largest n. A rewrite's terms
     are mostly lighter, so each region of exponents is passed once instead
@@ -132,21 +141,39 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     exact division by products of small integers, pi and L.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
-    D = (_relation(params, 0, pi, lam), _relation(params, 1, pi, lam))
+    powers, poles = (a, b), (c, d)
+    one = lam / lam  # the unit of the scalars
     coords, h, pending = {}, ({}, {}), {}
     heap = []  # keys (-weight, -m, -n); a monomial is pushed when it becomes pending
+    rules = {}
+
+    def factors(kind, axis):
+        """The scalars of one rule, built on its first use in this call: the
+        factor taking S to t, then the carries taking S to the moved terms."""
+        f = rules.get((kind, axis))
+        if f is None:
+            power, pole = powers[axis], poles[axis]
+            if kind == "climb":
+                f = (one / -(pi * pole * lam), one * power / (pole * lam))
+            elif kind == "ladder":
+                f = (one / (pi * power), lam * pole / power)
+            else:
+                power2, pole2 = powers[1 - axis], poles[1 - axis]
+                f = (one / (pi * power), one * -pole / pole2,
+                     one * (pole * power2) / (pole2 * power))
+            rules[kind, axis] = f
+        return f
 
     def add_pending(u, s):
         if s and u not in pending:
             heappush(heap, (-weight_units(params, u), -u[0], -u[1]))
         add_term(pending, u, s)
 
-    def subtract(axis, w, t, terms):
-        """h_axis[w] += t, and t times the given terms of D_axis x**w leave the class."""
+    def subtract(axis, w, t):
+        """h_axis[w] += t, and t times the Euler term of D_axis x**w leaves the class."""
         add_term(h[axis], w, t)
-        t = -t
-        for v, s in terms:
-            add_pending(v, t * s)
+        if w[axis]:
+            add_pending(w, t * -w[axis])
 
     for u, s in cls_.items():
         add_pending(u, s)
@@ -161,10 +188,11 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
         if steps > max_steps:
             raise InvariantError(f"reduction exceeded {max_steps} steps at exponent {u}")
         m, n = u
-        if m <= -c or n <= -d:  # climb
+        if m <= -c or n <= -d:  # climb: u is the pole term, its power term moves
             axis, w = 0 if m <= -c else 1, (m + c, n + d)
-            euler, power, pole = D[axis](w)
-            subtract(axis, w, S / pole[1], (euler, power))
+            to_t, carry = factors("climb", axis)
+            subtract(axis, w, S * to_t)
+            add_pending((w[0] + a, w[1]) if axis == 0 else (w[0], w[1] + b), S * carry)
             continue
         trade = m <= a and n <= b
         axis = rewrite_axis(params, u) if trade else 0 if m > a else 1
@@ -172,12 +200,17 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
             add_term(coords, u, S)
             continue
         w = (m - a, n) if axis == 0 else (m, n - b)
-        euler, power, pole = D[axis](w)
-        t = S / power[1]
-        subtract(axis, w, t, (euler,) if trade else (euler, pole))
-        if trade:  # the other relation at w cancels the pole term
-            other = 1 - axis
-            subtract(other, w, t * (c, d)[axis] / -(c, d)[other], D[other](w)[:2])
+        if not trade:  # ladder: u is the power term, its pole term moves
+            to_t, carry = factors("ladder", axis)
+            subtract(axis, w, S * to_t)
+            add_pending((w[0] - c, w[1] - d), S * carry)
+            continue
+        # trade: the other relation at w cancels the pole term, and its power term moves
+        to_t, ratio, carry = factors("trade", axis)
+        t = S * to_t
+        subtract(axis, w, t)
+        subtract(1 - axis, w, t * ratio)
+        add_pending((w[0] + a, w[1]) if axis == 1 else (w[0], w[1] + b), S * carry)
     zero = pi * lam * 0  # every basis monomial gets a coordinate
     for v in basis_set(params):
         coords.setdefault(v, zero)

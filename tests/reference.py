@@ -8,6 +8,8 @@ from toricsums.exact import mat_mul
 from toricsums.ffield import FieldTower
 from toricsums.frobenius import PiAdic
 from toricsums.gkz import _taylor_coefficients, picard_fuchs_operator
+from toricsums.hodge import basis_set
+from toricsums.ratfunc import add_term
 from toricsums.lfunction import coefficients_from_power_sums
 
 
@@ -73,3 +75,60 @@ def reciprocal_char_poly_all_powers(U, p):
         traces.append(sum((power[i][i] for i in range(n)), PiAdic.zero(p)))
         power = mat_mul(power, U)
     return coefficients_from_power_sums(traces, PiAdic.one(p))
+
+
+def splitting_coefficients_by_products(p, count):
+    """E_0..E_{count-1} of exp(pi t) exp(-pi t**p), each a sum of PiAdic
+    products pi**i / i! * (-pi)**j / j!: the reference for
+    frobenius.splitting_coefficients."""
+    pi = PiAdic.pi(p)
+    pi_pows = [PiAdic.one(p)]
+    for _ in range(count):
+        pi_pows.append(pi_pows[-1] * pi)
+    fact = [1]
+    for i in range(1, count + 1):
+        fact.append(fact[-1] * i)
+    out = [PiAdic.zero(p) for _ in range(count)]
+    j = 0
+    while p * j < count:
+        b = pi_pows[j] * Fraction((-1) ** j, fact[j])
+        for i in range(count - p * j):
+            a = pi_pows[i] * Fraction(1, fact[i])
+            out[i + p * j] = out[i + p * j] + a * b
+        j += 1
+    return out
+
+
+def frobenius_images_by_class(params, p, cutoff, lam):
+    """psi_p(x**v * PHI) for each basis exponent v, with the (k, i, j) that
+    psi_p keeps walked once per residue class of the basis mod p and each
+    PiAdic product E_k lam**k E_i E_j added to every image of its class: the
+    reference for frobenius._frobenius_images."""
+    E = splitting_coefficients_by_products(p, cutoff + 1)
+    a, b, c, d = params.a, params.b, params.c, params.d
+    a_inv, b_inv = pow(a, -1, p), pow(b, -1, p)
+    basis = basis_set(params)
+    images = [{} for _ in basis]
+    classes = {}
+    for v, img in zip(basis, images):
+        classes.setdefault((v[0] % p, v[1] % p), []).append((v, img))
+    lam_E, lam_k = [], lam / lam
+    for e in E:
+        lam_E.append(e * lam_k)
+        lam_k = lam_k * lam
+    for (r1, r2), members in classes.items():
+        for k, Ek in enumerate(lam_E):
+            if not Ek:
+                continue
+            for i in range((k * c - r1) * a_inv % p, cutoff + 1 - k, p):
+                if not E[i]:
+                    continue
+                Eki = Ek * E[i]
+                for j in range((k * d - r2) * b_inv % p, cutoff + 1 - k - i, p):
+                    if not E[j]:
+                        continue
+                    t = Eki * E[j]
+                    for (v1, v2), img in members:
+                        add_term(img, ((v1 + i * a - k * c) // p,
+                                       (v2 + j * b - k * d) // p), t)
+    return images

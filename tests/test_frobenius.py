@@ -36,7 +36,11 @@ from toricsums.frobenius import (
 from toricsums.cyclotomic import CycloInt
 from toricsums.ratfunc import Laurent, add_term, solve_linear
 
-from reference import reciprocal_char_poly_all_powers
+from reference import (
+    frobenius_images_by_class,
+    reciprocal_char_poly_all_powers,
+    splitting_coefficients_by_products,
+)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -308,6 +312,16 @@ def test_splitting_coefficient_bound(p):
     assert E[1] == PiAdic.pi(p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_splitting_closed_form_matches_the_product(p):
+    # E_i = r_i pi**i with r_i rational: one coordinate, at i mod (p - 1)
+    ref = splitting_coefficients_by_products(p, 60)
+    for count in range(61):
+        assert splitting_coefficients(p, count) == ref[:count]
+    for i, e in enumerate(ref):
+        assert [k for k, x in enumerate(e.num) if x] == [i % (p - 1)], i
+
+
 def test_dwork_root_is_a_root_of_unity():
     for p in (3, 5):
         z, ordz = dwork_root(p, 8)
@@ -438,23 +452,6 @@ def _brute_force_images(params, p, cutoff, lam):
     return images
 
 
-@pytest.mark.parametrize("abcd, p, residue, cutoff", [
-    # the basis pairs (0,0)/(3,0), (1,0)/(4,0), (1,1)/(4,1) share classes mod 3
-    ((4, 1, 1, 1), 3, 2, 26),
-    ((4, 1, 1, 1), 3, None, 26),
-    # c d > 1, at a lift that is not +-1
-    ((1, 1, 1, 2), 5, 2, 30),
-])
-def test_frobenius_images_match_every_product_term(abcd, p, residue, cutoff):
-    params = FamilyParams(*abcd)
-    if residue is None:
-        lam = Laurent({1: PiAdic.one(p)})
-    else:
-        lam = teichmuller_lift(p, residue, 10)[0]
-    assert frobenius._frobenius_images(params, p, cutoff, lam) == \
-        _brute_force_images(params, p, cutoff, lam)
-
-
 def _valid_family(abcd):
     try:
         return FamilyParams(*abcd)
@@ -462,14 +459,41 @@ def _valid_family(abcd):
         return None
 
 
+def _abcd_cases(primes, extra):
+    """(abcd, p, x) for every valid family with a, b, c, d <= 3, every p in
+    primes not dividing abcd, and every x in extra(p)."""
+    return [(abcd, p, x)
+            for abcd in product(range(1, 4), repeat=4) if _valid_family(abcd)
+            for p in primes if (abcd[0] * abcd[1] * abcd[2] * abcd[3]) % p
+            for x in extra(p)]
+
+
+# every point residue, and None for the series in L
+IMAGE_CASES = _abcd_cases((3, 5, 7), lambda p: [None, *range(1, p)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(IMAGE_CASES), st.integers(0, 30))
+# the basis pairs (0,0)/(3,0), (1,0)/(4,0), (1,1)/(4,1) share classes mod 3
+@example(((4, 1, 1, 1), 3, 2), 26)
+@example(((4, 1, 1, 1), 3, None), 26)
+# c d > 1, at a lift that is not +-1
+@example(((1, 1, 1, 2), 5, 2), 30)
+def test_frobenius_images_match_every_product_term(case, cutoff):
+    abcd, p, residue = case
+    params = FamilyParams(*abcd)
+    if residue is None:
+        lam = Laurent({1: PiAdic.one(p)})
+    else:
+        lam = teichmuller_lift(p, residue, 10)[0]
+    images = frobenius._frobenius_images(params, p, cutoff, lam)
+    assert images == _brute_force_images(params, p, cutoff, lam)
+    assert images == frobenius_images_by_class(params, p, cutoff, lam)
+
+
 # every (family, p, lam) with a, b, c, d <= 3, p in {3, 5, 7}, p not dividing
 # abcd and 1 <= lam < p
-DEEPER_CUTOFF_CASES = [
-    (abcd, p, lam)
-    for abcd in product(range(1, 4), repeat=4) if _valid_family(abcd)
-    for p in (3, 5, 7) if (abcd[0] * abcd[1] * abcd[2] * abcd[3]) % p
-    for lam in range(1, p)
-]
+DEEPER_CUTOFF_CASES = _abcd_cases((3, 5, 7), lambda p: range(1, p))
 
 
 @settings(max_examples=10, deadline=None)
@@ -497,6 +521,22 @@ def test_a_deeper_cutoff_moves_no_digit_below_the_margin(case):
         for row, deep_row in zip(fs.U, deep.U):
             for x, y in zip(row, deep_row):
                 assert all(ord_ge(a - b, fs.margin) for a, b in zip(x, y))
+
+
+def test_point_reductions_keep_their_step_counts(monkeypatch):
+    # the steps of the five reductions of (2,1,1,1) at p = 3, lam 1, as
+    # measured at commit a82705a, before the rewrite factors were built once
+    # per call: a changed factor or visiting order shows here
+    real, steps = frobenius.reduce_to_basis, []
+
+    def counted(*args):
+        cert = real(*args)
+        steps.append(cert.steps)
+        return cert
+
+    monkeypatch.setattr(frobenius, "reduce_to_basis", counted)
+    frobenius_at_point(FamilyParams(2, 1, 1, 1), 3, 1)
+    assert steps == [233, 257, 241, 241, 240]
 
 
 def test_deeper_poles_are_rejected_up_front():

@@ -10,6 +10,7 @@ from toricsums import reduction
 from toricsums.errors import InvariantError, PreconditionError
 from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
+from toricsums.frobenius import PiAdic, teichmuller_lift
 from toricsums.gkz import companion_matrix
 from toricsums.hodge import basis_set
 from toricsums.ratfunc import Laurent
@@ -73,6 +74,31 @@ def test_certificate_prime_field(P, u, lam):
     cls_ = {u: Fp(p, 3)}
     cert = reduce_to_basis(cls_, P, 1, Fp(p, lam))
     assert verify_certificate(cls_, cert, P, 1, Fp(p, lam))
+
+
+# (family, p) with p not dividing abcd, c d > 1 among them
+PIADIC_CASES = [(P, p) for P in PARAMS_POOL for p in (3, 5, 7)
+                if (P.a * P.b * P.c * P.d) % p]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PIADIC_CASES), st.lists(exponents, min_size=1, max_size=3),
+       st.integers(1, 12), st.integers(-3, 3), st.booleans())
+def test_certificate_piadic_rings(case, us, residue, k, series):
+    # the rings of the Frobenius: PiAdic at a Teichmuller point, and Laurent
+    # over PiAdic for the series; pi = PiAdic.pi(p) in both
+    P, p = case
+    pi, one = PiAdic.pi(p), PiAdic.one(p)
+    if series:
+        lam, one = Laurent({1: one}), Laurent({0: one})
+    else:
+        lam = teichmuller_lift(p, residue % (p - 1) + 1, 12)[0]
+    cls_ = {}
+    for i, u in enumerate(us):
+        cls_[u] = one * (i + 1) + pi * one * k
+    cert = reduce_to_basis(dict(cls_), P, pi, lam)
+    assert set(cert.coords) == set(basis_set(P))
+    assert verify_certificate(cls_, cert, P, pi, lam)
 
 
 @settings(max_examples=80, deadline=None)
