@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .errors import InvariantError, PreconditionError, StarvationError
@@ -52,6 +53,12 @@ def frac_str(fr):
     return f"{fr.numerator}/{fr.denominator}"
 
 
+def _ratio_str(n, d):
+    """n/d for ints n and d > 0 as frac_str renders it, with one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def cyclo_json(x):
     return {"zeta_p": x.p, "coeffs": [int(c) for c in x.coeffs]}
 
@@ -60,7 +67,7 @@ def piadic_json(x, digit_count=None):
     v = x.ord_pi()
     out = {
         "pi_relation": f"pi^{x.p - 1} = -{x.p}",
-        "rational_coords": [frac_str(c) for c in x.coeffs],
+        "rational_coords": [_ratio_str(n, x.den) for n in x.num],
         "ord_pi": "infinity" if v is None else v,
     }
     if digit_count is not None and (v is None or v >= 0):

@@ -5,7 +5,6 @@ Everything here works over Python ints and fractions.Fraction; no floats.
 Matrices are plain lists of lists.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -37,7 +36,6 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
 class RationalPolygon:
     """Lower-convex piecewise linear graph given by its vertices.
 
@@ -45,7 +43,10 @@ class RationalPolygon:
     all coordinates Fraction.
     """
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices):
+        self.vertices = vertices
 
     def slopes(self):
         """One slope per unit horizontal step, ascending.

@@ -8,15 +8,14 @@ on the two dimensional torus, with positive integer exponents (a, b, c, d)
 subject to the coprimality pattern below and a deformation parameter L.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import PreconditionError
 from .exact import require_prime
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "a b c d")):
     """Exponents (a, b, c, d) of the family.
 
     Required: all positive and
@@ -26,21 +25,18 @@ class FamilyParams:
     Note gcd(a, d) is unconstrained.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
+    def __new__(cls, a, b, c, d):
+        self = super().__new__(cls, a, b, c, d)
+        for name, v in zip(self._fields, self):
             if not isinstance(v, int) or v <= 0:
                 raise PreconditionError(f"exponent {name} must be a positive integer, got {v!r}")
-        pairs = [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d")]
-        for n1, n2 in pairs:
+        for n1, n2 in [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d")]:
             g = gcd(getattr(self, n1), getattr(self, n2))
             if g != 1:
                 raise PreconditionError(f"gcd({n1}, {n2}) = {g}, expected 1")
+        return self
 
     @property
     def mu(self):

@@ -17,7 +17,6 @@ flag_data and _series_inverse serve neither route; perfbench/tracing.py
 still wraps flag_data by name.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
 from operator import add, sub
@@ -615,18 +614,28 @@ def _frobenius_core(params, p, lam, lam_p, count, pi_digits, cutoff, lift_ord=No
     return U, reserve, margin
 
 
-@dataclass
 class FrobeniusSeries:
-    params: object
-    p: int
-    pi_digits: int
-    margin: int
-    cutoff: int
-    nu0: int  # the reduction reserve rho
-    lam_order: int
-    basis: list    # the monomials that index the rows and columns of U and B
-    U: list        # U[i][j] = list of PiAdic, coefficient of L**n
-    B: list        # same shape, series of the connection matrix
+    """basis lists the monomials that index the rows and columns of U and B.
+    U[i][j] is a list of PiAdic, entry n the coefficient of L**n; B has the
+    same shape and holds the series of the connection matrix. nu0 is the
+    reduction reserve rho.
+    """
+
+    __slots__ = ("params", "p", "pi_digits", "margin", "cutoff", "nu0",
+                 "lam_order", "basis", "U", "B")
+
+    def __init__(self, params, p, pi_digits, margin, cutoff, nu0, lam_order,
+                 basis, U, B):
+        self.params = params
+        self.p = p
+        self.pi_digits = pi_digits
+        self.margin = margin
+        self.cutoff = cutoff
+        self.nu0 = nu0
+        self.lam_order = lam_order
+        self.basis = basis
+        self.U = U
+        self.B = B
 
 
 def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
@@ -700,11 +709,16 @@ def _mat_series_mul(A, B, count, p):
     return out
 
 
-@dataclass
 class HorizontalityReport:
-    lam_checked: int
-    variants: dict      # name -> min ord_pi over all residual coefficients (None = 0 residual)
-    margin: int
+    """variants maps a name to the min ord_pi over all residual coefficients
+    (None = 0 residual)."""
+
+    __slots__ = ("lam_checked", "variants", "margin")
+
+    def __init__(self, lam_checked, variants, margin):
+        self.lam_checked = lam_checked
+        self.variants = variants
+        self.margin = margin
 
 
 def horizontality_residual(fs, lam_checked=None):
@@ -736,17 +750,23 @@ def horizontality_residual(fs, lam_checked=None):
     return HorizontalityReport(lam_checked=count, variants=variants, margin=fs.margin)
 
 
-@dataclass
 class FrobeniusPoint:
-    params: object
-    p: int
-    lam_residue: int
-    pi_digits: int
-    margin: int
-    cutoff: int
-    nu0: int  # the reduction reserve rho
-    basis: list
-    U: list   # PiAdic matrix
+    """nu0 is the reduction reserve rho; U is a PiAdic matrix."""
+
+    __slots__ = ("params", "p", "lam_residue", "pi_digits", "margin", "cutoff",
+                 "nu0", "basis", "U")
+
+    def __init__(self, params, p, lam_residue, pi_digits, margin, cutoff, nu0,
+                 basis, U):
+        self.params = params
+        self.p = p
+        self.lam_residue = lam_residue
+        self.pi_digits = pi_digits
+        self.margin = margin
+        self.cutoff = cutoff
+        self.nu0 = nu0
+        self.basis = basis
+        self.U = U
 
 
 def frobenius_at_point(params, p, lam_residue, pi_digits=8):
@@ -798,17 +818,24 @@ def reciprocal_char_poly(U, p):
     return coefficients_from_power_sums(traces, PiAdic.one(p))
 
 
-@dataclass
 class CharPolyComparison:
-    params: object
-    p: int
-    lam_residue: int
-    det_coeffs: list
-    lpoly_coeffs: list
-    embedded: list
-    agreement: list   # per coefficient: ord_pi of the difference (None = equal)
-    min_agreement: object
-    margin: int
+    """agreement holds, per coefficient, ord_pi of the difference (None =
+    equal)."""
+
+    __slots__ = ("params", "p", "lam_residue", "det_coeffs", "lpoly_coeffs",
+                 "embedded", "agreement", "min_agreement", "margin")
+
+    def __init__(self, params, p, lam_residue, det_coeffs, lpoly_coeffs,
+                 embedded, agreement, min_agreement, margin):
+        self.params = params
+        self.p = p
+        self.lam_residue = lam_residue
+        self.det_coeffs = det_coeffs
+        self.lpoly_coeffs = lpoly_coeffs
+        self.embedded = embedded
+        self.agreement = agreement
+        self.min_agreement = min_agreement
+        self.margin = margin
 
 
 def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8):

@@ -10,7 +10,6 @@ below exploits the split shape, one pass per class of indicial roots.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -39,7 +38,6 @@ def euler_factors(params):
     return (Fraction(params.c, params.a), Fraction(params.d, params.b))
 
 
-@dataclass(frozen=True)
 class ThetaOperator:
     """Polynomial in theta = L d/dL with coefficients polynomial in L.
 
@@ -47,7 +45,10 @@ class ThetaOperator:
     over Fraction, as Laurent values with no negative exponent.
     """
 
-    theta_coeffs: tuple
+    __slots__ = ("theta_coeffs",)
+
+    def __init__(self, theta_coeffs):
+        self.theta_coeffs = theta_coeffs
 
     @property
     def order(self):
@@ -137,17 +138,20 @@ def _taylor_coefficients(poly, s):
     return out
 
 
-@dataclass(frozen=True)
 class LogSeries:
     """Formal solution sum_n sum_k u[n][k] L**(rho+n) log(L)**k / k!.
 
-    table[n][k] holds u[n][k]; initial_position = (n0, ell) marks the seeded
-    free coefficient, which is 1 there and 0 at every other free slot.
+    rho is a Fraction; table[n][k] holds u[n][k]; initial_position =
+    (n0, ell) marks the seeded free coefficient, which is 1 there and 0 at
+    every other free slot.
     """
 
-    rho: Fraction
-    table: tuple
-    initial_position: tuple
+    __slots__ = ("rho", "table", "initial_position")
+
+    def __init__(self, rho, table, initial_position):
+        self.rho = rho
+        self.table = table
+        self.initial_position = initial_position
 
     @property
     def log_width(self):

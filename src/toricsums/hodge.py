@@ -6,7 +6,6 @@ polytope gauge, computed cone by cone with exact rationals.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -84,10 +83,14 @@ def weight_denominator(params):
     return params.a * params.b * lcm(params.c, params.d)
 
 
-@dataclass(frozen=True)
 class WeightProfile:
-    denominator: int
-    weights: tuple  # ascending Fractions, one per basis monomial
+    """weights: ascending Fractions, one per basis monomial."""
+
+    __slots__ = ("denominator", "weights")
+
+    def __init__(self, denominator, weights):
+        self.denominator = denominator
+        self.weights = weights
 
     def counts(self):
         return Counter(self.weights)
@@ -139,24 +142,32 @@ def _face_matrices(params):
     )
 
 
-@dataclass(frozen=True)
 class FaceReport:
-    name: str
-    matrix: tuple
-    det: int
-    invariant_factors: tuple
-    nondegenerate: bool
-    ordinary_sufficient: bool
+    __slots__ = ("name", "matrix", "det", "invariant_factors", "nondegenerate",
+                 "ordinary_sufficient")
+
+    def __init__(self, name, matrix, det, invariant_factors, nondegenerate,
+                 ordinary_sufficient):
+        self.name = name
+        self.matrix = matrix
+        self.det = det
+        self.invariant_factors = invariant_factors
+        self.nondegenerate = nondegenerate
+        self.ordinary_sufficient = ordinary_sufficient
 
 
-@dataclass(frozen=True)
 class OrdinarityReport:
-    p: int
-    faces: tuple
-    nondegenerate: bool
-    congruence_modulus: int
-    gcd_ad: int
-    guaranteed_ordinary: bool
+    __slots__ = ("p", "faces", "nondegenerate", "congruence_modulus", "gcd_ad",
+                 "guaranteed_ordinary")
+
+    def __init__(self, p, faces, nondegenerate, congruence_modulus, gcd_ad,
+                 guaranteed_ordinary):
+        self.p = p
+        self.faces = faces
+        self.nondegenerate = nondegenerate
+        self.congruence_modulus = congruence_modulus
+        self.gcd_ad = gcd_ad
+        self.guaranteed_ordinary = guaranteed_ordinary
 
 
 def ordinarity_report(params, p):

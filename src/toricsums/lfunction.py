@@ -6,7 +6,6 @@ every step. numpy is imported inside the counting functions only, so the
 commands that count nothing do not load it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -162,13 +161,17 @@ def exp_sum(params, p, lam_code, k, atilde=1):
     return CycloInt(p, [x - n[-1] for x in n[:-1]])
 
 
-@dataclass(frozen=True)
 class ExpSumSeries:
-    params: object
-    p: int
-    atilde: int
-    lam_code: int
-    sums: tuple  # CycloInt, sums[i] is S_{i+1}
+    """sums: CycloInt, sums[i] is S_{i+1}."""
+
+    __slots__ = ("params", "p", "atilde", "lam_code", "sums")
+
+    def __init__(self, params, p, atilde, lam_code, sums):
+        self.params = params
+        self.p = p
+        self.atilde = atilde
+        self.lam_code = lam_code
+        self.sums = sums
 
 
 def exp_sum_series(params, p, lam_code, count, atilde=1):
@@ -179,16 +182,18 @@ def exp_sum_series(params, p, lam_code, count, atilde=1):
     return ExpSumSeries(params, p, atilde, lam_code, sums)
 
 
-@dataclass(frozen=True)
 class LPolynomial:
-    """Reciprocal characteristic polynomial: coeffs[r] multiplies T**r,
-    coeffs[0] = 1, degree = a*d + a*b + b*c."""
+    """Reciprocal characteristic polynomial: coeffs[r], a CycloInt,
+    multiplies T**r, coeffs[0] = 1, degree = a*d + a*b + b*c."""
 
-    params: object
-    p: int
-    atilde: int
-    lam_code: int
-    coeffs: tuple  # CycloInt
+    __slots__ = ("params", "p", "atilde", "lam_code", "coeffs")
+
+    def __init__(self, params, p, atilde, lam_code, coeffs):
+        self.params = params
+        self.p = p
+        self.atilde = atilde
+        self.lam_code = lam_code
+        self.coeffs = coeffs
 
     @property
     def degree(self):

@@ -28,7 +28,6 @@ connection_matrix solves nothing over Q(L): it checks the GKZ companion
 matrix by substitution against the derivative flag built from basis_connection.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -104,14 +103,16 @@ def apply_D_lambda(cls_, params, pi, lam):
     return out
 
 
-@dataclass
 class ReductionCertificate:
     """input = sum(coords) * basis + D1(h1) + D2(h2), exactly."""
 
-    coords: dict
-    h1: dict
-    h2: dict
-    steps: int
+    __slots__ = ("coords", "h1", "h2", "steps")
+
+    def __init__(self, coords, h1, h2, steps):
+        self.coords = coords
+        self.h1 = h1
+        self.h2 = h2
+        self.steps = steps
 
 
 def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):

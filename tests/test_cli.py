@@ -43,16 +43,24 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert built == [1]
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy is imported when a count runs, so the other commands never load it
+def test_importing_the_cli_loads_neither_numpy_nor_dataclasses_nor_inspect():
+    # numpy is imported when a count runs, so the other commands never load
+    # it; the records are plain classes, so no command loads dataclasses or
+    # the inspect module it pulls in. The baseline is a bare interpreter
+    # started the same way, so modules a site hook loads count on both sides.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", "import sys, toricsums.cli; "
-                           "print(sorted(m for m in sys.modules if m.startswith('numpy')))"],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+
+    def modules(code):
+        proc = subprocess.run([sys.executable, "-c", f"import sys{code}; print(*sys.modules)"],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = modules(", toricsums.cli") - modules("")
+    assert "toricsums.cli" in added
+    assert sorted(m for m in added if m.split(".")[0] in ("numpy", "dataclasses", "inspect")) == []
 
 
 def test_basis_json(capsys):
