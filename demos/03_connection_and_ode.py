@@ -4,9 +4,9 @@ Reduction certificates, the deformation connection, and its solutions
 
 Two independent roads lead to the same ordinary differential operator.
 
-Road one is cohomological: reduce the deformation derivative of each
-basis monomial to the fixed basis, with an auditable certificate at
-every step. That gives the connection on the monomial basis, from which
+Road one is cohomological: reduce the deformation derivatives of the
+basis monomials to the fixed basis, all in one pass; reducing a single
+class gives an auditable certificate of every step. That gives the connection on the monomial basis, from which
 the iterated derivatives of the constant monomial follow without
 further reduction, and with them the connection matrix.
 
@@ -15,7 +15,7 @@ satisfy a single integer relation, and that relation spells out a
 hypergeometric operator in theta = L d/dL.
 
 connection_matrix walks both: it builds the derivative flag from the
-connection on the monomial basis (one reduction per basis monomial),
+connection on the monomial basis (one reduction pass over the basis),
 takes the last row of the operator's companion matrix, and checks by
 substitution that this row solves the flag's linear system, whose matrix
 it checks to be nonsingular. A disagreement raises InvariantError (exit 4

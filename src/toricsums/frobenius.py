@@ -602,8 +602,8 @@ def _frobenius_core(params, p, lam, lam_p, count, pi_digits, cutoff, lift_ord=No
             achieved=margin, requested=pi_digits)
     pi, basis = PiAdic.pi(p), basis_set(params)
     U = [[] for _ in basis]
-    for j, img in enumerate(_frobenius_images(params, p, cutoff, lam)):
-        coords = reduce_to_basis(img, params, pi, lam_p).coords
+    images = _frobenius_images(params, p, cutoff, lam)
+    for j, coords in enumerate(reduce_to_basis(images, params, pi, lam_p).coords):
         for i, (row, v) in enumerate(zip(U, basis)):
             row.append(_fit(_series(coords[v], p, floor_ord=pi_digits + reserve), p, count))
             bad = _min_ord(row[j])

@@ -7,12 +7,15 @@ u in Z^2 to nonzero scalars S_u. The two operators
     D2 = x2 d/dx2 + pi*(b x2**b - d L x**mu)
 
 generate the relations, whose terms _relation lists once. reduce_to_basis
-writes any class exactly as a combination of the degree-many basis monomials
+writes a class exactly as a combination of the degree-many basis monomials
 plus D1/D2 certificates, by one rule: a climb below the box, a ladder above
-it, or an in-box trade on the axis hodge.rewrite_axis names. The scalar
-factors of each rule are built once per call, on the rule's first use, from
-the scalars' own operations on ints, pi and L; a step is then a product by a
-factor plus integer scalings, and divides by nothing.
+it, or an in-box trade on the axis hodge.rewrite_axis names. Given a list of
+classes it reduces them in one pass, each pending monomial carrying one
+coefficient per class that reaches it, and returns their coordinates and the
+pass's steps but no certificates. The scalar factors of each rule are built
+once per call, on the rule's first use, from the scalars' own operations on
+ints, pi and L; a step then builds its Euler factor once and multiplies each
+class's coefficient by it and by the rule's carry, dividing by nothing.
 
 Scalars are plain values: they support + and - among themselves, * and /
 by each other and by Python ints, and bool() is False exactly at zero. The
@@ -29,7 +32,7 @@ matrix by substitution against the derivative flag built from basis_connection.
 """
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import InvariantError
 from .gkz import companion_matrix
@@ -104,7 +107,8 @@ def apply_D_lambda(cls_, params, pi, lam):
 
 
 class ReductionCertificate:
-    """input = sum(coords) * basis + D1(h1) + D2(h2), exactly."""
+    """input = sum(coords) * basis + D1(h1) + D2(h2), exactly. A pass over a
+    list of classes gives the list of their coords and h1 = h2 = None."""
 
     __slots__ = ("coords", "h1", "h2", "steps")
 
@@ -116,7 +120,7 @@ class ReductionCertificate:
 
 
 def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
-    """Rewrite a class into basis coordinates with an exact certificate.
+    """Rewrite a class, or a list of classes, into basis coordinates.
 
     One rule removes each off-basis monomial S x**u: for C x**u a term of
     D_i x**w, add t = S/C to h_i[w] and subtract t D_i x**w. The pair (i, w):
@@ -128,10 +132,11 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     The box monomials that rewrite_axis maps to None are the coordinates.
 
     Each rule takes S to t by one factor, 1/(pi power_i) or, for a climb,
-    1/(-pi pole_i L), and S to the term that moves by a pi-free carry:
-    power_i/(pole_i L) for a climb, pole_i L/power_i for a ladder and
-    pole_i power_j/(pole_j power_i) for a trade, whose t' is t times
-    -pole_i/pole_j. The Euler terms are integer scalings of t and t'.
+    1/(-pi pole_i L), a trade also to t' by -pole_i/(pi power_i pole_j), and
+    S to the term that moves by a pi-free carry: power_i/(pole_i L) for a
+    climb, pole_i L/power_i for a ladder and pole_i power_j/(pole_j power_i)
+    for a trade. The Euler terms at w are integer scalings of t and t', added
+    as one factor times S.
 
     Pending monomials are popped heaviest first: largest
     hodge.weight_units, then largest m, then largest n. A rewrite's terms
@@ -140,17 +145,33 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
     monomial that cancels before it is popped is not counted.
     Transient division by pi and by L is expected; the scalars must support
     exact division by products of small integers, pi and L.
+
+    A class (a dict) gives its ReductionCertificate. A list of classes is
+    reduced in one pass, each pending monomial holding the nonzero
+    coefficients of the classes that reach it; `steps` counts the pass, and
+    coords is the list of the classes' coordinates, with h1 = h2 = None:
+    no caller verifies a certificate for several classes, so none is built.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     powers, poles = (a, b), (c, d)
     one = lam / lam  # the unit of the scalars
-    coords, h, pending = {}, ({}, {}), {}
-    heap = []  # keys (-weight, -m, -n); a monomial is pushed when it becomes pending
+    single = isinstance(cls_, dict)
+    classes = [cls_] if single else list(cls_)
+    coords, h = [{} for _ in classes], ({}, {}) if single else None
+    pending = {}  # exponent -> {class index: its nonzero coefficient}
+    for k, x in enumerate(classes):
+        for u, s in x.items():
+            if s:
+                pending.setdefault(u, {})[k] = s
+    # keys (-weight, -m, -n); a monomial is pushed when it becomes pending
+    heap = [(-weight_units(params, u), -u[0], -u[1]) for u in pending]
+    heapify(heap)
     rules = {}
 
     def factors(kind, axis):
         """The scalars of one rule, built on its first use in this call: the
-        factor taking S to t, then the carries taking S to the moved terms."""
+        factors taking S to t (and t' for a trade), then the carry taking S
+        to the moved term."""
         f = rules.get((kind, axis))
         if f is None:
             power, pole = powers[axis], poles[axis]
@@ -160,30 +181,28 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
                 f = (one / (pi * power), lam * pole / power)
             else:
                 power2, pole2 = powers[1 - axis], poles[1 - axis]
-                f = (one / (pi * power), one * -pole / pole2,
-                     one * (pole * power2) / (pole2 * power))
+                to_t = one / (pi * power)
+                f = (to_t, to_t * -pole / pole2, one * (pole * power2) / (pole2 * power))
             rules[kind, axis] = f
         return f
 
-    def add_pending(u, s):
-        if s and u not in pending:
+    def add_pending(u, col, f):
+        """pending[u] += f * col, coefficient by coefficient, keeping zeros out."""
+        row = pending.get(u)
+        if row is None:
+            row = pending[u] = {}
             heappush(heap, (-weight_units(params, u), -u[0], -u[1]))
-        add_term(pending, u, s)
+        for k, s in col.items():
+            add_term(row, k, s * f)
+        if not row:
+            del pending[u]  # cancelled: its heap key goes stale
 
-    def subtract(axis, w, t):
-        """h_axis[w] += t, and t times the Euler term of D_axis x**w leaves the class."""
-        add_term(h[axis], w, t)
-        if w[axis]:
-            add_pending(w, t * -w[axis])
-
-    for u, s in cls_.items():
-        add_pending(u, s)
     steps = 0
     while heap:
         key = heappop(heap)
         u = (-key[1], -key[2])
-        S = pending.pop(u, None)
-        if S is None:
+        col = pending.pop(u, None)
+        if col is None:
             continue  # cancelled after it was pushed
         steps += 1
         if steps > max_steps:
@@ -192,30 +211,38 @@ def reduce_to_basis(cls_, params, pi, lam, max_steps=2 * 10 ** 6):
         if m <= -c or n <= -d:  # climb: u is the pole term, its power term moves
             axis, w = 0 if m <= -c else 1, (m + c, n + d)
             to_t, carry = factors("climb", axis)
-            subtract(axis, w, S * to_t)
-            add_pending((w[0] + a, w[1]) if axis == 0 else (w[0], w[1] + b), S * carry)
-            continue
-        trade = m <= a and n <= b
-        axis = rewrite_axis(params, u) if trade else 0 if m > a else 1
-        if axis is None:
-            add_term(coords, u, S)
-            continue
-        w = (m - a, n) if axis == 0 else (m, n - b)
-        if not trade:  # ladder: u is the power term, its pole term moves
-            to_t, carry = factors("ladder", axis)
-            subtract(axis, w, S * to_t)
-            add_pending((w[0] - c, w[1] - d), S * carry)
-            continue
-        # trade: the other relation at w cancels the pole term, and its power term moves
-        to_t, ratio, carry = factors("trade", axis)
-        t = S * to_t
-        subtract(axis, w, t)
-        subtract(1 - axis, w, t * ratio)
-        add_pending((w[0] + a, w[1]) if axis == 1 else (w[0], w[1] + b), S * carry)
+            moved = (w[0] + a, w[1]) if axis == 0 else (w[0], w[1] + b)
+            euler = to_t * -w[axis]
+        else:
+            trade = m <= a and n <= b
+            axis = rewrite_axis(params, u) if trade else 0 if m > a else 1
+            if axis is None:
+                for k, s in col.items():
+                    add_term(coords[k], u, s)
+                continue
+            w = (m - a, n) if axis == 0 else (m, n - b)
+            if not trade:  # ladder: u is the power term, its pole term moves
+                to_t, carry = factors("ladder", axis)
+                moved = (w[0] - c, w[1] - d)
+                euler = to_t * -w[axis]
+            else:  # trade: D_j at w cancels the pole term, and its power term moves
+                to_t, to_t2, carry = factors("trade", axis)
+                moved = (w[0] + a, w[1]) if axis == 1 else (w[0], w[1] + b)
+                euler = to_t * -w[axis] + to_t2 * -w[1 - axis]
+                if h is not None:
+                    add_term(h[1 - axis], w, col[0] * to_t2)
+        if h is not None:
+            add_term(h[axis], w, col[0] * to_t)
+        if euler:  # t times the Euler terms of D_i (and D_j) x**w leave the class
+            add_pending(w, col, euler)
+        add_pending(moved, col, carry)
     zero = pi * lam * 0  # every basis monomial gets a coordinate
     for v in basis_set(params):
-        coords.setdefault(v, zero)
-    return ReductionCertificate(coords=coords, h1=h[0], h2=h[1], steps=steps)
+        for x in coords:
+            x.setdefault(v, zero)
+    if single:
+        return ReductionCertificate(coords=coords[0], h1=h[0], h2=h[1], steps=steps)
+    return ReductionCertificate(coords=coords, h1=None, h2=None, steps=steps)
 
 
 def verify_certificate(cls_, cert, params, pi, lam):
@@ -237,7 +264,7 @@ def basis_connection(params, pi, lam):
     """Matrix B of the deformation operator on hodge.basis_set: column j holds
     the coordinates of (L d/dL + pi L x**mu) x**v_j = pi L x**(v_j + mu)."""
     basis, (m0, n0) = basis_set(params), params.mu
-    cols = [reduce_to_basis({(m + m0, n + n0): pi * lam}, params, pi, lam).coords for m, n in basis]
+    cols = reduce_to_basis([{(m + m0, n + n0): pi * lam} for m, n in basis], params, pi, lam).coords
     return [[col[u] for col in cols] for u in basis]
 
 

@@ -533,19 +533,23 @@ def test_a_deeper_cutoff_moves_no_digit_below_the_margin(case):
 
 
 def test_point_reductions_keep_their_step_counts(monkeypatch):
-    # the steps of the five reductions of (2,1,1,1) at p = 3, lam 1, as
-    # measured at commit a82705a, before the rewrite factors were built once
-    # per call: a changed factor or visiting order shows here
-    real, steps = frobenius.reduce_to_basis, []
+    # the five images of (2,1,1,1) at p = 3, lam 1, each reduced alone, take
+    # the steps measured at commit a82705a, before the rewrite factors were
+    # built once per call: a changed factor or visiting order shows here.
+    # The point route reduces them in one pass, which pops the union of
+    # their monomials: 278, as measured when that pass was introduced
+    real, calls = frobenius.reduce_to_basis, []
 
-    def counted(*args):
-        cert = real(*args)
-        steps.append(cert.steps)
-        return cert
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result.steps))
+        return result
 
-    monkeypatch.setattr(frobenius, "reduce_to_basis", counted)
+    monkeypatch.setattr(frobenius, "reduce_to_basis", recorded)
     frobenius_at_point(FamilyParams(2, 1, 1, 1), 3, 1)
-    assert steps == [233, 257, 241, 241, 240]
+    [((images, params, pi, lam), steps)] = calls
+    assert steps == 278
+    assert [real(img, params, pi, lam).steps for img in images] == [233, 257, 241, 241, 240]
 
 
 def test_deeper_poles_are_rejected_up_front():

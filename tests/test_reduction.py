@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 from itertools import product
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricsums import reduction
@@ -111,6 +111,98 @@ def test_reduction_is_linear(P, u, v):
     cy = reduce_to_basis(y, P, 1, L)
     merged = class_add(cx.coords, cy.coords)
     assert class_eq(both.coords, merged)
+
+
+# every valid family with a, b, c, d <= 3
+TINY_FAMILIES = [P for P in SMALL_FAMILIES if P.c <= 3 and P.d <= 3]
+RINGS = ["rational", "prime", "point", "series"]
+
+
+def _ring(ring, residue):
+    """(pi, lam, unit) for one of the four kinds of scalars: Laurent over
+    Fraction with pi = 1, F_7, PiAdic at a Teichmuller point, Laurent over
+    PiAdic; the two pi-adic rings take p = 5, which divides no a, b, c, d <= 3."""
+    if ring == "rational":
+        return 1, L, ONE
+    if ring == "prime":
+        return 1, Fp(7, residue % 6 + 1), Fp(7, 1)
+    pi, one = PiAdic.pi(5), PiAdic.one(5)
+    if ring == "series":
+        return pi, Laurent({1: one}), Laurent({0: one})
+    return pi, teichmuller_lift(5, residue % 4 + 1, 12)[0], one
+
+
+def _comparable(coords):
+    """Coordinates with Fp values, which have no ==, as ints."""
+    return {v: int(s) if isinstance(s, Fp) else s for v, s in coords.items()}
+
+
+small_classes = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TINY_FAMILIES), st.sampled_from(RINGS), st.integers(1, 12),
+       st.lists(small_classes, min_size=1, max_size=3), st.booleans(),
+       st.sampled_from([None, apply_D1, apply_D2]), exponents)
+# over F_7 the Euler terms at w = (0, 7), (-7, 3) and (7, 0) are zero: x**(0, 8)
+# ladders to w = (0, 7), x**(-8, 1) climbs to w = (-7, 3), and x**(8, 0)
+# ladders to w = (7, 0)
+@example(FamilyParams(1, 1, 1, 2), "prime", 3,
+         [{(0, 8): 1}, {(-8, 1): 2}, {(8, 0): -1}], True, apply_D2, (7, 1))
+def test_one_pass_gives_each_class_its_own_coordinates(P, ring, residue, drawn,
+                                                       with_empty, D, u):
+    # the classes of one pass share its pending monomials, but each gets the
+    # coordinates it gets alone; an empty class and a D-image, which
+    # cancels to zero, ride along
+    pi, lam, unit = _ring(ring, residue)
+    classes = [{v: unit * k for v, k in x.items()} for x in drawn]
+    if with_empty:
+        classes.insert(len(classes) // 2, {})
+    if D is not None:
+        classes.append(D({u: unit}, P, pi, lam))
+    together = reduce_to_basis(classes, P, pi, lam)
+    alone = [reduce_to_basis(x, P, pi, lam) for x in classes]
+    assert [_comparable(x) for x in together.coords] == [_comparable(c.coords) for c in alone]
+    assert together.h1 is None and together.h2 is None
+    # the pass pops the union of the monomials the classes pop alone
+    assert max(c.steps for c in alone) <= together.steps <= sum(c.steps for c in alone)
+    if with_empty:
+        assert not any(together.coords[len(drawn) // 2].values())
+    if D is not None:
+        assert not any(together.coords[-1].values())
+
+
+def test_zero_euler_terms_are_not_pending():
+    # the classes of the example above, over F_7 at L = 3, take 20, 59 and
+    # 27 steps alone and 84 in one pass, as measured when the pass was
+    # introduced; keeping the zero products at w as pending monomials made
+    # them 30, 84, 38 and 119
+    P, lam = FamilyParams(1, 1, 1, 2), Fp(7, 3)
+    classes = [{(0, 8): Fp(7, 1)}, {(-8, 1): Fp(7, 2)}, {(8, 0): Fp(7, 6)}]
+    assert [reduce_to_basis(x, P, 1, lam).steps for x in classes] == [20, 59, 27]
+    assert reduce_to_basis(classes, P, 1, lam).steps == 84
+
+
+def test_the_step_cap_names_the_exponent_it_stops_at():
+    # (-7, 7) on (1, 1, 1, 2) reduces in 93 steps; a cap of 0 stops at the
+    # class's only monomial, the first one popped
+    P, cls_ = FamilyParams(1, 1, 1, 2), {(-7, 7): ONE}
+    assert reduce_to_basis(cls_, P, 1, L, max_steps=93).steps == 93
+    with pytest.raises(InvariantError, match=r"exceeded 0 steps at exponent \(-7, 7\)"):
+        reduce_to_basis(cls_, P, 1, L, max_steps=0)
+    with pytest.raises(InvariantError, match=r"exceeded 92 steps at exponent \(-?\d+, -?\d+\)"):
+        reduce_to_basis(cls_, P, 1, L, max_steps=92)
+
+
+def test_the_step_cap_counts_the_steps_of_the_whole_pass():
+    # alone the two classes take 93 and 51 steps, together 140; a cap of 93
+    # passes each alone but stops the pass at its 94th monomial, (3, -3)
+    P = FamilyParams(1, 1, 1, 2)
+    classes = [{(-7, 7): ONE}, {(6, -5): ONE * 2}]
+    assert [reduce_to_basis(x, P, 1, L, max_steps=93).steps for x in classes] == [93, 51]
+    assert reduce_to_basis(classes, P, 1, L).steps == 140
+    with pytest.raises(InvariantError, match=r"exceeded 93 steps at exponent \(3, -3\)"):
+        reduce_to_basis(classes, P, 1, L, max_steps=93)
 
 
 def test_heaviest_first_reduces_a_far_monomial_quickly():
@@ -233,19 +325,19 @@ def test_flag_columns_match_the_reduced_representatives(tup):
 
 @pytest.mark.parametrize("tup", [(2, 1, 1, 1), (1, 1, 3, 2)])
 def test_connection_reduces_only_one_monomial_classes(tup, monkeypatch):
-    # the flag comes from B, one reduction of pi L x**(v + mu) per basis
-    # monomial v, not from reducing the growing flag representatives
+    # the flag comes from B, one pass over the classes pi L x**(v + mu), one
+    # per basis monomial v, not from reducing the growing flag representatives
     real = reduction.reduce_to_basis
-    sizes = []
+    calls = []
 
-    def counted(cls_, *args):
-        sizes.append(len(cls_))
-        return real(cls_, *args)
+    def recorded(classes, *args):
+        calls.append([len(x) for x in classes])
+        return real(classes, *args)
 
-    monkeypatch.setattr(reduction, "reduce_to_basis", counted)
+    monkeypatch.setattr(reduction, "reduce_to_basis", recorded)
     P = FamilyParams(*tup)
     assert connection_matrix(P) == companion_matrix(P)
-    assert sizes == [1] * P.degree
+    assert calls == [[1] * P.degree]
 
 
 def test_prime_ring_rejects_division_by_p_multiples():

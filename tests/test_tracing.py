@@ -62,6 +62,18 @@ def test_reduce_hook_counts_the_certificate_steps():
     assert [s[0] for s in tracer.spans] == ["reduction.reduce_to_basis"]
 
 
+def test_reduce_hook_counts_the_steps_of_a_pass():
+    # a list of classes is reduced in one call, and the hook counts the
+    # steps of that one pass
+    tracing = load_tracing()
+    tracer, wrappers = install_collected(tracing)
+    traced = wrappers[reduce_to_basis]
+    classes = [{(-4, 4): Fp(5, 1)}, {(3, -2): Fp(5, 2)}]
+    result = traced(classes, FamilyParams(1, 1, 1, 2), 1, Fp(5, 3))
+    assert tracer.counts["reduction.steps"] == result.steps > 43
+    assert [s[0] for s in tracer.spans] == ["reduction.reduce_to_basis"]
+
+
 def test_exp_sum_hook_reads_the_field_from_the_arguments():
     # the hook reads p, k and atilde by position: S_1 over F_9 is 8 x 8 cells
     tracing = load_tracing()
