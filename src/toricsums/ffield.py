@@ -15,7 +15,8 @@ from .exact import require_prime
 
 
 class Fp:
-    """Element of F_p; combines with Fp values of the same p and with ints."""
+    """Element of F_p; combines with Fp values of the same p and with ints.
+    == and hash compare (p, n), n the residue in [0, p)."""
 
     __slots__ = ("p", "n")
 
@@ -61,6 +62,12 @@ class Fp:
 
     def __bool__(self):
         return self.n != 0
+
+    def __eq__(self, other):
+        return isinstance(other, Fp) and self.p == other.p and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.p, self.n))
 
     def __int__(self):
         return self.n

@@ -59,6 +59,11 @@ class PiAdic:
 
     ord_pi is exact: the p-orders of the p-1 coordinates are distinct mod
     p-1, so the minimum over i + (p-1)*ord_p(c_i) is attained once.
+
+    A column is the one wide form: N images on one denominator, num[i*N + k]
+    the coordinate of image k on pi**i, and entry(k) image k. It is only
+    added, multiplied by a value of p - 1 coordinates, tested and compared;
+    one gcd per result keeps the column, not each image, in lowest terms.
     """
 
     __slots__ = ("p", "num", "den")
@@ -149,18 +154,28 @@ class PiAdic:
             if isinstance(other, (int, Fraction)):
                 return self._scale(other.numerator, other.denominator)
             return NotImplemented
-        p = self.p
+        p, num = self.p, self.num
         if other.p != p:
             raise PreconditionError("mixed pi-adic operands")
+        if len(num) >= p:
+            # a column times a rule factor c pi**j / m: coordinate i moves to
+            # i + j, folding pi**(p-1) = -p, then one integer scaling
+            support = [j for j, c in enumerate(other.num) if c]
+            if len(support) != 1:
+                raise PreconditionError("a column takes only factors c pi**j / m")
+            j = support[0]
+            c, cut = other.num[j], len(num) // (p - 1) * (p - 1 - j)
+            return _piadic(p, tuple([x * (-p * c) for x in num[cut:]] + [x * c for x in num[:cut]]),
+                           self.den * other.den)
         if p == 3:
             # (x0 + x1 pi)(y0 + y1 pi) with pi**2 = -3
-            (x0, x1), (y0, y1) = self.num, other.num
+            (x0, x1), (y0, y1) = num, other.num
             return _piadic(3, (x0 * y0 - 3 * x1 * y1, x0 * y1 + x1 * y0),
                            self.den * other.den)
         n = p - 1
         ys = [(j, y) for j, y in enumerate(other.num) if y]
         out = [0] * (2 * n - 1)
-        for i, x in enumerate(self.num):
+        for i, x in enumerate(num):
             if x:
                 for j, y in ys:
                     out[i + j] += x * y
@@ -241,6 +256,10 @@ class PiAdic:
     def __repr__(self):
         return f"PiAdic(p={self.p}, {list(self.coeffs)})"
 
+    def entry(self, k):
+        """Image k of a column."""
+        return _piadic(self.p, self.num[k::len(self.num) // (self.p - 1)], self.den)
+
     def ord_pi(self):
         """Exact valuation in pi units (ord pi = 1, ord p = p - 1); None if zero."""
         p = self.p
@@ -274,9 +293,10 @@ class PiAdic:
 
 
 def _piadic(p, num, den):
-    """The PiAdic sum(num[i] * pi**i) / den for a tuple num of p - 1 ints and
-    an int den > 0, brought to lowest terms: the one constructor of results.
-    A denominator of 1 is already lowest, so it skips the gcd."""
+    """The PiAdic sum(num[i] * pi**i) / den for a tuple num of p - 1 ints (or
+    a column's) and an int den > 0, brought to lowest terms: the one
+    constructor of results. A denominator of 1 is already lowest, so it
+    skips the gcd."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -287,6 +307,14 @@ def _piadic(p, num, den):
     x.num = num
     x.den = den
     return x
+
+
+def _entry(x, k):
+    """Image k of a reduced coordinate: a column, a Laurent over columns, or
+    the zero the reduction gives a basis monomial that no image reaches."""
+    if isinstance(x, Laurent):
+        return Laurent._of({e: y for e, c in x.terms.items() if (y := c.entry(k))})
+    return x.entry(k) if x else x
 
 
 def _min_ord(values):
@@ -472,7 +500,10 @@ def flag_data(params, p, count):
 def _frobenius_images(params, p, cutoff, lam):
     """psi_p(x**v * PHI) for each basis exponent v, exactly, PHI cut at
     cutoff and taken at the deformation lam: the Laurent L for the series,
-    or a Teichmuller lift, a rational integer, at a point.
+    or a Teichmuller lift, a rational integer, at a point. The N images are
+    one class whose coefficient at each monomial is a PiAdic column, image k
+    (of the k-th basis exponent) its entry k; the series holds the columns
+    inside Laurent, by L-exponent.
 
     psi_p keeps the x-exponents with both coordinates divisible by p and
     divides them by p. The term E_k lam**k E_i E_j of PHI has x-exponent
@@ -482,8 +513,8 @@ def _frobenius_images(params, p, cutoff, lam):
     With E_i = C_i pi**(i mod (p-1)) / delta (_over_one_denominator), each
     product is C_k C_i C_j, times lam**k at a point, folded into p - 1 plain
     ints with pi**(p-1) = -p; the series keys it by the L-exponent k. The
-    members of a class share these sums, shifted by (v - v') / p, and each
-    image coefficient is built once over delta**3.
+    members of a class share these sums, shifted by (v - v') / p, and they
+    go straight into the columns, one denominator delta**3 per monomial.
     """
     C, delta = _over_one_denominator(splitting_coefficients(p, cutoff + 1))
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -493,10 +524,11 @@ def _frobenius_images(params, p, cutoff, lam):
     lift = 1 if series else lam.num[0]
     lam_C = [x * lift ** k for k, x in enumerate(C)]
     basis = basis_set(params)
+    N = len(basis)
     classes = {}
     for idx, v in enumerate(basis):
         classes.setdefault((v[0] % p, v[1] % p), []).append(idx)
-    images = [None] * len(basis)
+    cols = {}  # (exponent, k or 0) -> the n * N ints of its column
     for (r1, r2), members in classes.items():
         v1, v2 = basis[members[0]]
         sums = {}  # (x-exponent of the first member's image, k or 0) -> p - 1 ints
@@ -523,15 +555,16 @@ def _frobenius_images(params, p, cutoff, lam):
                     if row is None:
                         sums[e] = row = [0] * n
                     row[sj] += t
-        coeffs = {}
-        for (e1, e2, k), row in sums.items():
-            if any(row):
-                coeffs.setdefault((e1, e2), {})[k] = _piadic(p, tuple(row), den)
-        coeffs = {e: Laurent._of(terms) if series else terms[0] for e, terms in coeffs.items()}
         for idx in members:
             s1, s2 = (basis[idx][0] - v1) // p, (basis[idx][1] - v2) // p
-            images[idx] = {(e1 + s1, e2 + s2): x for (e1, e2), x in coeffs.items()}
-    return images
+            for (e1, e2, k), row in sums.items():
+                if any(row):
+                    col = cols.setdefault(((e1 + s1, e2 + s2), k), [0] * (n * N))
+                    col[idx::N] = row
+    image = {}
+    for (u, k), col in cols.items():
+        image.setdefault(u, {})[k] = _piadic(p, tuple(col), den)
+    return {u: Laurent._of(terms) if series else terms[0] for u, terms in image.items()}
 
 
 def default_cutoff(params, p):
@@ -603,9 +636,11 @@ def _frobenius_core(params, p, lam, lam_p, count, pi_digits, cutoff, lift_ord=No
     pi, basis = PiAdic.pi(p), basis_set(params)
     U = [[] for _ in basis]
     images = _frobenius_images(params, p, cutoff, lam)
-    for j, coords in enumerate(reduce_to_basis(images, params, pi, lam_p).coords):
+    coords = reduce_to_basis([images], params, pi, lam_p).coords[0]
+    for j in range(len(basis)):
         for i, (row, v) in enumerate(zip(U, basis)):
-            row.append(_fit(_series(coords[v], p, floor_ord=pi_digits + reserve), p, count))
+            row.append(_fit(_series(_entry(coords[v], j), p, floor_ord=pi_digits + reserve),
+                            p, count))
             bad = _min_ord(row[j])
             if bad is not None and bad < 0:
                 raise InvariantError(

@@ -9,23 +9,23 @@ u in Z^2 to nonzero scalars S_u. The two operators
 generate the relations, whose terms _relation lists once. reduce_to_basis
 writes a class exactly as a combination of the degree-many basis monomials
 plus D1/D2 certificates, by one rule: a climb below the box, a ladder above
-it, or an in-box trade on the axis hodge.rewrite_axis names. Given a list of
-classes it reduces them in one pass, each pending monomial carrying one
-coefficient per class that reaches it, and returns their coordinates and the
-pass's steps but no certificates. The scalar factors of each rule are built
-once per call, on the rule's first use, from the scalars' own operations on
-ints, pi and L; a step then builds its Euler factor once and multiplies each
-class's coefficient by it and by the rule's carry, dividing by nothing.
+it, or an in-box trade on the axis hodge.rewrite_axis names. A list of
+classes is reduced in one pass, to coordinates and steps, no certificates.
+Each rule's factors are built once per call, from the scalars' own
+operations on ints, pi and L, and a step builds its Euler factor once.
 
-Scalars are plain values: they support + and - among themselves, * and /
-by each other and by Python ints, and bool() is False exactly at zero. The
-constants pi and L are passed in as values of the same kind (or as ints).
-The rewrites divide only by small integers, by pi and by L, so three kinds
-of value cover every use: ratfunc.Laurent over Fraction with pi = 1 (the
-variation setting of the connection), ratfunc.Laurent over the pi-adic
-scalars (the series Frobenius), and specialized fields where L is a number
-(ffield.Fp with pi = 1, frobenius.PiAdic at a Teichmuller point). The
-deformation operator also needs S.theta(), which only Laurent has.
+The scalar protocol. The constants pi and L, and the rule factors built
+from them, support + and - among themselves, * and / by each other and by
+Python ints, and bool() False exactly at zero; == and hash, where a kind
+has them, compare values. A class coefficient needs only + among its kind,
+* by a rule factor and bool() as "nonzero". The rewrites divide only by
+small integers, by pi and by L, so three kinds of scalar cover every use:
+ratfunc.Laurent over Fraction with pi = 1 (the connection), Laurent over
+frobenius.PiAdic (the series Frobenius), and fields where L is a number
+(ffield.Fp with pi = 1, PiAdic at a Teichmuller point). The fourth kind is
+a coefficient only: frobenius' column of N images over one denominator,
+alone at a point, inside Laurent for the series. The deformation operator
+also needs S.theta(), which only Laurent has.
 
 connection_matrix solves nothing over Q(L): it checks the GKZ companion
 matrix by substitution against the derivative flag built from basis_connection.

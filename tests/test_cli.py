@@ -609,8 +609,8 @@ def test_uncertified_point_frobenius_exits_4(capsys, monkeypatch):
     # a splitting product scaled by 1/p takes p - 1 digits from every entry,
     # and the unit root entry (0,0) goes negative
     real = frobenius._frobenius_images
-    monkeypatch.setattr(frobenius, "_frobenius_images", lambda params, p, cutoff, lam: [
-        {u: s / p for u, s in img.items()} for img in real(params, p, cutoff, lam)])
+    monkeypatch.setattr(frobenius, "_frobenius_images", lambda params, p, cutoff, lam: {
+        u: s / p for u, s in real(params, p, cutoff, lam).items()})
     code, out, err = run(capsys, ["frobenius-check", "--family", "1,1,1,1",
                                   "--prime", "3", "--lam", "1"])
     assert code == 4 and out == ""

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsums.ffield import FieldTower, find_irreducible
+from toricsums.ffield import FieldTower, Fp, find_irreducible
 
 
 def test_find_irreducible_is_deterministic():
@@ -82,3 +82,11 @@ def test_log_inverts_power():
     g = tw.generator()
     for e in range(8):
         assert tw.log(tw.pow(g, e)) == e
+
+
+def test_prime_field_values_compare_and_hash_by_residue():
+    assert Fp(7, 3) == Fp(7, 3) == Fp(7, 10)
+    assert Fp(7, 3) != Fp(7, 4) and Fp(7, 3) != Fp(5, 3) and Fp(7, 3) != 3
+    # equal coordinate dicts over F_7 compare equal, and a set keeps one copy
+    assert {(0, 1): Fp(7, 3), (2, 0): Fp(7, 6)} == {(0, 1): Fp(7, 10), (2, 0): Fp(7, -1)}
+    assert len({Fp(7, 3), Fp(7, 10), Fp(5, 3)}) == 2

@@ -35,6 +35,7 @@ from toricsums.frobenius import (
 )
 from toricsums.cyclotomic import CycloInt
 from toricsums.ratfunc import Laurent, add_term, solve_linear
+from toricsums.reduction import reduce_to_basis, verify_certificate
 
 from reference import (
     frobenius_images_by_class,
@@ -472,13 +473,25 @@ def _abcd_cases(primes, extra):
 IMAGE_CASES = _abcd_cases((3, 5, 7), lambda p: [None, *range(1, p)])
 
 
+def _one_class_per_image(images, params):
+    """The class of columns that _frobenius_images returns, as the N classes
+    of its images: image k holds entry k of every column."""
+    return [{u: y for u, x in images.items() if (y := frobenius._entry(x, k))}
+            for k in range(len(frobenius.basis_set(params)))]
+
+
+def _lams(p, residue):
+    """(lam, lam_p) of the series for residue None, else of the point."""
+    if residue is None:
+        return Laurent({1: PiAdic.one(p)}), Laurent({p: PiAdic.one(p)})
+    lift = teichmuller_lift(p, residue, 10)[0]
+    return lift, lift
+
+
 def _check_images(abcd, p, residue, cutoff):
     params = FamilyParams(*abcd)
-    if residue is None:
-        lam = Laurent({1: PiAdic.one(p)})
-    else:
-        lam = teichmuller_lift(p, residue, 10)[0]
-    images = frobenius._frobenius_images(params, p, cutoff, lam)
+    lam = _lams(p, residue)[0]
+    images = _one_class_per_image(frobenius._frobenius_images(params, p, cutoff, lam), params)
     assert images == _brute_force_images(params, p, cutoff, lam)
     assert images == frobenius_images_by_class(params, p, cutoff, lam)
 
@@ -498,6 +511,26 @@ def test_frobenius_images_match_every_product_term(abcd, p, residue, cutoff):
 @given(st.sampled_from(IMAGE_CASES), st.integers(0, 30))
 def test_frobenius_images_match_every_product_term_over_a_draw(case, cutoff):
     _check_images(*case, cutoff)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(IMAGE_CASES), st.integers(0, 30))
+# c d > 1, at a lift that is not +-1, and the series
+@example(((1, 1, 1, 2), 5, 2), 30)
+@example(((2, 1, 1, 1), 3, None), 26)
+def test_one_pass_columns_match_each_image_reduced_alone(case, cutoff):
+    # the columns share one denominator per monomial through the pass; entry
+    # j of the result is what image j gets alone, with its certificate
+    abcd, p, residue = case
+    params, pi = FamilyParams(*abcd), PiAdic.pi(p)
+    lam, lam_p = _lams(p, residue)
+    images = frobenius._frobenius_images(params, p, cutoff, lam)
+    coords = reduce_to_basis([images], params, pi, lam_p).coords[0]
+    basis = frobenius.basis_set(params)
+    for j, image in enumerate(_one_class_per_image(images, params)):
+        alone = reduce_to_basis(image, params, pi, lam_p)
+        assert verify_certificate(image, alone, params, pi, lam_p)
+        assert [frobenius._entry(coords[v], j) for v in basis] == [alone.coords[v] for v in basis]
 
 
 # every (family, p, lam) with a, b, c, d <= 3, p in {3, 5, 7}, p not dividing
@@ -536,8 +569,9 @@ def test_point_reductions_keep_their_step_counts(monkeypatch):
     # the five images of (2,1,1,1) at p = 3, lam 1, each reduced alone, take
     # the steps measured at commit a82705a, before the rewrite factors were
     # built once per call: a changed factor or visiting order shows here.
-    # The point route reduces them in one pass, which pops the union of
-    # their monomials: 278, as measured when that pass was introduced
+    # The point route reduces them in one pass, as one class of columns,
+    # which pops the union of their monomials: 278, as measured when that
+    # pass was introduced
     real, calls = frobenius.reduce_to_basis, []
 
     def recorded(*args):
@@ -547,9 +581,10 @@ def test_point_reductions_keep_their_step_counts(monkeypatch):
 
     monkeypatch.setattr(frobenius, "reduce_to_basis", recorded)
     frobenius_at_point(FamilyParams(2, 1, 1, 1), 3, 1)
-    [((images, params, pi, lam), steps)] = calls
+    [(([images], params, pi, lam), steps)] = calls
     assert steps == 278
-    assert [real(img, params, pi, lam).steps for img in images] == [233, 257, 241, 241, 240]
+    alone = _one_class_per_image(images, params)
+    assert [real(img, params, pi, lam).steps for img in alone] == [233, 257, 241, 241, 240]
 
 
 def test_deeper_poles_are_rejected_up_front():

@@ -3,6 +3,7 @@
 import pytest
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from toricsums import reduction
 from toricsums.errors import InvariantError, PreconditionError
 from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
-from toricsums.frobenius import PiAdic, teichmuller_lift
+from toricsums.frobenius import PiAdic, _entry, _piadic, teichmuller_lift
 from toricsums.gkz import companion_matrix
 from toricsums.hodge import basis_set
 from toricsums.ratfunc import Laurent
@@ -132,11 +133,6 @@ def _ring(ring, residue):
     return pi, teichmuller_lift(5, residue % 4 + 1, 12)[0], one
 
 
-def _comparable(coords):
-    """Coordinates with Fp values, which have no ==, as ints."""
-    return {v: int(s) if isinstance(s, Fp) else s for v, s in coords.items()}
-
-
 small_classes = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), max_size=3)
 
 
@@ -162,7 +158,7 @@ def test_one_pass_gives_each_class_its_own_coordinates(P, ring, residue, drawn,
         classes.append(D({u: unit}, P, pi, lam))
     together = reduce_to_basis(classes, P, pi, lam)
     alone = [reduce_to_basis(x, P, pi, lam) for x in classes]
-    assert [_comparable(x) for x in together.coords] == [_comparable(c.coords) for c in alone]
+    assert together.coords == [c.coords for c in alone]
     assert together.h1 is None and together.h2 is None
     # the pass pops the union of the monomials the classes pop alone
     assert max(c.steps for c in alone) <= together.steps <= sum(c.steps for c in alone)
@@ -233,8 +229,7 @@ def test_prime_field_reduction_is_short_and_specializes(P, u, p, lam):
     assert verify_certificate(cls_, cert, P, 1, Fp(p, lam))
     assert cert.steps <= 300
     generic = reduce_to_basis({u: ONE}, P, 1, L)
-    assert {v: int(s) for v, s in cert.coords.items()} == {
-        v: int(_at(s, p, lam)) for v, s in generic.coords.items()}
+    assert cert.coords == {v: _at(s, p, lam) for v, s in generic.coords.items()}
 
 
 def test_basis_monomials_are_fixed_points():
@@ -340,6 +335,74 @@ def test_connection_reduces_only_one_monomial_classes(tup, monkeypatch):
     assert calls == [[1] * P.degree]
 
 
+def _column(entries):
+    """The PiAdic column whose entry k is entries[k], PiAdic values of one p."""
+    n, den = entries[0].p - 1, lcm(*(e.den for e in entries))
+    return _piadic(entries[0].p, tuple(e.num[i] * (den // e.den) for i in range(n) for e in entries),
+                   den)
+
+
+def _rule_factors(pi, lam, one):
+    """The scalars reduce_to_basis multiplies class coefficients by, for
+    powers 2, 3 and poles 3, 2: to t (ladder), to t (climb), the carries of
+    a climb and a ladder, and a trade's Euler factor; then -1, last."""
+    to_t = one / (pi * 2)
+    return [to_t, one / -(pi * 3 * lam), one * 2 / (3 * lam), lam * 3 / 2,
+            to_t * -5 + to_t * -3 / 2 * -4, -one]
+
+
+def _kind(kind):
+    """(x, y, rule factors, entries) for one kind of class coefficient;
+    entries(v) lists what v holds, one value at a time."""
+    pi, one, z = PiAdic.pi(5), PiAdic.one(5), PiAdic.zero(5)
+    lift, series = teichmuller_lift(5, 2, 12)[0], Laurent({1: one})
+    a, b = PiAdic(5, [Fraction(1, 3), 2, 0, -1]), PiAdic(5, [0, Fraction(5, 2), 1, 0])
+    alone = lambda v: [v]  # noqa: E731
+    if kind == "rational":
+        return ONE * 2 - L / 3, L * L * Fraction(5, 4) + ONE / L, _rule_factors(1, L, ONE), alone
+    if kind == "prime":
+        return Fp(7, 2), Fp(7, 5), _rule_factors(1, Fp(7, 3), Fp(7, 1)), alone
+    if kind == "point":
+        return a, b, _rule_factors(pi, lift, one), alone
+    if kind == "series":
+        return (Laurent({0: a, 2: b}), Laurent({1: b, 2: a}),
+                _rule_factors(pi, series, Laurent({0: one})), alone)
+    x, y = _column([a, b, z]), _column([b, a * pi, a])
+    if kind == "column":  # at a point
+        return x, y, _rule_factors(pi, lift, one), lambda v: [v.entry(k) for k in range(3)]
+    return (Laurent({0: x, 3: y}), Laurent({-1: y, 0: x}),  # the series column
+            [Laurent({0: pi, 2: one * 3})] + _rule_factors(pi, series, Laurent({0: one})),
+            lambda v: [_entry(v, k) for k in range(3)])
+
+
+@pytest.mark.parametrize("kind", ["rational", "prime", "point", "series", "column",
+                                  "series column"])
+def test_every_kind_of_coefficient_keeps_the_scalar_protocol(kind):
+    # the reduction asks a class coefficient for + among its kind, * by a
+    # rule factor and bool(); a column must give each of its entries what
+    # that entry gives alone
+    x, y, factors, entries = _kind(kind)
+    for v in (x, y):
+        assert v and any(entries(v))
+        zero = v + v * factors[-1]
+        assert not zero and not any(entries(zero))
+        for f in factors:
+            assert entries(v * f) == [e * f for e in entries(v)]
+    assert entries(x + y) == [s + t for s, t in zip(entries(x), entries(y))]
+    if type(x).__hash__ is not None and type(x).__eq__ is not object.__eq__:
+        assert x + y == y + x and hash(x + y) == hash(y + x)
+        assert x * factors[0] != x
+
+
+def test_a_column_takes_only_one_term_factors():
+    # every rule factor is c pi**j / m, one rotation of the column; 1 + pi
+    # would be two, which the reduction never asks for
+    x = _column([PiAdic.one(5), PiAdic.pi(5)])
+    assert [(x * PiAdic.pi(5)).entry(k) for k in range(2)] == [PiAdic.pi(5), PiAdic.pi(5) ** 2]
+    with pytest.raises(PreconditionError, match="only factors c pi"):
+        x * (PiAdic.one(5) + PiAdic.pi(5))
+
+
 def test_prime_ring_rejects_division_by_p_multiples():
     with pytest.raises(InvariantError):
         Fp(5, 3) / 5
@@ -348,8 +411,8 @@ def test_prime_ring_rejects_division_by_p_multiples():
 
 
 def test_prime_ring_reflected_subtraction():
-    assert int(1 - Fp(5, 2)) == 4
-    assert int(Fp(5, 2) - 1) == 1
+    assert 1 - Fp(5, 2) == Fp(5, 4)
+    assert Fp(5, 2) - 1 == Fp(5, 1)
 
 
 def test_laurent_reflected_subtraction():
