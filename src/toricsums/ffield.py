@@ -15,8 +15,9 @@ from .exact import require_prime
 
 
 class Fp:
-    """Element of F_p; combines with Fp values of the same p and with ints.
-    == and hash compare (p, n), n the residue in [0, p)."""
+    """Element of F_p; combines with Fp values of the same p and with ints,
+    and raises PreconditionError on an Fp of another p. == and hash compare
+    (p, n), n the residue in [0, p)."""
 
     __slots__ = ("p", "n")
 
@@ -26,6 +27,8 @@ class Fp:
 
     def _other(self, other):
         if isinstance(other, Fp):
+            if other.p != self.p:
+                raise PreconditionError("mixed prime-field operands")
             return other.n
         return other if isinstance(other, int) else None
 

@@ -15,6 +15,8 @@ Laurent.divmod have no caller in the package; perfbench/tracing.py wraps
 poly_gcd by name, and they go with that wrapper.
 """
 
+from fractions import Fraction
+
 from .errors import InvariantError, PreconditionError
 
 
@@ -115,13 +117,14 @@ class Laurent:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            return Laurent._of({e: c / other for e, c in self.terms.items()})
         shift = 0
         if isinstance(other, Laurent):
             if len(other.terms) != 1:
                 raise PreconditionError("can only divide by monomials in the deformation")
             (shift, other), = other.terms.items()
+        if isinstance(other, int):  # an int quotient of ints is a Fraction, not a float
+            return Laurent._of({e - shift: Fraction(c, other) if isinstance(c, int) else c / other
+                                for e, c in self.terms.items()})
         inv = 1 / other
         return Laurent._of({e - shift: c * inv for e, c in self.terms.items()})
 
@@ -156,10 +159,16 @@ def poly_gcd(a, b):
 
 
 def solve_linear(A, B, *, one):
-    """Solve A X = B by Gaussian elimination over an exact field.
+    """Solve A X = B by forward elimination and back substitution over an
+    exact field.
 
     A is square (list of lists), B a list of columns-as-lists. Returns X as
-    list of columns. Raises InvariantError when A is singular.
+    list of columns. Raises InvariantError when A is singular. The pivot of
+    column k is its first nonzero entry at or below row k. Each pivot row is
+    scaled to a unit pivot and kept by its nonzero entries right of the
+    pivot, and only rows with a nonzero multiplier are updated, so no
+    product has a zero factor. With no right-hand side the forward pass
+    alone decides singularity.
     """
     n = len(A)
     M = [list(row) for row in A]
@@ -167,6 +176,7 @@ def solve_linear(A, B, *, one):
     for col in cols:
         if len(col) != n:
             raise PreconditionError("right hand side has wrong length")
+    tails = []  # row k of the unit upper triangular factor, by its nonzero entries
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k]), None)
         if piv is None:
@@ -176,14 +186,23 @@ def solve_linear(A, B, *, one):
             for col in cols:
                 col[k], col[piv] = col[piv], col[k]
         inv = one / M[k][k]
-        M[k] = [x * inv for x in M[k]]
+        tail = [(j, x * inv) for j, x in enumerate(M[k][k + 1:], k + 1) if x]
+        tails.append(tail)
         for col in cols:
             col[k] = col[k] * inv
-        for i in range(n):
-            if i == k or not M[i][k]:
-                continue
+        for i in range(k + 1, n):
             f = M[i][k]
-            M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+            if not f:
+                continue
+            row = M[i]
+            for j, y in tail:
+                row[j] = row[j] - f * y
             for col in cols:
-                col[i] = col[i] - f * col[k]
-    return [list(col) for col in cols]
+                if col[k]:
+                    col[i] = col[i] - f * col[k]
+    for col in cols:
+        for k in range(n - 2, -1, -1):
+            for j, y in tails[k]:
+                if col[j]:
+                    col[k] = col[k] - y * col[j]
+    return cols

@@ -29,6 +29,10 @@ also needs S.theta(), which only Laurent has.
 
 connection_matrix solves nothing over Q(L): it checks the GKZ companion
 matrix by substitution against the derivative flag built from basis_connection.
+B and F are mostly zero, so the flag recurrence and the substitution form
+only products of two nonzero entries, and the nonsingularity of F is decided
+by forward elimination alone over Q, at a few integer values of L, by the
+zero-skipping ratfunc.solve_linear.
 """
 
 from fractions import Fraction
@@ -270,12 +274,16 @@ def basis_connection(params, pi, lam):
 
 def flag_columns(params, count):
     """Basis coordinates over Q[L, 1/L] (pi = 1) of (L d/dL + L x**mu)**j . 1,
-    j < count: that operator commutes with D1 and D2, so F_(j+1) = theta F_j + B F_j."""
+    j < count: that operator commutes with D1 and D2, so F_(j+1) = theta F_j + B F_j.
+    Each row of B is kept by its nonzero entries, and a product is formed
+    only where the entry of F_j is nonzero too."""
     B = basis_connection(params, 1, Laurent({1: Fraction(1)}))
+    rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     F = [[Laurent({0: Fraction(1)}) if v == (0, 0) else Laurent() for v in basis_set(params)]]
     for _ in range(count - 1):
-        F.append([s.theta() + sum((b * t for b, t in zip(row, F[-1])), Laurent())
-                  for s, row in zip(F[-1], B)])
+        prev = F[-1]
+        F.append([s.theta() + sum((b * prev[j] for j, b in row if prev[j]), Laurent())
+                  for s, row in zip(prev, rows)])
     return F
 
 
@@ -291,8 +299,9 @@ def connection_matrix(params):
     """
     n = params.degree
     F, rows = flag_columns(params, n + 1), companion_matrix(params)
+    last = [(j, c) for j, c in enumerate(rows[-1]) if c]
     for i, v in enumerate(basis_set(params)):
-        if sum((F[j][i] * c for j, c in enumerate(rows[-1])), Laurent()) != F[n][i]:
+        if sum((F[j][i] * c for j, c in last if F[j][i]), Laurent()) != F[n][i]:
             raise InvariantError(
                 f"row {i} of F c = t (basis monomial {v}) fails for the last "
                 f"row c of the companion matrix")
@@ -305,7 +314,9 @@ def _check_nonsingular(F):
     Laurent values over Fraction. Row i times L**-(its lowest exponent) has
     degree at most its exponent span, so det F is a power of L times a
     polynomial of degree at most S, the sum of the spans: det F != 0 exactly
-    when F(L0) is nonsingular for one of L0 = 1, ..., S + 1."""
+    when F(L0) is nonsingular for one of L0 = 1, ..., S + 1. Each F(L0) goes
+    to solve_linear with no right-hand side, so only its forward elimination
+    runs, and it skips every zero multiplier and zero pivot-row entry."""
     span = 0
     for row in F:
         exps = [e for s in row for e in s.terms]

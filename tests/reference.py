@@ -2,6 +2,7 @@
 command runs them, so they live here rather than in toricsums."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from toricsums.cyclotomic import CycloInt
 from toricsums.exact import mat_mul
@@ -62,6 +63,21 @@ def apply_operator_to_log_series(params, sol):
             row.append(acc)
         defects.append(tuple(row))
     return defects
+
+
+def det_leibniz(A):
+    """det A of a small square matrix of Fractions, as the Leibniz sum of
+    sign(s) * A[0][s(0)] * ... over all permutations s: the reference for
+    the singularity decision of ratfunc.solve_linear."""
+    n = len(A)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
 
 
 def reciprocal_char_poly_all_powers(U, p):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsums.errors import PreconditionError
 from toricsums.ffield import FieldTower, Fp, find_irreducible
 
 
@@ -90,3 +91,14 @@ def test_prime_field_values_compare_and_hash_by_residue():
     # equal coordinate dicts over F_7 compare equal, and a set keeps one copy
     assert {(0, 1): Fp(7, 3), (2, 0): Fp(7, 6)} == {(0, 1): Fp(7, 10), (2, 0): Fp(7, -1)}
     assert len({Fp(7, 3), Fp(7, 10), Fp(5, 3)}) == 2
+
+
+def test_prime_field_values_of_different_primes_do_not_combine():
+    # F_5 and F_7 share no arithmetic: a silent result would take one p and
+    # reduce the other's residue by it
+    a, b = Fp(5, 2), Fp(7, 3)
+    for op in (a.__add__, a.__radd__, a.__sub__, a.__rsub__, a.__mul__, a.__rmul__,
+               a.__truediv__):
+        with pytest.raises(PreconditionError, match="mixed prime-field operands"):
+            op(b)
+    assert a + 3 == 3 + a == Fp(5, 0) and a * Fp(5, 3) == Fp(5, 1)

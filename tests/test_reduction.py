@@ -335,6 +335,33 @@ def test_connection_reduces_only_one_monomial_classes(tup, monkeypatch):
     assert calls == [[1] * P.degree]
 
 
+@pytest.mark.parametrize("tup", [(2, 1, 1, 1), (1, 1, 3, 2), (2, 1, 1, 3)])
+def test_every_changed_companion_entry_breaks_a_row(tup, monkeypatch):
+    # F is nonsingular, so c is the one solution of F c = t: a changed c_j
+    # must fail some row, even though the check forms no product with a zero
+    P = FamilyParams(*tup)
+    for j in range(P.degree):
+        def perturbed(params, j=j):
+            rows = companion_matrix(params)
+            rows[-1][j] = rows[-1][j] + 1
+            return rows
+
+        monkeypatch.setattr(reduction, "companion_matrix", perturbed)
+        with pytest.raises(InvariantError, match="^row "):
+            connection_matrix(P)
+
+
+def test_a_flag_singular_at_one_point_only_passes():
+    # det [[L, 1], [1, 1]] = L - 1: singular at L = 1, not at L = 2
+    reduction._check_nonsingular([[L, ONE], [ONE, ONE]])
+
+
+def test_a_flag_singular_everywhere_names_every_point_tried():
+    # det [[L, L**2], [1, L]] = 0; the row spans are 1 and 1, so S = 2
+    with pytest.raises(InvariantError, match=r"det F vanishes at L = 1, \.\.\., 3$"):
+        reduction._check_nonsingular([[L, L * L], [ONE, L]])
+
+
 def _column(entries):
     """The PiAdic column whose entry k is entries[k], PiAdic values of one p."""
     n, den = entries[0].p - 1, lcm(*(e.den for e in entries))
