@@ -7,6 +7,14 @@ feeding that list back to the tool. Exit codes: 0 success, 2 rejected
 input, 3 certified precision fell short of the request, 4 internal
 consistency check failed.
 
+The document is byte for byte what json.dumps(doc, sort_keys=True, indent=2)
+prints: strings ASCII-escaped, integers in full however long. Its values are
+only dicts with str keys, lists, str, int and bool; any other value is a
+TypeError, so no float reaches a result. A known command builds only its own
+argument parser; the full parser is built for anything else (no command, -h,
+an unknown command, arguments the command does not take), so every usage,
+help and error text is that of the full parser.
+
 Rationals are rendered as "num/den" (plain integers when the denominator
 is 1). Cyclotomic integers carry their coefficient vector on the basis
 1, zeta, ..., zeta**(p-2). Scalars of the ramified p-adic ring carry exact
@@ -18,6 +26,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii  # the C quoter json.dumps uses
 from math import gcd
 
 from . import __version__
@@ -47,10 +56,9 @@ from .reduction import connection_matrix, reduce_to_basis, verify_certificate
 
 
 def frac_str(fr):
-    fr = Fraction(fr)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    """An int or Fraction as "num/den", or as the plain integer when the
+    denominator is 1 (str of a Fraction does exactly this)."""
+    return str(fr)
 
 
 def _ratio_str(n, d):
@@ -77,16 +85,19 @@ def piadic_json(x, digit_count=None):
 
 def poly_json(poly):
     """Coefficients on L^0..L^degree of a polynomial, "0" in the gaps."""
-    return [frac_str(poly.terms.get(e, 0)) for e in range(poly.degree + 1)]
+    terms = poly.terms
+    return [str(terms.get(e, 0)) for e in range(poly.degree + 1)]
 
 
 def ratfunc_json(s):
     """A Laurent value s over Fraction as the quotient num/den in lowest
     terms: den = L**k, num = s * L**k, with k = max(0, -lowest exponent).
-    When k > 0, num has a nonzero constant term, so it is coprime to den."""
-    k = max(0, -min(s.terms, default=0))
-    num = Laurent({e + k: c for e, c in s.terms.items()})
-    return {"num": poly_json(num), "den": poly_json(Laurent({k: 1}))}
+    When k > 0, num has a nonzero constant term, so it is coprime to den.
+    Zero has degree -1, so its num is empty."""
+    terms = s.terms
+    k = max(0, -min(terms, default=0))
+    return {"num": [str(terms.get(e, 0)) for e in range(-k, s.degree + 1)],
+            "den": ["0"] * k + ["1"]}
 
 
 def polygon_json(poly):
@@ -263,6 +274,13 @@ MAX_REDUCE_WEIGHT = 200
 # the cap, 1.5 s and 19 MB at 1,280,000 digits (2-core Xeon KVM guest).
 MAX_PI_DIGITS = 2 ** 16
 
+# Primes admitted by reduce --ring pilambda. A pi-adic value carries p - 1
+# rational coordinates, so time, output and memory grow linearly in p: for
+# (1,1,1,1) x^(2,2), 0.22 s, 3.3 MB of output and 47 MB peak RSS at
+# p = 65521, the largest prime under the cap, and 3.4 s, 51 MB and 600 MB at
+# p = 1,000,003 (2-core AMD EPYC KVM guest).
+MAX_PILAMBDA_PRIME = 2 ** 16
+
 
 def cmd_reduce(args):
     params = _family(args)
@@ -288,6 +306,9 @@ def cmd_reduce(args):
         if args.prime is None:
             raise PreconditionError("--ring pilambda needs --prime")
         params.check_prime(args.prime)
+        if args.prime > MAX_PILAMBDA_PRIME:
+            raise PreconditionError(f"prime {args.prime} is over the pilambda cap of "
+                                    f"{MAX_PILAMBDA_PRIME} = 2^16")
         pi, lam = PiAdic.pi(args.prime), Laurent({1: PiAdic.one(args.prime)})
 
         def show(s):
@@ -433,79 +454,103 @@ def _render_table(data, indent=0):
     return lines
 
 
-def _add_family(p):
+_PRIME = ("--prime", {"type": int, "required": True})
+_PI_DIGITS = ("--pi-digits", {"type": int, "default": 8})
+_COUNTED = (
+    _PRIME,
+    ("--lam", {"type": int, "required": True,
+               "help": "parameter residue (subfield element code for atilde > 1)"}),
+    ("--atilde", {"type": int, "default": 1,
+                  "help": "degree of the parameter field over the prime field"}),
+)
+
+# command -> (help line, options after --family and --format). The handler
+# of a command is the module attribute cmd_<name with - as _>, looked up when
+# its parser is built, so a wrapper put there after import is the one called.
+COMMANDS = {
+    "basis": ("monomial basis of the middle cohomology", ()),
+    "hodge": ("weight profile and Hodge polygon", ()),
+    "ordinary": ("facewise ordinarity criteria at a prime", (_PRIME,)),
+    "sums": ("exponential sums S_1..S_count",
+             _COUNTED + (("--count", {"type": int, "required": True}),)),
+    "lpoly": ("inverse L-function from floor(N/2) + 1 sums", _COUNTED),
+    "newton": ("q-adic Newton polygon of the L-polynomial", _COUNTED),
+    "compare-polygons": ("Newton polygon against the Hodge lower bound", _COUNTED),
+    "reduce": ("reduce a cohomology class to the basis", (
+        ("--monomial", {"action": "append", "required": True, "metavar": "M,N[:COEFF]",
+                        "help": "monomial exponents with optional integer coefficient; "
+                                "repeatable"}),
+        ("--ring", {"choices": ("rational", "prime", "pilambda"), "default": "rational"}),
+        ("--prime", {"type": int}),
+        ("--lam", {"type": int}),
+        _PI_DIGITS)),
+    "connection": ("deformation connection on the derivative flag", ()),
+    "gkz": ("exponent lattice and the ordinary differential operator", ()),
+    "ode-solve": ("formal log-series solutions at 0",
+                  (("--order", {"type": int, "required": True}),)),
+    "frobenius": ("Frobenius matrix as a certified series", (
+        _PRIME, _PI_DIGITS, ("--lam-order", {"type": int}), ("--cutoff", {"type": int}))),
+    "frobenius-check": ("characteristic polynomial at a Teichmueller point against counting",
+                        (_PRIME, ("--lam", {"type": int, "required": True}), _PI_DIGITS)),
+}
+
+
+def _add_arguments(p, name):
+    p.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     p.add_argument("--family", required=True, metavar="A,B,C,D",
                    help="exponents a,b,c,d of the family")
-
-
-def _add_format(p):
     p.add_argument("--format", choices=("json", "table"), default="json")
+    for flag, kwargs in COMMANDS[name][1]:
+        p.add_argument(flag, **kwargs)
 
 
 def build_parser():
+    """The full parser: every command as a subcommand."""
     top = argparse.ArgumentParser(
         prog="toricsums",
         description="Exact invariants of a two-parameter family of toric "
                     "exponential sums.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def new(name, handler, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
-        _add_family(p)
-        _add_format(p)
-        return p
-
-    new("basis", cmd_basis, "monomial basis of the middle cohomology")
-    new("hodge", cmd_hodge, "weight profile and Hodge polygon")
-
-    p = new("ordinary", cmd_ordinary, "facewise ordinarity criteria at a prime")
-    p.add_argument("--prime", type=int, required=True)
-
-    def counted(name, handler, help_, with_count=False):
-        q = new(name, handler, help_)
-        q.add_argument("--prime", type=int, required=True)
-        q.add_argument("--lam", type=int, required=True,
-                       help="parameter residue (subfield element code for atilde > 1)")
-        q.add_argument("--atilde", type=int, default=1,
-                       help="degree of the parameter field over the prime field")
-        if with_count:
-            q.add_argument("--count", type=int, required=True)
-        return q
-
-    counted("sums", cmd_sums, "exponential sums S_1..S_count", with_count=True)
-    counted("lpoly", cmd_lpoly, "inverse L-function from floor(N/2) + 1 sums")
-    counted("newton", cmd_newton, "q-adic Newton polygon of the L-polynomial")
-    counted("compare-polygons", cmd_compare_polygons,
-            "Newton polygon against the Hodge lower bound")
-
-    p = new("reduce", cmd_reduce, "reduce a cohomology class to the basis")
-    p.add_argument("--monomial", action="append", required=True, metavar="M,N[:COEFF]",
-                   help="monomial exponents with optional integer coefficient; repeatable")
-    p.add_argument("--ring", choices=("rational", "prime", "pilambda"), default="rational")
-    p.add_argument("--prime", type=int)
-    p.add_argument("--lam", type=int)
-    p.add_argument("--pi-digits", type=int, default=8, dest="pi_digits")
-
-    new("connection", cmd_connection, "deformation connection on the derivative flag")
-    new("gkz", cmd_gkz, "exponent lattice and the ordinary differential operator")
-
-    p = new("ode-solve", cmd_ode_solve, "formal log-series solutions at 0")
-    p.add_argument("--order", type=int, required=True)
-
-    p = new("frobenius", cmd_frobenius, "Frobenius matrix as a certified series")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--pi-digits", type=int, default=8, dest="pi_digits")
-    p.add_argument("--lam-order", type=int, default=None, dest="lam_order")
-    p.add_argument("--cutoff", type=int, default=None)
-
-    p = new("frobenius-check", cmd_frobenius_check,
-            "characteristic polynomial at a Teichmueller point against counting")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--lam", type=int, required=True)
-    p.add_argument("--pi-digits", type=int, default=8, dest="pi_digits")
-
+    for name, (help_, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), name)
     return top
+
+
+def command_parser(name):
+    """The parser of one command alone. It prints the same usage, help and
+    errors as that command's subparser in build_parser."""
+    p = argparse.ArgumentParser(prog=f"toricsums {name}")
+    _add_arguments(p, name)
+    p.set_defaults(command=name)
+    return p
+
+
+def dumps(x, pad=""):
+    """The bytes of json.dumps(x, sort_keys=True, indent=2), for x nested at
+    indentation pad, without the pure-Python encoder that indent selects.
+    Values are only str-keyed dicts, lists, str, int and bool."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"document keys are str, not {type(k).__name__}")
+            items.append(f"{encode_basestring_ascii(k)}: {dumps(x[k], inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        return ("[\n" + inner + (",\n" + inner).join([dumps(v, inner) for v in x])
+                + "\n" + pad + "]")
+    raise TypeError(f"{type(x).__name__} is not a document value")
 
 
 def _emit_error(kind, exc):
@@ -517,15 +562,21 @@ def _emit_error(kind, exc):
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
-_parser = None  # built on the first main call; it binds the cmd_* handlers then
+_parsers = {}  # command name -> command_parser(name), built on first use
 
 
 def main(argv=None):
-    global _parser
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = None
+    if argv and argv[0] in COMMANDS:
+        parser = _parsers.get(argv[0])
+        if parser is None:
+            parser = _parsers[argv[0]] = command_parser(argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if rest:  # the full parser words this error, with its own usage
+            args = None
+    if args is None:
+        args = build_parser().parse_args(argv)
     # exact values of any size are printed; Python's default cap of 4300
     # digits on int-to-str conversion guards parsing of untrusted text
     limit = sys.get_int_max_str_digits()
@@ -546,7 +597,7 @@ def main(argv=None):
             payload = {"job": {"tool": "toricsums", "version": __version__,
                                "command": args.command, "argv": argv},
                        "result": result}
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(dumps(payload))
         else:
             print("\n".join(_render_table(result)))
         return 0

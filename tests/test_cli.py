@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsums import cli, frobenius, gkz, lfunction, reduction
 from toricsums.cyclotomic import CycloInt
@@ -30,17 +33,41 @@ def run_json(capsys, argv):
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
-    real, built = cli.build_parser, []
+    # a known command builds its own parser once per process, and never the
+    # full parser of all commands
+    real, built = cli.command_parser, []
 
-    def counted():
-        built.append(1)
-        return real()
+    def counted(name):
+        built.append(name)
+        return real(name)
 
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counted)
+    def unreachable():
+        raise AssertionError("a known command built the full parser")
+
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "command_parser", counted)
+    monkeypatch.setattr(cli, "build_parser", unreachable)
     for _ in range(3):
         run_json(capsys, ["basis", "--family", "1,1,1,1"])
-    assert built == [1]
+        run_json(capsys, ["hodge", "--family", "1,1,1,1"])
+    assert built == ["basis", "hodge"]
+
+
+def exit_of(capsys, call):
+    with pytest.raises(SystemExit) as info:
+        call()
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [name] + tail for name in cli.COMMANDS
+    for tail in (["-h"], [], ["--family", "1,1,1,1", "--no-such-option"],
+                 ["--family", "1,1,1,1", "--format", "xml"])
+] + [[], ["-h"], ["no-such-command"], ["--", "basis", "--family", "1,1,1,1"]], ids=" ".join)
+def test_usage_help_and_errors_are_those_of_the_full_parser(capsys, argv):
+    expected = exit_of(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert exit_of(capsys, lambda: cli.main(argv)) == expected
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_dataclasses_nor_inspect():
@@ -202,6 +229,31 @@ def test_a_prime_over_the_cap_exits_2(capsys):
 def test_the_prime_cap_admits_a_prime_below_it(capsys):
     doc = run_json(capsys, ["ordinary", "--family", "1,1,1,1", "--prime", str(2 ** 40 - 87)])
     assert doc["result"]["prime"] == 2 ** 40 - 87
+
+
+def test_a_pilambda_prime_over_the_cap_exits_2_before_any_pi_adic_value(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a pi-adic value was built before the pilambda prime cap")
+
+    monkeypatch.setattr(frobenius.PiAdic, "pi", unreachable)
+    monkeypatch.setattr(frobenius.PiAdic, "one", unreachable)
+    # 65537 = 2^16 + 1 is the first prime over the cap
+    code, out, err = run(capsys, ["reduce", "--family", "1,1,1,1", "--monomial", "2,2",
+                                  "--ring", "pilambda", "--prime", "65537"])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"] == "prime 65537 is over the pilambda cap of 65536 = 2^16"
+
+
+def test_the_pilambda_prime_cap_admits_a_prime_below_it(capsys):
+    doc = run_json(capsys, ["reduce", "--family", "1,1,1,1", "--monomial", "2,2",
+                            "--ring", "pilambda", "--prime", "65521", "--pi-digits", "2"])
+    assert doc["result"]["verified"] is True
+    for coord in doc["result"]["coordinates"].values():
+        for c in coord.values():
+            assert c["pi_relation"] == "pi^65520 = -65521"
+            assert len(c["rational_coords"]) == 65520
 
 
 @pytest.mark.parametrize("family, degree", [("1,1,64,64", 129), ("10,11,1,1", 131)])
@@ -618,3 +670,55 @@ def test_uncertified_point_frobenius_exits_4(capsys, monkeypatch):
     assert error["kind"] == "invariant"
     assert error["message"].startswith("Frobenius entry (0,0) is not pi-integral (ord -2)")
     assert "p = 3, splitting cutoff 26, reserve 4" in error["message"]
+
+
+def test_converters_render_exact_values():
+    assert cli.ratfunc_json(Laurent()) == {"num": [], "den": ["1"]}
+    assert cli.ratfunc_json(Laurent({0: Fraction(-3, 4)})) == {"num": ["-3/4"], "den": ["1"]}
+    # L^-2 + 3 = (1 + 3 L^2) / L^2
+    assert cli.ratfunc_json(Laurent({-2: Fraction(1), 0: Fraction(3)})) == {
+        "num": ["1", "0", "3"], "den": ["0", "0", "1"]}
+    assert cli.poly_json(Laurent({1: Fraction(2, 3), 4: Fraction(-5)})) == [
+        "0", "2/3", "0", "0", "-5"]
+    assert cli.frac_str(-12) == "-12" and cli.frac_str(Fraction(12, 4)) == "3"
+
+
+# values of a document: strings with quotes, backslashes, control characters,
+# non-ASCII, non-BMP and lone surrogate characters; ints past Python's
+# default cap of 4300 digits on int-to-str conversion
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\t\n\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800", ""])
+HUGE = st.builds(lambda n, sign: sign * (10 ** 4400 + n), st.integers(), st.sampled_from((1, -1)))
+SCALARS = TEXT | st.booleans() | st.integers() | HUGE
+
+
+def documents(depth):
+    if depth == 0:
+        return SCALARS
+    inner = documents(depth - 1)
+    return SCALARS | st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(4))
+def test_dumps_writes_the_bytes_of_json_dumps_with_indent(doc):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_dumps_reproduces_every_golden_document(path):
+    text = path.read_text()
+    assert cli.dumps(json.loads(text)) + "\n" == text
+
+
+@pytest.mark.parametrize("value", [1.5, None, (1, 2), {1: "a"}, {"a": [0, 0.0]}],
+                         ids=["float", "None", "tuple", "int key", "nested float"])
+def test_dumps_refuses_values_outside_the_document_kinds(value):
+    with pytest.raises(TypeError):
+        cli.dumps(value)

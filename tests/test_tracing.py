@@ -6,6 +6,10 @@ renames one of them fail the suite instead of breaking
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from toricsums.ffield import Fp
@@ -82,3 +86,30 @@ def test_exp_sum_hook_reads_the_field_from_the_arguments():
     traced(FamilyParams(1, 1, 1, 1), 3, 5, 1, 2)
     assert tracer.counts["lfunction.histogram_cells"] == (9 - 1) ** 2
     assert [s[0] for s in tracer.spans] == ["lfunction.exp_sum"]
+
+
+def test_a_traced_main_calls_the_traced_handler():
+    # cli.main looks its handler up when it builds the command's parser, after
+    # the tracer has replaced the cmd_* functions. The tracer patches for the
+    # life of the process, so it runs in a process of its own.
+    script = f"""
+import contextlib, importlib.util, io, json
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tracing._cli.main(["connection", "--family", "1,1,1,1"])
+print(json.dumps([code, [[s[0], tracer.spans[s[1]][0] if s[1] >= 0 else None]
+                         for s in tracer.spans]]))
+"""
+    src = str(TRACING.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, spans = json.loads(proc.stdout)
+    assert code == 0
+    assert ["cli.main", None] in spans
+    assert ["cli.handler", "cli.main"] in spans
