@@ -34,6 +34,7 @@ from .errors import InvariantError, PreconditionError, StarvationError
 from .family import FamilyParams
 from .ffield import Fp
 from .frobenius import (
+    MAX_PIADIC_PRIME,
     PiAdic,
     compare_char_poly_with_lfunction,
     frobenius_series,
@@ -274,13 +275,6 @@ MAX_REDUCE_WEIGHT = 200
 # the cap, 1.5 s and 19 MB at 1,280,000 digits (2-core Xeon KVM guest).
 MAX_PI_DIGITS = 2 ** 16
 
-# Primes admitted by reduce --ring pilambda. A pi-adic value carries p - 1
-# rational coordinates, so time, output and memory grow linearly in p: for
-# (1,1,1,1) x^(2,2), 0.22 s, 3.3 MB of output and 47 MB peak RSS at
-# p = 65521, the largest prime under the cap, and 3.4 s, 51 MB and 600 MB at
-# p = 1,000,003 (2-core AMD EPYC KVM guest).
-MAX_PILAMBDA_PRIME = 2 ** 16
-
 
 def cmd_reduce(args):
     params = _family(args)
@@ -306,9 +300,9 @@ def cmd_reduce(args):
         if args.prime is None:
             raise PreconditionError("--ring pilambda needs --prime")
         params.check_prime(args.prime)
-        if args.prime > MAX_PILAMBDA_PRIME:
+        if args.prime > MAX_PIADIC_PRIME:
             raise PreconditionError(f"prime {args.prime} is over the pilambda cap of "
-                                    f"{MAX_PILAMBDA_PRIME} = 2^16")
+                                    f"{MAX_PIADIC_PRIME} = 2^16")
         pi, lam = PiAdic.pi(args.prime), Laurent({1: PiAdic.one(args.prime)})
 
         def show(s):

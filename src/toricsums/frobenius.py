@@ -167,23 +167,7 @@ class PiAdic:
             c, cut = other.num[j], len(num) // (p - 1) * (p - 1 - j)
             return _piadic(p, tuple([x * (-p * c) for x in num[cut:]] + [x * c for x in num[:cut]]),
                            self.den * other.den)
-        if p == 3:
-            # (x0 + x1 pi)(y0 + y1 pi) with pi**2 = -3
-            (x0, x1), (y0, y1) = num, other.num
-            return _piadic(3, (x0 * y0 - 3 * x1 * y1, x0 * y1 + x1 * y0),
-                           self.den * other.den)
-        n = p - 1
-        ys = [(j, y) for j, y in enumerate(other.num) if y]
-        out = [0] * (2 * n - 1)
-        for i, x in enumerate(num):
-            if x:
-                for j, y in ys:
-                    out[i + j] += x * y
-        # fold with pi**(p-1) = -p
-        for k in range(2 * n - 2, n - 1, -1):
-            if out[k]:
-                out[k - n] -= p * out[k]
-        return _piadic(p, tuple(out[:n]), self.den * other.den)
+        return _piadic(p, _ring_mul(num, other.num, p), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -204,16 +188,10 @@ class PiAdic:
                 return _piadic(p, tuple(out), c)
             out[n - i] = -d
             return _piadic(p, tuple(out), p * c)
-        cols = []
-        for j in range(n):
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            col = (self * PiAdic(p, e)).coeffs
-            cols.append(list(col))
-        M = [[cols[j][i] for j in range(n)] for i in range(n)]
-        e0 = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        sol = solve_linear(M, [e0], one=Fraction(1))[0]
-        return PiAdic(p, sol)
+        # den / num, with num * pi**j on integers as the columns of the system
+        cols = [_ring_mul(self.num, (0,) * j + (1,) + (0,) * (n - 1 - j), p) for j in range(n)]
+        sol = solve_linear(list(zip(*cols)), [[1] + [0] * (n - 1)], one=Fraction(1))[0]
+        return PiAdic(p, [x * self.den for x in sol])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,15 +240,8 @@ class PiAdic:
 
     def ord_pi(self):
         """Exact valuation in pi units (ord pi = 1, ord p = p - 1); None if zero."""
-        p = self.p
-        vd = _ord_p(self.den, p)
-        best = None
-        for i, c in enumerate(self.num):
-            if c:
-                t = i + (p - 1) * (_ord_p(c, p) - vd)
-                if best is None or t < best:
-                    best = t
-        return best
+        v = _ord_pi(self.num, self.p)
+        return None if v is None else v - (self.p - 1) * _ord_p(self.den, self.p)
 
     def digits(self, count):
         """Canonical digit expansion d_0..d_{count-1} with x = sum d_i pi**i
@@ -307,6 +278,43 @@ def _piadic(p, num, den):
     x.num = num
     x.den = den
     return x
+
+
+def _ring_mul(x, y, p):
+    """x * y in Z[pi]/(pi**(p-1) + p) for p - 1 int coordinates x and y on
+    1, pi, ..., pi**(p-2), as a tuple of p - 1 ints: the one ring product."""
+    if p == 3:
+        # (x0 + x1 pi)(y0 + y1 pi) with pi**2 = -3
+        (x0, x1), (y0, y1) = x, y
+        return (x0 * y0 - 3 * x1 * y1, x0 * y1 + x1 * y0)
+    n = p - 1
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    out = [0] * (2 * n - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in ys:
+                out[i + j] += a * b
+    # fold with pi**(p-1) = -p
+    for k in range(2 * n - 2, n - 1, -1):
+        if out[k]:
+            out[k - n] -= p * out[k]
+    return tuple(out[:n])
+
+
+def _ord_pi(num, p):
+    """ord_pi of sum(num[i] * pi**i) for p - 1 ints num (None if all are
+    zero), exact as in PiAdic; that of num / D is this less
+    (p - 1) ord_p(D), whatever D."""
+    return min((i + (p - 1) * _ord_p(c, p) for i, c in enumerate(num) if c), default=None)
+
+
+def _integer_coords(M):
+    """(D, ints) for a matrix M of PiAdic power series: D the lcm of the
+    denominators, ints M's shape with each value x replaced by its numerator
+    x.num scaled by D / x.den, so that x = ints / D."""
+    D = lcm(*(x.den for row in M for e in row for x in e))
+    return D, [[[x.num if x.den == D else tuple([c * (D // x.den) for c in x.num]) for x in e]
+                for e in row] for row in M]
 
 
 def _entry(x, k):
@@ -446,10 +454,11 @@ def _fit(x, p, count):
 
 
 def _spread(x, p, count):
-    """x(L**p) for a power series x, to count terms."""
-    out = [PiAdic.zero(p)] * count
+    """-p * x(L**p) for a power series x on integer coordinates, to count
+    terms: the horizontality residual's p B(L**p), negated for its block."""
+    out = [(0,) * (p - 1)] * count
     for k, c in enumerate(x[:(count + p - 1) // p]):
-        out[k * p] = c
+        out[k * p] = tuple([-p * y for y in c])
     return out
 
 
@@ -490,7 +499,10 @@ def flag_data(params, p, count):
     certs = [reduce_to_basis(r, params, pi, lam) for r in reps]
     G = [[_series(c.coords[v], p) for c in certs] for v in order]
     F = [row[:n] for row in G]
-    g = _mat_series_mul(_series_inverse(F, count, p), [row[n:] for row in G], count, p)
+    DX, X = _integer_coords(_series_inverse(F, count, p))
+    DG, Y = _integer_coords([row[n:] for row in G])
+    g = [[[_piadic(p, x, DX * DG) for x in e] for e in row]
+         for row in _mat_series_mul(X, Y, count, p)]
     zero = [PiAdic.zero(p)] * count
     one = [PiAdic.one(p)] + zero[1:]
     B = [[one if i == j + 1 else zero for j in range(n - 1)] + g[i] for i in range(n)]
@@ -584,6 +596,15 @@ MAX_PHI_TERMS = 1 << 19
 # (1,1,1,1) at p = 3 takes 1.5 s and 74 MB and prints 5.9 MB (2-core Xeon
 # KVM guest), and the default 2p + 10 at N = 11, (2,3,1,1), for p <= 61.
 MAX_SERIES_TERMS = 1 << 14
+
+# Primes admitted by frobenius_series and by reduce --ring pilambda. A
+# pi-adic value carries p - 1 integer coordinates, so time, output and
+# memory grow linearly in p. For reduce, (1,1,1,1) x^(2,2) takes 0.22 s,
+# 3.3 MB of output and 47 MB peak RSS at p = 65521, the largest prime under
+# the cap, and 3.4 s, 51 MB and 600 MB at p = 1,000,003 (2-core AMD EPYC KVM
+# guest). The default splitting cutoff is at least 2p, so MAX_PHI_TERMS
+# refuses p > 71 unless the caller gives the cutoff.
+MAX_PIADIC_PRIME = 2 ** 16
 
 
 def reduction_reserve(p, cutoff):
@@ -681,13 +702,17 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
     from the core of frobenius_at_point, with its margin and reserve rho
     (nu0). B is reduction.basis_connection at L, on the same basis. Every
     entry of U and B has lam_order + 1 terms; N**2 (lam_order + 1) above
-    MAX_SERIES_TERMS is refused before any work.
+    MAX_SERIES_TERMS, and p above MAX_PIADIC_PRIME, are refused before any
+    work.
 
     Supported for c = d = 1: deeper poles put fractional powers of the
     deformation into the reduction, which the series ring does not carry.
     frobenius_at_point takes every family at a single deformation value.
     """
     params.check_prime(p)
+    if p > MAX_PIADIC_PRIME:
+        raise PreconditionError(
+            f"prime {p} is over the pi-adic cap of {MAX_PIADIC_PRIME} = 2^16")
     if params.c * params.d != 1:
         raise PreconditionError(
             "the series Frobenius needs pole exponents c = d = 1")
@@ -716,15 +741,18 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
 
 
 def _mat_series_mul(A, B, count, p):
-    """A*B for matrices of power series, truncated to count terms.
+    """A*B for matrices of power series on integer coordinates, truncated to
+    count terms: each term is p - 1 ints over its matrix's one denominator
+    (_integer_coords), and the product is over the product of the two.
 
     The nonzero terms of every entry are listed once, and each output entry
-    sums its products in a sparse dict: zero coefficients form no product.
+    sums its _ring_mul products in a sparse dict: zero coefficients form no
+    product.
     """
     def nonzero(M):
-        return [[[(k, x) for k, x in enumerate(e[:count]) if x] for e in row] for row in M]
+        return [[[(k, x) for k, x in enumerate(e[:count]) if any(x)] for e in row] for row in M]
 
-    z = PiAdic.zero(p)
+    z = (0,) * (p - 1)
     A, B = nonzero(A), nonzero(B)
     out = []
     for row in A:
@@ -737,8 +765,9 @@ def _mat_series_mul(A, B, count, p):
                     for k, b in y:
                         if i + k >= count:
                             break
+                        ab = _ring_mul(a, b, p)
                         s = acc.get(i + k)
-                        acc[i + k] = a * b if s is None else s + a * b
+                        acc[i + k] = ab if s is None else tuple(map(add, s, ab))
             out_row.append([acc.get(k, z) for k in range(count)])
         out.append(out_row)
     return out
@@ -757,28 +786,37 @@ class HorizontalityReport:
 
 
 def horizontality_residual(fs, lam_checked=None):
-    """Residual of theta(U) - U*B + p*B(L**p)*U and labeled variants.
+    """Residual of theta(U) - U*B + p*B(L**p)*U and labeled variants, on
+    the first lam_checked >= 1 terms (all lam_order + 1 by default).
 
     The stated shape should vanish to the certified precision; the variants
     (transposed connection matrix, reversed transport) are diagnostics and
-    are reported without being silently substituted.
+    are reported without being silently substituted. U and B go to integer
+    coordinates once, over D_U and D_B (_integer_coords), and each residual
+    is formed on integers over D_U D_B, with no PiAdic per coefficient: its
+    order is the least _ord_pi of a coefficient less (p - 1) ord_p(D_U D_B).
     """
+    if lam_checked is not None and lam_checked < 1:
+        raise PreconditionError(f"lam_checked must be at least 1, got {lam_checked}")
     p = fs.p
-    count = (fs.lam_order + 1) if lam_checked is None else min(lam_checked, fs.lam_order + 1)
-    U = [[entry[:count] for entry in row] for row in fs.U]
-    thU = [[[c * i for i, c in enumerate(e)] for e in row] for row in U]
+    count = fs.lam_order + 1 if lam_checked is None else min(lam_checked, fs.lam_order + 1)
+    (DU, U), (DB, B) = _integer_coords(fs.U), _integer_coords(fs.B)
+    thU = [[[tuple([DB * i * c for c in x]) for i, x in enumerate(e[:count])] for e in row]
+           for row in U]
+    shift = (p - 1) * _ord_p(DU * DB, p)
 
     def residual_ord(B, left_to_right=True):
+        # the residual is theta U less one product of blocks, over D_U D_B:
+        # [U, -p B(L**p)] [B; U], or [B, U] [U; -p B(L**p)]
         Bp = [[_spread(e, p, count) for e in row] for row in B]
-        if left_to_right:
-            t1, t2 = _mat_series_mul(U, B, count, p), _mat_series_mul(Bp, U, count, p)
-        else:
-            t1, t2 = _mat_series_mul(B, U, count, p), _mat_series_mul(U, Bp, count, p)
-        return _min_ord(a - b + c * p for rows in zip(thU, t1, t2)
-                        for entries in zip(*rows) for a, b, c in zip(*entries)
-                        if a or b or c)
+        left, right = ((U, Bp), (B, U)) if left_to_right else ((B, U), (U, Bp))
+        R = _mat_series_mul([a + b for a, b in zip(*left)], right[0] + right[1], count, p)
+        # the least p-order of coordinate i over all coefficients is that of
+        # their gcd, so one _ord_pi of the p - 1 gcds gives the minimum
+        v = _ord_pi([gcd(*xs) for xs in zip(*(
+            map(sub, t, r) for rows in zip(thU, R) for es in zip(*rows) for t, r in zip(*es)))], p)
+        return None if v is None else v - shift
 
-    B = [[entry[:count] for entry in row] for row in fs.B]
     variants = {"stated": residual_ord(B),
                 "transposed": residual_ord([list(col) for col in zip(*B)]),
                 "reversed": residual_ord(B, False)}
@@ -838,19 +876,24 @@ def reciprocal_char_poly(U, p):
     Only U**1..U**h, h = ceil(N/2), are formed. Past h, every k = h + j has
     j <= h and tr(U**(h+j)) = sum over a, b of (U**h)[a][b] * (U**j)[b][a],
     N**2 products instead of a matrix product: h - 1 matrix products in all,
-    not N - 1, for the same exact traces.
+    not N - 1, for the same exact traces. The powers and traces run on
+    integer coordinates over U's one denominator D (_integer_coords), so
+    U**k is over D**k, and only the N traces become PiAdic values.
     """
     n = len(U)
     h = (n + 1) // 2
-    powers = [U]
+    D, V = _integer_coords([[[x] for x in row] for row in U])
+    powers = [V]
     for _ in range(h - 1):
-        powers.append(mat_mul(powers[-1], U))
-    zero = PiAdic.zero(p)
-    traces = [sum((P[i][i] for i in range(n)), zero) for P in powers]
-    H = powers[-1]
-    for P in powers[:n - h]:
-        traces.append(sum((H[a][b] * P[b][a] for a in range(n) for b in range(n)), zero))
-    return coefficients_from_power_sums(traces, PiAdic.one(p))
+        powers.append(_mat_series_mul(powers[-1], V, 1, p))
+    traces = [tuple(map(sum, zip(*(P[i][i][0] for i in range(n))))) for P in powers]
+    # tr(U**h P) = sum of (U**h)[a][b] P[b][a]: U**h flattened to one row
+    # times the transpose of P flattened to one column, summed as it goes
+    H = [[x for row in powers[-1] for x in row]]
+    traces += [_mat_series_mul(H, [[P[b][a]] for a in range(n) for b in range(n)], 1, p)[0][0][0]
+               for P in powers[:n - h]]
+    return coefficients_from_power_sums(
+        [_piadic(p, t, D ** k) for k, t in enumerate(traces, 1)], PiAdic.one(p))
 
 
 class CharPolyComparison:

@@ -7,7 +7,7 @@ from itertools import permutations
 from toricsums.cyclotomic import CycloInt
 from toricsums.exact import mat_mul
 from toricsums.ffield import FieldTower
-from toricsums.frobenius import PiAdic
+from toricsums.frobenius import HorizontalityReport, PiAdic, _min_ord
 from toricsums.gkz import _taylor_coefficients, picard_fuchs_operator
 from toricsums.hodge import basis_set
 from toricsums.ratfunc import add_term
@@ -148,3 +148,63 @@ def frobenius_images_by_class(params, p, cutoff, lam):
                         add_term(img, ((v1 + i * a - k * c) // p,
                                        (v2 + j * b - k * d) // p), t)
     return images
+
+
+def _spread_piadic(x, p, count):
+    """x(L**p) for a power series x of PiAdic, to count terms."""
+    out = [PiAdic.zero(p)] * count
+    for k, c in enumerate(x[:(count + p - 1) // p]):
+        out[k * p] = c
+    return out
+
+
+def mat_series_mul_piadic(A, B, count, p):
+    """A*B for matrices of PiAdic power series, truncated to count terms,
+    one PiAdic product per pair of nonzero terms."""
+    def nonzero(M):
+        return [[[(k, x) for k, x in enumerate(e[:count]) if x] for e in row] for row in M]
+
+    z = PiAdic.zero(p)
+    A, B = nonzero(A), nonzero(B)
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = {}
+            for x, Brow in zip(row, B):
+                y = Brow[j]
+                for i, a in x:
+                    for k, b in y:
+                        if i + k >= count:
+                            break
+                        s = acc.get(i + k)
+                        acc[i + k] = a * b if s is None else s + a * b
+            out_row.append([acc.get(k, z) for k in range(count)])
+        out.append(out_row)
+    return out
+
+
+def horizontality_residual_by_piadic(fs, lam_checked=None):
+    """theta(U) - U*B + p*B(L**p)*U and its variants with one PiAdic per
+    product, sum and residual coefficient: the reference for
+    frobenius.horizontality_residual."""
+    p = fs.p
+    count = (fs.lam_order + 1) if lam_checked is None else min(lam_checked, fs.lam_order + 1)
+    U = [[entry[:count] for entry in row] for row in fs.U]
+    thU = [[[c * i for i, c in enumerate(e)] for e in row] for row in U]
+
+    def residual_ord(B, left_to_right=True):
+        Bp = [[_spread_piadic(e, p, count) for e in row] for row in B]
+        if left_to_right:
+            t1, t2 = mat_series_mul_piadic(U, B, count, p), mat_series_mul_piadic(Bp, U, count, p)
+        else:
+            t1, t2 = mat_series_mul_piadic(B, U, count, p), mat_series_mul_piadic(U, Bp, count, p)
+        return _min_ord(a - b + c * p for rows in zip(thU, t1, t2)
+                        for entries in zip(*rows) for a, b, c in zip(*entries)
+                        if a or b or c)
+
+    B = [[entry[:count] for entry in row] for row in fs.B]
+    variants = {"stated": residual_ord(B),
+                "transposed": residual_ord([list(col) for col in zip(*B)]),
+                "reversed": residual_ord(B, False)}
+    return HorizontalityReport(lam_checked=count, variants=variants, margin=fs.margin)

@@ -256,6 +256,29 @@ def test_the_pilambda_prime_cap_admits_a_prime_below_it(capsys):
             assert len(c["rational_coords"]) == 65520
 
 
+# with the cutoff given, no work bound of the splitting product refuses a large p
+CAP_ARGS = ["--family", "1,1,1,1", "--lam-order", "0", "--pi-digits", "0", "--cutoff", "0"]
+
+
+def test_a_frobenius_prime_over_the_cap_exits_2_before_any_pi_adic_value(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a pi-adic value was built before the frobenius prime cap")
+
+    monkeypatch.setattr(frobenius.PiAdic, "pi", unreachable)
+    monkeypatch.setattr(frobenius.PiAdic, "one", unreachable)
+    code, out, err = run(capsys, ["frobenius", "--prime", "65537"] + CAP_ARGS)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"] == "prime 65537 is over the pi-adic cap of 65536 = 2^16"
+
+
+def test_the_frobenius_prime_cap_admits_a_prime_below_it(capsys):
+    doc = run_json(capsys, ["frobenius", "--prime", "65521"] + CAP_ARGS)
+    assert doc["result"]["prime"] == 65521 and doc["result"]["lam_order"] == 0
+    assert len(doc["result"]["matrix"]) == 3
+
+
 @pytest.mark.parametrize("family, degree", [("1,1,64,64", 129), ("10,11,1,1", 131)])
 def test_a_family_over_the_degree_cap_exits_2_before_any_work(capsys, monkeypatch,
                                                               family, degree):

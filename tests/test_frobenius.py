@@ -17,7 +17,9 @@ from toricsums import frobenius
 from toricsums.errors import InvariantError, PreconditionError, StarvationError
 from toricsums.family import FamilyParams
 from toricsums.frobenius import (
+    FrobeniusSeries,
     PiAdic,
+    _integer_coords,
     _mat_series_mul,
     _series,
     _series_inverse,
@@ -39,6 +41,7 @@ from toricsums.reduction import reduce_to_basis, verify_certificate
 
 from reference import (
     frobenius_images_by_class,
+    horizontality_residual_by_piadic,
     reciprocal_char_poly_all_powers,
     splitting_coefficients_by_products,
 )
@@ -379,11 +382,12 @@ def test_series_inverse_is_a_two_sided_inverse(data):
         X = _series_inverse(F, count, p)
     except InvariantError:
         assume(False)
-    z, one = PiAdic.zero(p), PiAdic.one(p)
-    ident = [[[one if i == j and k == 0 else z for k in range(count)] for j in range(n)]
-             for i in range(n)]
-    assert _mat_series_mul(X, F, count, p) == ident
-    assert _mat_series_mul(F, X, count, p) == ident
+    # on integer coordinates the identity is D_X D_F on the diagonal's first term
+    (DX, Xi), (DF, Fi) = _integer_coords(X), _integer_coords(F)
+    ident = [[[(DX * DF if i == j and k == 0 else 0,) + (0,) * (p - 2) for k in range(count)]
+              for j in range(n)] for i in range(n)]
+    assert _mat_series_mul(Xi, Fi, count, p) == ident
+    assert _mat_series_mul(Fi, Xi, count, p) == ident
 
 
 def test_series_drops_debris_above_the_floor_only():
@@ -421,6 +425,86 @@ def test_horizontality_holds_only_in_stated_shape():
     assert rep.variants["stated"] is None or rep.variants["stated"] >= fs.margin
     assert rep.variants["transposed"] is not None and rep.variants["transposed"] < 2
     assert rep.variants["reversed"] is not None and rep.variants["reversed"] < 2
+
+
+@pytest.mark.parametrize("lam_checked", [0, -1, -5])
+def test_horizontality_refuses_lam_checked_below_one(lam_checked):
+    # fewer than one term checks nothing, which would read as a zero residual
+    fs = frobenius_series(FamilyParams(1, 1, 1, 1), 3, pi_digits=4, lam_order=8)
+    with pytest.raises(PreconditionError, match=f"at least 1, got {lam_checked}$"):
+        horizontality_residual(fs, lam_checked)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_horizontality_matches_the_piadic_reference_on_series(data):
+    a, b = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]))
+    p = data.draw(st.sampled_from([q for q in (3, 5, 7) if a * b % q]))
+    lam_order = data.draw(st.integers(0, 8))
+    lam_checked = data.draw(st.none() | st.integers(1, lam_order + 3))
+    fs = frobenius_series(FamilyParams(a, b, 1, 1), p, pi_digits=data.draw(st.integers(0, 6)),
+                          lam_order=lam_order)
+    got, ref = horizontality_residual(fs, lam_checked), horizontality_residual_by_piadic(
+        fs, lam_checked)
+    assert got.lam_checked == ref.lam_checked
+    assert got.variants == ref.variants
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_horizontality_matches_the_piadic_reference_on_random_matrices(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    # denominators with and without factors of p, and many zero coordinates
+    coord = st.builds(Fraction, st.just(0) | st.integers(-9, 9),
+                      st.sampled_from([1, 2, p, 2 * p, p * p]))
+    value = st.lists(coord, min_size=p - 1, max_size=p - 1).map(lambda cs: PiAdic(p, cs))
+    matrix = st.lists(st.lists(st.lists(value, min_size=count, max_size=count),
+                               min_size=n, max_size=n), min_size=n, max_size=n)
+    U, B = data.draw(matrix), data.draw(matrix)
+    if data.draw(st.integers(0, 3)) == 0:
+        # U = 0 makes every residual zero
+        U = [[[PiAdic.zero(p)] * count for _ in range(n)] for _ in range(n)]
+    lam_checked = data.draw(st.none() | st.integers(1, count + 2))
+    fs = FrobeniusSeries(params=None, p=p, pi_digits=0, margin=0, cutoff=0, nu0=0,
+                         lam_order=count - 1, basis=None, U=U, B=B)
+    got, ref = horizontality_residual(fs, lam_checked), horizontality_residual_by_piadic(
+        fs, lam_checked)
+    assert got.lam_checked == ref.lam_checked
+    assert got.variants == ref.variants
+
+
+ring_cases = st.sampled_from([3, 5, 7, 11]).flatmap(
+    lambda p: st.tuples(st.just(p), _dense(p), _dense(p)))
+
+
+@settings(max_examples=100, deadline=None)
+@example((5, [0, 0, 0, 0], [1, 2, 3, 4]))
+@given(ring_cases)
+def test_ring_product_is_the_piadic_product(case):
+    p, xs, ys = case
+    x, y = PiAdic(p, xs), PiAdic(p, ys)
+    xy = frobenius._ring_mul(x.num, y.num, p)
+    assert all(type(c) is int for c in xy)
+    coeffs = tuple(Fraction(c, x.den * y.den) for c in xy)
+    assert coeffs == (x * y).coeffs == (Ref(p, xs) * Ref(p, ys)).cs
+
+
+@settings(max_examples=100, deadline=None)
+@example((3, [0, 0]), 1)
+@given(st.sampled_from([3, 5, 7, 11]).flatmap(lambda p: st.tuples(st.just(p), _dense(p))),
+       st.integers(-40, 40).filter(bool))
+def test_integer_order_of_a_scaled_representation_is_ord_pi(case, u):
+    p, xs = case
+    x = PiAdic(p, xs)
+    while u % p == 0:
+        u //= p
+    # (m x.num) / (m x.den) for m prime to p, then divisible by p and by p**2
+    for m in (u, u * p, u * p * p):
+        v = frobenius._ord_pi([m * c for c in x.num], p)
+        if v is not None:
+            v -= (p - 1) * frobenius._ord_p(m * x.den, p)
+        assert v == x.ord_pi() == Ref(p, xs).ord_pi()
 
 
 def test_two_cutoffs_agree_within_margin():
