@@ -59,11 +59,6 @@ class PiAdic:
 
     ord_pi is exact: the p-orders of the p-1 coordinates are distinct mod
     p-1, so the minimum over i + (p-1)*ord_p(c_i) is attained once.
-
-    A column is the one wide form: N images on one denominator, num[i*N + k]
-    the coordinate of image k on pi**i, and entry(k) image k. It is only
-    added, multiplied by a value of p - 1 coordinates, tested and compared;
-    one gcd per result keeps the column, not each image, in lowest terms.
     """
 
     __slots__ = ("p", "num", "den")
@@ -110,15 +105,9 @@ class PiAdic:
 
     def _plus(self, other, sign):
         """self + sign * other for a PiAdic other; sign is 1 or -1."""
-        p = self.p
-        if other.p != p:
+        if other.p != self.p:
             raise PreconditionError("mixed pi-adic operands")
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _piadic(p, tuple(map(add if sign > 0 else sub, self.num, other.num)), d1)
-        g = gcd(d1, d2)
-        s, t = d2 // g, sign * (d1 // g)
-        return _piadic(p, tuple([x * s + y * t for x, y in zip(self.num, other.num)]), d1 * s)
+        return _piadic(self.p, *_sum(self, other, sign))
 
     def __add__(self, other):
         if type(other) is not PiAdic:
@@ -154,20 +143,10 @@ class PiAdic:
             if isinstance(other, (int, Fraction)):
                 return self._scale(other.numerator, other.denominator)
             return NotImplemented
-        p, num = self.p, self.num
+        p = self.p
         if other.p != p:
             raise PreconditionError("mixed pi-adic operands")
-        if len(num) >= p:
-            # a column times a rule factor c pi**j / m: coordinate i moves to
-            # i + j, folding pi**(p-1) = -p, then one integer scaling
-            support = [j for j, c in enumerate(other.num) if c]
-            if len(support) != 1:
-                raise PreconditionError("a column takes only factors c pi**j / m")
-            j = support[0]
-            c, cut = other.num[j], len(num) // (p - 1) * (p - 1 - j)
-            return _piadic(p, tuple([x * (-p * c) for x in num[cut:]] + [x * c for x in num[:cut]]),
-                           self.den * other.den)
-        return _piadic(p, _ring_mul(num, other.num, p), self.den * other.den)
+        return _piadic(p, _ring_mul(self.num, other.num, p), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -234,10 +213,6 @@ class PiAdic:
     def __repr__(self):
         return f"PiAdic(p={self.p}, {list(self.coeffs)})"
 
-    def entry(self, k):
-        """Image k of a column."""
-        return _piadic(self.p, self.num[k::len(self.num) // (self.p - 1)], self.den)
-
     def ord_pi(self):
         """Exact valuation in pi units (ord pi = 1, ord p = p - 1); None if zero."""
         v = _ord_pi(self.num, self.p)
@@ -264,10 +239,9 @@ class PiAdic:
 
 
 def _piadic(p, num, den):
-    """The PiAdic sum(num[i] * pi**i) / den for a tuple num of p - 1 ints (or
-    a column's) and an int den > 0, brought to lowest terms: the one
-    constructor of results. A denominator of 1 is already lowest, so it
-    skips the gcd."""
+    """The PiAdic sum(num[i] * pi**i) / den for a tuple num of p - 1 ints and
+    an int den > 0, brought to lowest terms: the one constructor of results.
+    A denominator of 1 is already lowest, so it skips the gcd."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -278,6 +252,63 @@ def _piadic(p, num, den):
     x.num = num
     x.den = den
     return x
+
+
+def _sum(x, y, sign):
+    """(num, den) of x + sign * y, sign 1 or -1, for two values of integer
+    coordinates num over a denominator den, not brought to lowest terms: an
+    equal denominator adds the numerators, any other takes the gcd of the
+    two denominators only."""
+    d1, d2 = x.den, y.den
+    if d1 == d2:
+        return tuple(map(add if sign > 0 else sub, x.num, y.num)), d1
+    g = gcd(d1, d2)
+    s, t = d2 // g, sign * (d1 // g)
+    return tuple([a * s + b * t for a, b in zip(x.num, y.num)]), d1 * s
+
+
+class Column:
+    """N pi-adic values on one running denominator, the coefficient that
+    _frobenius_images gives the reduction: num holds N * (p - 1) ints,
+    num[i*N + k] the coordinate of value k on pi**i, over den > 0.
+
+    The reduction only adds columns, multiplies one by a rule factor
+    c pi**j / m and asks bool() for "nonzero", so the column is never
+    brought to lowest terms: a sum is _sum's, and a product moves
+    coordinate i to i + j, folding pi**(p-1) = -p, then scales by c and m.
+    entry(k), the canonical PiAdic of value k, is the one normalisation.
+    Equal values may have different representations, so a column has no ==
+    or hash of its own: compare entries.
+    """
+
+    __slots__ = ("p", "num", "den")
+
+    def __init__(self, p, num, den):
+        self.p = p
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        return Column(self.p, *_sum(self, other, 1))
+
+    def __mul__(self, other):
+        p, num = self.p, self.num
+        if type(other) is not PiAdic or other.p != p:
+            return NotImplemented
+        support = [j for j, c in enumerate(other.num) if c]
+        if len(support) != 1:
+            raise PreconditionError("a column takes only factors c pi**j / m")
+        j = support[0]
+        c, cut = other.num[j], len(num) // (p - 1) * (p - 1 - j)
+        return Column(p, [x * (-p * c) for x in num[cut:]] + [x * c for x in num[:cut]],
+                      self.den * other.den)
+
+    def __bool__(self):
+        return any(self.num)
+
+    def entry(self, k):
+        """Value k, in lowest terms."""
+        return _piadic(self.p, tuple(self.num[k::len(self.num) // (self.p - 1)]), self.den)
 
 
 def _ring_mul(x, y, p):
@@ -513,7 +544,7 @@ def _frobenius_images(params, p, cutoff, lam):
     """psi_p(x**v * PHI) for each basis exponent v, exactly, PHI cut at
     cutoff and taken at the deformation lam: the Laurent L for the series,
     or a Teichmuller lift, a rational integer, at a point. The N images are
-    one class whose coefficient at each monomial is a PiAdic column, image k
+    one class whose coefficient at each monomial is a Column, image k
     (of the k-th basis exponent) its entry k; the series holds the columns
     inside Laurent, by L-exponent.
 
@@ -575,7 +606,7 @@ def _frobenius_images(params, p, cutoff, lam):
                     col[idx::N] = row
     image = {}
     for (u, k), col in cols.items():
-        image.setdefault(u, {})[k] = _piadic(p, tuple(col), den)
+        image.setdefault(u, {})[k] = Column(p, col, den)
     return {u: Laurent._of(terms) if series else terms[0] for u, terms in image.items()}
 
 

@@ -23,9 +23,11 @@ small integers, by pi and by L, so three kinds of scalar cover every use:
 ratfunc.Laurent over Fraction with pi = 1 (the connection), Laurent over
 frobenius.PiAdic (the series Frobenius), and fields where L is a number
 (ffield.Fp with pi = 1, PiAdic at a Teichmuller point). The fourth kind is
-a coefficient only: frobenius' column of N images over one denominator,
-alone at a point, inside Laurent for the series. The deformation operator
-also needs S.theta(), which only Laurent has.
+a coefficient only: frobenius.Column, N images on one running denominator
+that is never brought to lowest terms, alone at a point, inside Laurent for
+the series. One value has many such representations, so a column has no ==
+or hash of its own; its entries, canonical PiAdic values, are compared. The
+deformation operator also needs S.theta(), which only Laurent has.
 
 connection_matrix solves nothing over Q(L): it checks the GKZ companion
 matrix by substitution against the derivative flag built from basis_connection.

@@ -682,10 +682,12 @@ def test_uncertified_point_frobenius_exits_4(capsys, monkeypatch):
                                 "--prime", "3", "--lam", "1"])
     assert code == 0 and json.loads(out)["result"]["agrees_to_margin"] is True
     # a splitting product scaled by 1/p takes p - 1 digits from every entry,
-    # and the unit root entry (0,0) goes negative
+    # and the unit root entry (0,0) goes negative; a column takes 1/p as the
+    # one-term factor it is
     real = frobenius._frobenius_images
     monkeypatch.setattr(frobenius, "_frobenius_images", lambda params, p, cutoff, lam: {
-        u: s / p for u, s in real(params, p, cutoff, lam).items()})
+        u: s * frobenius.PiAdic.from_fraction(p, Fraction(1, p))
+        for u, s in real(params, p, cutoff, lam).items()})
     code, out, err = run(capsys, ["frobenius-check", "--family", "1,1,1,1",
                                   "--prime", "3", "--lam", "1"])
     assert code == 4 and out == ""

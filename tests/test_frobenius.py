@@ -609,6 +609,8 @@ def test_one_pass_columns_match_each_image_reduced_alone(case, cutoff):
     params, pi = FamilyParams(*abcd), PiAdic.pi(p)
     lam, lam_p = _lams(p, residue)
     images = frobenius._frobenius_images(params, p, cutoff, lam)
+    assert all(type(c) is frobenius.Column for x in images.values()
+               for c in (x.terms.values() if residue is None else [x]))
     coords = reduce_to_basis([images], params, pi, lam_p).coords[0]
     basis = frobenius.basis_set(params)
     for j, image in enumerate(_one_class_per_image(images, params)):

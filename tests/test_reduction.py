@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,7 @@ from toricsums import reduction
 from toricsums.errors import InvariantError, PreconditionError
 from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
-from toricsums.frobenius import PiAdic, _entry, _piadic, teichmuller_lift
+from toricsums.frobenius import Column, PiAdic, _entry, teichmuller_lift
 from toricsums.gkz import companion_matrix
 from toricsums.hodge import basis_set
 from toricsums.ratfunc import Laurent
@@ -362,11 +362,12 @@ def test_a_flag_singular_everywhere_names_every_point_tried():
         reduction._check_nonsingular([[L, L * L], [ONE, L]])
 
 
-def _column(entries):
-    """The PiAdic column whose entry k is entries[k], PiAdic values of one p."""
-    n, den = entries[0].p - 1, lcm(*(e.den for e in entries))
-    return _piadic(entries[0].p, tuple(e.num[i] * (den // e.den) for i in range(n) for e in entries),
-                   den)
+def _column(entries, m=1):
+    """The Column whose entry k is entries[k], PiAdic values of one p, over
+    m times their least common denominator."""
+    n, den = entries[0].p - 1, m * lcm(*(e.den for e in entries))
+    return Column(entries[0].p, [e.num[i] * (den // e.den) for i in range(n) for e in entries],
+                  den)
 
 
 def _rule_factors(pi, lam, one):
@@ -394,7 +395,8 @@ def _kind(kind):
     if kind == "series":
         return (Laurent({0: a, 2: b}), Laurent({1: b, 2: a}),
                 _rule_factors(pi, series, Laurent({0: one})), alone)
-    x, y = _column([a, b, z]), _column([b, a * pi, a])
+    # y on a denominator 35 times larger than it needs: x + y takes the gcd branch
+    x, y = _column([a, b, z]), _column([b, a * pi, a], 35)
     if kind == "column":  # at a point
         return x, y, _rule_factors(pi, lift, one), lambda v: [v.entry(k) for k in range(3)]
     return (Laurent({0: x, 3: y}), Laurent({-1: y, 0: x}),  # the series column
@@ -430,11 +432,69 @@ def test_a_column_takes_only_one_term_factors():
         x * (PiAdic.one(5) + PiAdic.pi(5))
 
 
-def test_prime_ring_rejects_division_by_p_multiples():
-    with pytest.raises(InvariantError):
-        Fp(5, 3) / 5
-    with pytest.raises(InvariantError):
-        Fp(5, 3) / Fp(5, 10)
+small_piadics = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                         min_size=4, max_size=4).map(lambda cs: PiAdic(5, cs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_piadics, min_size=1, max_size=4), st.integers(2, 60))
+def test_a_scaled_column_gives_the_same_entries_in_lowest_terms(entries, m):
+    # the running denominator is never reduced, so m (a multiple of 5 on
+    # some draws) stays in it; entry(k) is the one normalisation
+    scaled = _column(entries, m)
+    assert scaled.den % m == 0
+    got = [scaled.entry(k) for k in range(len(entries))]
+    assert got == [_column(entries).entry(k) for k in range(len(entries))] == entries
+    assert all(gcd(e.den, *e.num) == 1 for e in got)
+
+
+def test_a_column_compares_only_through_its_entries():
+    # one value has many representations, so a column defines neither == nor
+    # hash: == is identity, as for any object, and entries are compared
+    assert "__eq__" not in vars(Column) and "__hash__" not in vars(Column)
+    entries = [PiAdic.one(5), PiAdic.pi(5)]
+    x, y = _column(entries), _column(entries, 7)
+    assert x == x and x != y
+    assert [x.entry(k) for k in range(2)] == [y.entry(k) for k in range(2)]
+
+
+def _exact_values(kind):
+    """Values of one of the four exact kinds of scalar: Laurent over Fraction,
+    F_7, PiAdic at p = 5, Laurent over PiAdic."""
+    if kind == "prime":
+        return st.integers(0, 6).map(lambda n: Fp(7, n))
+    if kind == "point":
+        return small_piadics
+    coefficients = small_piadics if kind == "series" else st.fractions(
+        min_value=-4, max_value=4, max_denominator=9)
+    return st.dictionaries(st.integers(-2, 2), coefficients, max_size=3).map(Laurent)
+
+
+@pytest.mark.parametrize("kind", RINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_exact_kind_is_a_ring(kind, data):
+    x, y, z = (data.draw(_exact_values(kind)) for _ in range(3))
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+
+
+@pytest.mark.parametrize("x, divisor, error", [
+    (Fp(5, 3), 5, InvariantError),
+    (Fp(5, 3), Fp(5, 10), InvariantError),
+    (PiAdic.pi(5), 0, ZeroDivisionError),
+    (PiAdic.pi(5), PiAdic.zero(5), ZeroDivisionError),
+    (L, ONE + L, PreconditionError),
+    (Laurent({1: PiAdic.one(5)}), Laurent({0: PiAdic.one(5), 1: PiAdic.pi(5)}),
+     PreconditionError),
+], ids=["prime-by-int", "prime", "point-by-int", "point", "rational", "series"])
+def test_inexact_division_raises_each_kinds_documented_error(x, divisor, error):
+    # Fp cannot divide by a multiple of p, PiAdic by zero, and Laurent by
+    # anything but a monomial
+    with pytest.raises(error):
+        x / divisor
 
 
 def test_prime_ring_reflected_subtraction():
