@@ -25,7 +25,7 @@ from toricsums import (
 params = FamilyParams(1, 1, 1, 1)
 p = 3
 
-fs = frobenius_series(params, p, pi_digits=8, lam_order=12)
+fs = frobenius_series(params, p, pi_digits=8, lam_order=9)
 print(f"certified pi-adic margin: {fs.margin} (requested 8)")
 print(f"series cutoff used: {fs.cutoff}, reduction reserve: {fs.nu0}")
 print(f"basis: {fs.basis}")
@@ -34,9 +34,8 @@ print("U(L) entry (0, 0), coefficients of L^0..L^3 as pi-digit strings:")
 for e, c in enumerate(fs.U[0][0][:4]):
     print(f"    L^{e}: digits {c.digits(fs.margin)}")
 
-rep = horizontality_residual(fs, lam_checked=10)
 print()
-for name, ord_ in sorted(rep.variants.items()):
+for name, ord_ in sorted(horizontality_residual(fs).items()):
     shown = "vanishes" if ord_ is None else f"pi-order {ord_}"
     print(f"transport residual, {name} shape: {shown}")
 # only the stated shape should vanish to the margin; the two mangled

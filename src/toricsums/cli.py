@@ -56,14 +56,8 @@ from .ratfunc import Laurent
 from .reduction import connection_matrix, reduce_to_basis, verify_certificate
 
 
-def frac_str(fr):
-    """An int or Fraction as "num/den", or as the plain integer when the
-    denominator is 1 (str of a Fraction does exactly this)."""
-    return str(fr)
-
-
 def _ratio_str(n, d):
-    """n/d for ints n and d > 0 as frac_str renders it, with one gcd."""
+    """n/d for ints n and d > 0 as str renders Fraction(n, d), with one gcd."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
@@ -103,8 +97,8 @@ def ratfunc_json(s):
 
 def polygon_json(poly):
     return {
-        "vertices": [[frac_str(x), frac_str(y)] for x, y in poly.vertices],
-        "slopes": [frac_str(s) for s in poly.slopes()],
+        "vertices": [[str(x), str(y)] for x, y in poly.vertices],
+        "slopes": [str(s) for s in poly.slopes()],
     }
 
 
@@ -156,8 +150,8 @@ def cmd_hodge(args):
     return {
         "family": _family_json(params),
         "weight_denominator": prof.denominator,
-        "weights": [frac_str(w) for w in prof.weights],
-        "weight_counts": [[frac_str(w), n] for w, n in counts],
+        "weights": [str(w) for w in prof.weights],
+        "weight_counts": [[str(w), n] for w, n in counts],
         "polygon": polygon_json(poly),
     }
 
@@ -238,8 +232,8 @@ def cmd_compare_polygons(args):
         "prime": args.prime,
         "atilde": args.atilde,
         "lam": args.lam,
-        "newton_slopes": [frac_str(s) for s in np_.slopes()],
-        "hodge_slopes": [frac_str(s) for s in hp.slopes()],
+        "newton_slopes": [str(s) for s in np_.slopes()],
+        "hodge_slopes": [str(s) for s in hp.slopes()],
         "newton_dominates_hodge": np_.dominates(hp),
         "equal": np_.vertices == hp.vertices,
     }
@@ -350,10 +344,10 @@ def cmd_gkz(args):
         "family": _family_json(params),
         "exponent_matrix": exponent_matrix(params),
         "relation_generator": list(relation_lattice(params)),
-        "euler_factors": [frac_str(f) for f in euler_factors(params)],
-        "leading_constant": frac_str(leading_kappa(params)),
+        "euler_factors": [str(f) for f in euler_factors(params)],
+        "leading_constant": str(leading_kappa(params)),
         "theta_coefficients": [poly_json(c) for c in op.theta_coeffs],
-        "indicial_roots": [frac_str(r) for r in indicial_roots(params)],
+        "indicial_roots": [str(r) for r in indicial_roots(params)],
     }
 
 
@@ -366,10 +360,10 @@ def cmd_ode_solve(args):
         "count": len(sols),
         "solutions": [
             {
-                "exponent": frac_str(s.rho),
+                "exponent": str(s.rho),
                 "initial_position": list(s.initial_position),
                 "log_width": s.log_width,
-                "table": [[frac_str(c) for c in row] for row in s.table],
+                "table": [[str(c) for c in row] for row in s.table],
             }
             for s in sols
         ],
@@ -396,8 +390,8 @@ def cmd_frobenius(args):
             for row in fs.U
         ],
         "horizontality": {
-            "lam_checked": hres.lam_checked,
-            "variants": {k: ("zero" if v is None else v) for k, v in hres.variants.items()},
+            "lam_checked": fs.lam_order + 1,
+            "variants": {k: ("zero" if v is None else v) for k, v in hres.items()},
         },
     }
 

@@ -6,7 +6,9 @@ Matrices are plain lists of lists.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
+from operator import add, mul
 
 from .errors import PreconditionError
 
@@ -26,10 +28,12 @@ def require_prime(n):
 
 
 def mat_mul(A, B):
+    """A*B; each entry's sum starts at its first product, since a pi-adic
+    value does not add the int 0."""
     if A and B and len(A[0]) != len(B):
         raise PreconditionError("matrix shapes do not match")
     n = len(B[0]) if B else 0
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A] if n else [[] for _ in A]
+    return [[reduce(add, map(mul, row, col)) for col in zip(*B)] for row in A] if n else [[] for _ in A]
 
 
 def _cross(o, a, b):

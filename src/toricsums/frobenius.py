@@ -59,6 +59,9 @@ class PiAdic:
 
     ord_pi is exact: the p-orders of the p-1 coordinates are distinct mod
     p-1, so the minimum over i + (p-1)*ord_p(c_i) is attained once.
+
+    + and - take PiAdic operands only, as the scalar protocol of
+    reduction states; * and / also take ints and Fractions, on either side.
     """
 
     __slots__ = ("p", "num", "den")
@@ -95,41 +98,19 @@ class PiAdic:
     def pi(cls, p):
         return _piadic(p, (0, 1) + (0,) * (p - 3), 1)
 
-    def _coerce(self, other):
-        """other as a PiAdic; None for foreign types."""
-        if isinstance(other, PiAdic):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PiAdic.from_fraction(self.p, other)
-        return None
-
     def _plus(self, other, sign):
-        """self + sign * other for a PiAdic other; sign is 1 or -1."""
+        """self + sign * other, sign 1 or -1, for a PiAdic other only."""
+        if type(other) is not PiAdic:
+            return NotImplemented
         if other.p != self.p:
             raise PreconditionError("mixed pi-adic operands")
         return _piadic(self.p, *_sum(self, other, sign))
 
     def __add__(self, other):
-        if type(other) is not PiAdic:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
         return self._plus(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if type(other) is not PiAdic:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
         return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._plus(self, -1)
 
     def __neg__(self):
         return _piadic(self.p, tuple([-x for x in self.num]), self.den)
@@ -176,8 +157,7 @@ class PiAdic:
         if isinstance(other, (int, Fraction)):
             r = Fraction(other.denominator, other.numerator)
             return self._scale(r.numerator, r.denominator)
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not PiAdic:
             return NotImplemented
         return self * other.inverse()
 
@@ -410,9 +390,8 @@ def splitting_bound(p, i):
 def dwork_root(p, target_ord):
     """Partial sum of E(1): a primitive p-th root of unity mod pi**target_ord.
 
-    Returns (value, certified order). The value is congruent to 1 + pi
-    mod pi**2, which matches the valuation normalization pi = 1 - zeta up
-    to a unit.
+    The value is congruent to 1 + pi mod pi**2, which matches the valuation
+    normalization pi = 1 - zeta up to a unit.
     """
     count = 1
     while splitting_bound(p, count) < target_ord:
@@ -422,7 +401,7 @@ def dwork_root(p, target_ord):
     num = [0] * n
     for i, x in enumerate(C):
         num[i % n] += x
-    return _piadic(p, tuple(num), delta), target_ord
+    return _piadic(p, tuple(num), delta)
 
 
 def embed_cyclotomic(x, zeta_hat):
@@ -702,20 +681,16 @@ def _frobenius_core(params, p, lam, lam_p, count, pi_digits, cutoff, lift_ord=No
 
 
 class FrobeniusSeries:
-    """basis lists the monomials that index the rows and columns of U and B.
-    U[i][j] is a list of PiAdic, entry n the coefficient of L**n; B has the
-    same shape and holds the series of the connection matrix. nu0 is the
-    reduction reserve rho.
+    """Fields: p; margin, cutoff and nu0 (the reduction reserve rho);
+    lam_order; basis, the monomials that index the rows and columns of U and
+    B; U, where U[i][j] is a list of PiAdic, entry n the coefficient of
+    L**n; and B, of the same shape, the series of the connection matrix.
     """
 
-    __slots__ = ("params", "p", "pi_digits", "margin", "cutoff", "nu0",
-                 "lam_order", "basis", "U", "B")
+    __slots__ = ("p", "margin", "cutoff", "nu0", "lam_order", "basis", "U", "B")
 
-    def __init__(self, params, p, pi_digits, margin, cutoff, nu0, lam_order,
-                 basis, U, B):
-        self.params = params
+    def __init__(self, p, margin, cutoff, nu0, lam_order, basis, U, B):
         self.p = p
-        self.pi_digits = pi_digits
         self.margin = margin
         self.cutoff = cutoff
         self.nu0 = nu0
@@ -766,9 +741,8 @@ def frobenius_series(params, p, pi_digits=8, lam_order=None, cutoff=None):
         params, p, lam, Laurent({p: one}), count, pi_digits, cutoff)
     B = [[_fit(_series(s, p), p, count) for s in row]
          for row in basis_connection(params, pi, lam)]
-    return FrobeniusSeries(params=params, p=p, pi_digits=pi_digits, margin=margin,
-                           cutoff=cutoff, nu0=rho, lam_order=lam_order,
-                           basis=basis, U=U, B=B)
+    return FrobeniusSeries(p=p, margin=margin, cutoff=cutoff, nu0=rho,
+                           lam_order=lam_order, basis=basis, U=U, B=B)
 
 
 def _mat_series_mul(A, B, count, p):
@@ -804,21 +778,11 @@ def _mat_series_mul(A, B, count, p):
     return out
 
 
-class HorizontalityReport:
-    """variants maps a name to the min ord_pi over all residual coefficients
-    (None = 0 residual)."""
-
-    __slots__ = ("lam_checked", "variants", "margin")
-
-    def __init__(self, lam_checked, variants, margin):
-        self.lam_checked = lam_checked
-        self.variants = variants
-        self.margin = margin
-
-
-def horizontality_residual(fs, lam_checked=None):
+def horizontality_residual(fs):
     """Residual of theta(U) - U*B + p*B(L**p)*U and labeled variants, on
-    the first lam_checked >= 1 terms (all lam_order + 1 by default).
+    all lam_order + 1 terms, as a dict from "stated", "transposed" and
+    "reversed" to the least ord_pi over the residual's coefficients (None
+    for a zero residual).
 
     The stated shape should vanish to the certified precision; the variants
     (transposed connection matrix, reversed transport) are diagnostics and
@@ -827,12 +791,10 @@ def horizontality_residual(fs, lam_checked=None):
     is formed on integers over D_U D_B, with no PiAdic per coefficient: its
     order is the least _ord_pi of a coefficient less (p - 1) ord_p(D_U D_B).
     """
-    if lam_checked is not None and lam_checked < 1:
-        raise PreconditionError(f"lam_checked must be at least 1, got {lam_checked}")
     p = fs.p
-    count = fs.lam_order + 1 if lam_checked is None else min(lam_checked, fs.lam_order + 1)
+    count = fs.lam_order + 1
     (DU, U), (DB, B) = _integer_coords(fs.U), _integer_coords(fs.B)
-    thU = [[[tuple([DB * i * c for c in x]) for i, x in enumerate(e[:count])] for e in row]
+    thU = [[[tuple([DB * i * c for c in x]) for i, x in enumerate(e)] for e in row]
            for row in U]
     shift = (p - 1) * _ord_p(DU * DB, p)
 
@@ -848,28 +810,21 @@ def horizontality_residual(fs, lam_checked=None):
             map(sub, t, r) for rows in zip(thU, R) for es in zip(*rows) for t, r in zip(*es)))], p)
         return None if v is None else v - shift
 
-    variants = {"stated": residual_ord(B),
-                "transposed": residual_ord([list(col) for col in zip(*B)]),
-                "reversed": residual_ord(B, False)}
-    return HorizontalityReport(lam_checked=count, variants=variants, margin=fs.margin)
+    return {"stated": residual_ord(B),
+            "transposed": residual_ord([list(col) for col in zip(*B)]),
+            "reversed": residual_ord(B, False)}
 
 
 class FrobeniusPoint:
-    """nu0 is the reduction reserve rho; U is a PiAdic matrix."""
+    """Fields: margin, cutoff, nu0 (the reduction reserve rho) and U, a
+    PiAdic matrix on the monomial basis."""
 
-    __slots__ = ("params", "p", "lam_residue", "pi_digits", "margin", "cutoff",
-                 "nu0", "basis", "U")
+    __slots__ = ("margin", "cutoff", "nu0", "U")
 
-    def __init__(self, params, p, lam_residue, pi_digits, margin, cutoff, nu0,
-                 basis, U):
-        self.params = params
-        self.p = p
-        self.lam_residue = lam_residue
-        self.pi_digits = pi_digits
+    def __init__(self, margin, cutoff, nu0, U):
         self.margin = margin
         self.cutoff = cutoff
         self.nu0 = nu0
-        self.basis = basis
         self.U = U
 
 
@@ -894,9 +849,7 @@ def frobenius_at_point(params, p, lam_residue, pi_digits=8):
         p, lam_residue, pi_digits + 2 * params.degree * (p - 1))
     U, rho, margin = _frobenius_core(
         params, p, lam_hat, lam_hat, 1, pi_digits, cutoff, lift_ord=lam_ord)
-    return FrobeniusPoint(params=params, p=p, lam_residue=lam_residue,
-                          pi_digits=pi_digits, margin=margin, cutoff=cutoff,
-                          nu0=rho, basis=basis_set(params),
+    return FrobeniusPoint(margin=margin, cutoff=cutoff, nu0=rho,
                           U=[[e[0] for e in row] for row in U])
 
 
@@ -928,22 +881,18 @@ def reciprocal_char_poly(U, p):
 
 
 class CharPolyComparison:
-    """agreement holds, per coefficient, ord_pi of the difference (None =
-    equal)."""
+    """Fields: det_coeffs, the coefficients of det(1 - U T); lpoly_coeffs,
+    those of the counted L-polynomial over Z[zeta_p], and embedded, their
+    images under zeta -> E(1); agreement, per coefficient, ord_pi of the
+    difference (None = equal); and margin, that of U."""
 
-    __slots__ = ("params", "p", "lam_residue", "det_coeffs", "lpoly_coeffs",
-                 "embedded", "agreement", "min_agreement", "margin")
+    __slots__ = ("det_coeffs", "lpoly_coeffs", "embedded", "agreement", "margin")
 
-    def __init__(self, params, p, lam_residue, det_coeffs, lpoly_coeffs,
-                 embedded, agreement, min_agreement, margin):
-        self.params = params
-        self.p = p
-        self.lam_residue = lam_residue
+    def __init__(self, det_coeffs, lpoly_coeffs, embedded, agreement, margin):
         self.det_coeffs = det_coeffs
         self.lpoly_coeffs = lpoly_coeffs
         self.embedded = embedded
         self.agreement = agreement
-        self.min_agreement = min_agreement
         self.margin = margin
 
 
@@ -956,10 +905,9 @@ def compare_char_poly_with_lfunction(params, p, lam_residue, pi_digits=8):
     fp = frobenius_at_point(params, p, lam_residue, pi_digits)
     det_coeffs = reciprocal_char_poly(fp.U, p)
     lp = count_l_polynomial(params, p, lam_residue)
-    zeta_hat, _ = dwork_root(p, fp.margin + 2)
+    zeta_hat = dwork_root(p, fp.margin + 2)
     embedded = [embed_cyclotomic(c, zeta_hat) for c in lp.coeffs]
-    diffs = [dc - ec for dc, ec in zip(det_coeffs, embedded)]
-    return CharPolyComparison(params=params, p=p, lam_residue=lam_residue,
-                              det_coeffs=det_coeffs, lpoly_coeffs=list(lp.coeffs),
-                              embedded=embedded, agreement=[d.ord_pi() for d in diffs],
-                              min_agreement=_min_ord(diffs), margin=fp.margin)
+    return CharPolyComparison(det_coeffs=det_coeffs, lpoly_coeffs=list(lp.coeffs),
+                              embedded=embedded,
+                              agreement=[(d - e).ord_pi() for d, e in zip(det_coeffs, embedded)],
+                              margin=fp.margin)

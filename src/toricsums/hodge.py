@@ -176,18 +176,19 @@ def ordinarity_report(params, p):
 
     A face is ordinary-sufficient when p is prime to its det and p - 1 is
     divisible by both invariant factors of its 2x2 matrix M. Those are
-    (g, |det| / g) with g the gcd of the four entries; det != 0 since
-    a, b, c, d > 0.
+    (g, |det| / g) with g the gcd of the four entries, and g = 1: the three
+    faces' entry gcds divide gcd(a, b), gcd(b, c) and gcd(a, c), which the
+    coprimality pattern of FamilyParams makes 1. So the factors are
+    (1, |det|); det != 0 since a, b, c, d > 0.
     """
     params.check_prime(p)
     faces = []
     for name, M in zip(_FACE_NAMES, _face_matrices(params)):
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        g = gcd(*M[0], *M[1])
-        inv = (g, abs(det) // g)
-        nondeg = gcd(p, abs(det)) == 1
-        ordinary = nondeg and all((p - 1) % f == 0 for f in inv)
-        faces.append(FaceReport(name, tuple(tuple(r) for r in M), det, inv, nondeg, ordinary))
+        nondeg = gcd(p, det) == 1
+        ordinary = nondeg and (p - 1) % det == 0
+        faces.append(FaceReport(name, tuple(tuple(r) for r in M), det, (1, abs(det)),
+                                nondeg, ordinary))
     modulus = weight_denominator(params)
     g_ad = gcd(params.a, params.d)
     guaranteed = g_ad == 1 and p % modulus == 1 % modulus

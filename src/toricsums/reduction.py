@@ -17,7 +17,9 @@ operations on ints, pi and L, and a step builds its Euler factor once.
 The scalar protocol. The constants pi and L, and the rule factors built
 from them, support + and - among themselves, * and / by each other and by
 Python ints, and bool() False exactly at zero; == and hash, where a kind
-has them, compare values. A class coefficient needs only + among its kind,
+has them, compare values. frobenius.PiAdic keeps + and - to exactly that:
+an int or Fraction operand raises TypeError, where Laurent and Fp take one
+as a constant. A class coefficient needs only + among its kind,
 * by a rule factor and bool() as "nonzero". The rewrites divide only by
 small integers, by pi and by L, so three kinds of scalar cover every use:
 ratfunc.Laurent over Fraction with pi = 1 (the connection), Laurent over

@@ -7,7 +7,7 @@ from itertools import permutations
 from toricsums.cyclotomic import CycloInt
 from toricsums.exact import mat_mul
 from toricsums.ffield import FieldTower
-from toricsums.frobenius import HorizontalityReport, PiAdic, _min_ord
+from toricsums.frobenius import PiAdic, _min_ord
 from toricsums.gkz import _taylor_coefficients, picard_fuchs_operator
 from toricsums.hodge import basis_set
 from toricsums.ratfunc import add_term
@@ -184,13 +184,11 @@ def mat_series_mul_piadic(A, B, count, p):
     return out
 
 
-def horizontality_residual_by_piadic(fs, lam_checked=None):
+def horizontality_residual_by_piadic(fs):
     """theta(U) - U*B + p*B(L**p)*U and its variants with one PiAdic per
     product, sum and residual coefficient: the reference for
     frobenius.horizontality_residual."""
-    p = fs.p
-    count = (fs.lam_order + 1) if lam_checked is None else min(lam_checked, fs.lam_order + 1)
-    U = [[entry[:count] for entry in row] for row in fs.U]
+    p, count, U, B = fs.p, fs.lam_order + 1, fs.U, fs.B
     thU = [[[c * i for i, c in enumerate(e)] for e in row] for row in U]
 
     def residual_ord(B, left_to_right=True):
@@ -203,8 +201,6 @@ def horizontality_residual_by_piadic(fs, lam_checked=None):
                         for entries in zip(*rows) for a, b, c in zip(*entries)
                         if a or b or c)
 
-    B = [[entry[:count] for entry in row] for row in fs.B]
-    variants = {"stated": residual_ord(B),
-                "transposed": residual_ord([list(col) for col in zip(*B)]),
-                "reversed": residual_ord(B, False)}
-    return HorizontalityReport(lam_checked=count, variants=variants, margin=fs.margin)
+    return {"stated": residual_ord(B),
+            "transposed": residual_ord([list(col) for col in zip(*B)]),
+            "reversed": residual_ord(B, False)}

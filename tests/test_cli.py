@@ -705,7 +705,6 @@ def test_converters_render_exact_values():
         "num": ["1", "0", "3"], "den": ["0", "0", "1"]}
     assert cli.poly_json(Laurent({1: Fraction(2, 3), 4: Fraction(-5)})) == [
         "0", "2/3", "0", "0", "-5"]
-    assert cli.frac_str(-12) == "-12" and cli.frac_str(Fraction(12, 4)) == "3"
 
 
 # values of a document: strings with quotes, backslashes, control characters,

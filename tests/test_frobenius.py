@@ -110,7 +110,8 @@ def test_monomial_inverse_matches_dense_solve(case):
 def test_results_keep_fraction_coordinates(case):
     x, y = case
     results = [x + y, x - y, -y, x * y, y * x, y / x, 1 / x, x.inverse(),
-               y + 1, y - Fraction(1, 2), y * 3, y / 2]
+               y + PiAdic.one(y.p), y - PiAdic.from_fraction(y.p, Fraction(1, 2)),
+               y * 3, y / 2, Fraction(1, 2) * y]
     if y:
         results += [x / y, y.inverse()]
     for r in results:
@@ -236,7 +237,8 @@ def test_piadic_matches_fraction_reference(case, count):
         (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, const(0) - rx),
         (z.inverse(), rz_inv), (x / z, rx * rz_inv),
         (z ** -2, (rz * rz).inverse()),
-        (x * 3 - Fraction(1, 4), rx * const(3) - const(Fraction(1, 4))),
+        (x * 3 - PiAdic.from_fraction(p, Fraction(1, 4)),
+         rx * const(3) - const(Fraction(1, 4))),
         # equal denominators, and a common factor that cancels down to 1
         (x + xk, rx + rxk), (xk - x, rxk - rx), (x - xk, rx - rxk), (xk * x, rxk * rx),
         # denominator 1 on one side or both
@@ -271,10 +273,27 @@ def test_piadic_matches_fraction_reference(case, count):
             x.digits(count)
 
 
-def test_reflected_subtraction():
-    pi = PiAdic.pi(5)
-    assert 1 - pi == PiAdic.one(5) - pi
-    assert Fraction(1, 2) - pi == PiAdic.from_fraction(5, Fraction(1, 2)) - pi
+X5 = PiAdic(5, [Fraction(1, 3), 2, 0, -1])
+
+
+@pytest.mark.parametrize("mixed", [
+    lambda x: x + 1, lambda x: 1 + x, lambda x: 1 - x, lambda x: x - Fraction(1, 2),
+    # sum starts from the int 0
+    lambda x: sum([x]),
+], ids=["x+1", "1+x", "1-x", "x-1/2", "sum"])
+def test_plus_and_minus_take_piadic_operands_only(mixed):
+    # the scalar protocol of reduction: + and - among pi-adic values only
+    with pytest.raises(TypeError):
+        mixed(X5)
+
+
+def test_times_and_divide_still_take_ints_and_fractions():
+    x = X5
+    assert x * 2 == x + x and x / 2 * 2 == x and (1 / x) * x == PiAdic.one(5)
+    assert Fraction(1, 2) * x == x / 2 == x * Fraction(1, 2)
+    assert sum([x, x], PiAdic.zero(5)) == x * 2
+    with pytest.raises(ZeroDivisionError):
+        x / 0
 
 
 def test_pi_generates_p():
@@ -328,32 +347,32 @@ def test_splitting_closed_form_matches_the_product(p):
 
 def test_dwork_root_is_a_root_of_unity():
     for p in (3, 5):
-        z, ordz = dwork_root(p, 8)
+        z = dwork_root(p, 8)
         total = PiAdic.zero(p)
         power = PiAdic.one(p)
         for _ in range(p):
             total = total + power
             power = power * z
         v = total.ord_pi()
-        assert v is None or v >= ordz
+        assert v is None or v >= 8
         # normalization: z = 1 + pi mod pi**2
         assert ord_ge(z - (PiAdic.one(p) + PiAdic.pi(p)), 2)
 
 
 def test_dwork_root_p3_closed_form():
-    z, ordz = dwork_root(3, 10)
+    z = dwork_root(3, 10)
     exact = PiAdic(3, (Fraction(-1, 2), Fraction(-1, 2)))
-    assert ord_ge(z - exact, ordz)
+    assert ord_ge(z - exact, 10)
 
 
 def test_embedding_respects_multiplication():
     p = 5
-    z, ordz = dwork_root(p, 12)
+    z = dwork_root(p, 12)
     x = CycloInt(p, (1, -2, 0, 3))
     y = CycloInt(p, (0, 1, 1, -1))
     lhs = embed_cyclotomic(x * y, z)
     rhs = embed_cyclotomic(x, z) * embed_cyclotomic(y, z)
-    assert ord_ge(lhs - rhs, ordz)
+    assert ord_ge(lhs - rhs, 12)
 
 
 def test_teichmuller_points():
@@ -420,19 +439,11 @@ def test_frobenius_series_shape_and_unit_root():
 
 def test_horizontality_holds_only_in_stated_shape():
     P = FamilyParams(1, 1, 1, 1)
-    fs = frobenius_series(P, 3, pi_digits=4, lam_order=8)
-    rep = horizontality_residual(fs, lam_checked=6)
-    assert rep.variants["stated"] is None or rep.variants["stated"] >= fs.margin
-    assert rep.variants["transposed"] is not None and rep.variants["transposed"] < 2
-    assert rep.variants["reversed"] is not None and rep.variants["reversed"] < 2
-
-
-@pytest.mark.parametrize("lam_checked", [0, -1, -5])
-def test_horizontality_refuses_lam_checked_below_one(lam_checked):
-    # fewer than one term checks nothing, which would read as a zero residual
-    fs = frobenius_series(FamilyParams(1, 1, 1, 1), 3, pi_digits=4, lam_order=8)
-    with pytest.raises(PreconditionError, match=f"at least 1, got {lam_checked}$"):
-        horizontality_residual(fs, lam_checked)
+    fs = frobenius_series(P, 3, pi_digits=4, lam_order=5)
+    rep = horizontality_residual(fs)
+    assert rep["stated"] is None or rep["stated"] >= fs.margin
+    assert rep["transposed"] is not None and rep["transposed"] < 2
+    assert rep["reversed"] is not None and rep["reversed"] < 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -440,14 +451,9 @@ def test_horizontality_refuses_lam_checked_below_one(lam_checked):
 def test_horizontality_matches_the_piadic_reference_on_series(data):
     a, b = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]))
     p = data.draw(st.sampled_from([q for q in (3, 5, 7) if a * b % q]))
-    lam_order = data.draw(st.integers(0, 8))
-    lam_checked = data.draw(st.none() | st.integers(1, lam_order + 3))
     fs = frobenius_series(FamilyParams(a, b, 1, 1), p, pi_digits=data.draw(st.integers(0, 6)),
-                          lam_order=lam_order)
-    got, ref = horizontality_residual(fs, lam_checked), horizontality_residual_by_piadic(
-        fs, lam_checked)
-    assert got.lam_checked == ref.lam_checked
-    assert got.variants == ref.variants
+                          lam_order=data.draw(st.integers(0, 8)))
+    assert horizontality_residual(fs) == horizontality_residual_by_piadic(fs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -465,13 +471,9 @@ def test_horizontality_matches_the_piadic_reference_on_random_matrices(data):
     if data.draw(st.integers(0, 3)) == 0:
         # U = 0 makes every residual zero
         U = [[[PiAdic.zero(p)] * count for _ in range(n)] for _ in range(n)]
-    lam_checked = data.draw(st.none() | st.integers(1, count + 2))
-    fs = FrobeniusSeries(params=None, p=p, pi_digits=0, margin=0, cutoff=0, nu0=0,
-                         lam_order=count - 1, basis=None, U=U, B=B)
-    got, ref = horizontality_residual(fs, lam_checked), horizontality_residual_by_piadic(
-        fs, lam_checked)
-    assert got.lam_checked == ref.lam_checked
-    assert got.variants == ref.variants
+    fs = FrobeniusSeries(p=p, margin=0, cutoff=0, nu0=0, lam_order=count - 1, basis=None,
+                         U=U, B=B)
+    assert horizontality_residual(fs) == horizontality_residual_by_piadic(fs)
 
 
 ring_cases = st.sampled_from([3, 5, 7, 11]).flatmap(
@@ -710,7 +712,7 @@ def test_point_frobenius_matches_series_at_teichmuller_one():
         params = FamilyParams(*abcd)
         fs = frobenius_series(params, p, pi_digits=4, lam_order=lam_order)
         fp = frobenius_at_point(params, p, 1, pi_digits=4)
-        assert fs.basis == fp.basis
+        assert fs.basis == frobenius.basis_set(params) and len(fp.U) == len(fs.basis)
         m = min(fs.margin, fp.margin)
         for row, point_row in zip(fs.U, fp.U):
             for entry, y in zip(row, point_row):
@@ -729,7 +731,7 @@ def test_series_frobenius_serves_every_simple_pole_family(ab):
         assert fs.nu0 == frobenius.reduction_reserve(p, fs.cutoff)
         assert all(len(e) == 9 for M in (fs.U, fs.B) for row in M for e in row)
         assert all(ord_ge(c, 0) for row in fs.U for e in row for c in e), (ab, p)
-        stated = horizontality_residual(fs).variants["stated"]
+        stated = horizontality_residual(fs)["stated"]
         assert stated is None or stated >= fs.margin, (ab, p, stated, fs.margin)
 
 
@@ -780,4 +782,4 @@ def test_char_poly_from_half_the_powers_matches_all_powers(case):
 def test_low_precision_comparison_agrees():
     P = FamilyParams(1, 1, 1, 1)
     rep = compare_char_poly_with_lfunction(P, 3, 2, pi_digits=4)
-    assert rep.min_agreement is None or rep.min_agreement >= rep.margin
+    assert all(v is None or v >= rep.margin for v in rep.agreement)

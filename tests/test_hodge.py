@@ -7,6 +7,8 @@ independent of the code under test.
 
 import importlib.util
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,19 @@ def test_ordinarity_face_data():
     assert not rep.guaranteed_ordinary
     rep7 = ordinarity_report(P, 7)
     assert rep7.guaranteed_ordinary
+
+
+def test_every_face_matrix_has_entry_gcd_one():
+    # the closed form (1, |det|) of the invariant factors: the entry gcd of
+    # each face divides gcd(a, b), gcd(b, c) or gcd(a, c), all 1
+    for abcd in product(range(1, 7), repeat=4):
+        try:
+            P = FamilyParams(*abcd)
+        except PreconditionError:
+            continue
+        for f in ordinarity_report(P, 7).faces:
+            assert gcd(*f.matrix[0], *f.matrix[1]) == 1, abcd
+            assert f.invariant_factors == (1, abs(f.det)), abcd
 
 
 def test_ordinarity_rejects_bad_primes():
