@@ -67,13 +67,18 @@ def cyclo_json(x):
 
 
 def piadic_json(x, digit_count=None):
+    """Coordinates, ord_pi and, when asked for and x is pi-integral, the
+    first digit_count digits of x. A zero is written out directly."""
+    p = x.p
+    out = {"pi_relation": f"pi^{p - 1} = -{p}"}
+    if not x:
+        out.update(rational_coords=["0"] * (p - 1), ord_pi="infinity")
+        if digit_count is not None:
+            out["digits"] = [0] * digit_count
+        return out
     v = x.ord_pi()
-    out = {
-        "pi_relation": f"pi^{x.p - 1} = -{x.p}",
-        "rational_coords": [_ratio_str(n, x.den) for n in x.num],
-        "ord_pi": "infinity" if v is None else v,
-    }
-    if digit_count is not None and (v is None or v >= 0):
+    out.update(rational_coords=[_ratio_str(n, x.den) for n in x.num], ord_pi=v)
+    if digit_count is not None and v >= 0:
         out["digits"] = x.digits(digit_count)
     return out
 
@@ -536,8 +541,14 @@ def dumps(x, pad=""):
     if isinstance(x, list):
         if not x:
             return "[]"
-        return ("[\n" + inner + (",\n" + inner).join([dumps(v, inner) for v in x])
-                + "\n" + pad + "]")
+        # a flat list of str, or of ints that are not bools, in one join
+        if all(type(v) is str for v in x):
+            items = map(encode_basestring_ascii, x)
+        elif all(type(v) is int for v in x):
+            items = map(int.__repr__, x)
+        else:
+            items = [dumps(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"{type(x).__name__} is not a document value")
 
 

@@ -3,8 +3,14 @@
 Elements are coefficient tuples over F_p (length k, constant term first).
 The modulus is the monic irreducible of degree k whose coefficient tuple has
 the smallest integer encoding sum(c_i * p**i), so every run builds the same
-field and the same generator. Fp is the prime field as a plain value, the
-scalar of reductions with the deformation specialized to a residue.
+field and the same generator. `field_tower(p, k)` hands every caller the one
+FieldTower of each (p, k) it asks for; a tower holds O(k) ints (its modulus,
+basis traces and, once asked for, its generator) and no tables, so the memo
+grows by that much per field. Multiplication folds products of degree up to
+2k - 2 with the fixed relation t**k = -sum(f_j t**j), and the basis traces
+are the power sums of the modulus's roots, from Newton's identities. Fp is
+the prime field as a plain value, the scalar of reductions with the
+deformation specialized to a residue.
 """
 
 from functools import cached_property, lru_cache
@@ -190,6 +196,9 @@ class FieldTower:
         self.k = k
         self.q = p ** k
         self.modulus = find_irreducible(p, k)
+        # t**k = sum(c * t**j) over the pairs (j, c) with c = -f_j mod p nonzero
+        self._fold = tuple((j, -f % p) for j, f in enumerate(self.modulus[:k]) if f)
+        self._generator = None
 
     def element(self, coeffs):
         cs = [c % self.p for c in coeffs]
@@ -224,20 +233,35 @@ class FieldTower:
         return tuple((a + b) % self.p for a, b in zip(x, y))
 
     def mul(self, x, y):
-        out = _pmod(self.p, _pmul(self.p, list(x), list(y)), list(self.modulus))
-        return tuple(out + [0] * (self.k - len(out)))
+        """x * y: one schoolbook product, its terms of degree k..2k-2 folded
+        down from the top with t**k = -sum(f_j t**j), and one reduction mod p
+        at the end."""
+        p, k, fold = self.p, self.k, self._fold
+        out = [0] * (2 * k - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    out[i + j] += a * b
+        for d in range(2 * k - 2, k - 1, -1):
+            c = out[d]
+            if c:
+                for j, f in fold:
+                    out[d - k + j] += c * f
+        return tuple([c % p for c in out[:k]])
 
     def pow(self, x, e):
+        """x**e by squaring from the top bit of e down: one square per later
+        bit, and one product by x per later bit that is set."""
         if e < 0:
             x = self.inv(x)
             e = -e
-        result = self.one
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            base = self.mul(base, base)
+        if e == 0:
+            return self.one
+        result = x
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, x)
         return result
 
     def inv(self, x):
@@ -251,35 +275,36 @@ class FieldTower:
     @cached_property
     def basis_traces(self):
         """Tr(t**j) down to F_p for j < k, as ints in [0, p): the trace is
-        the F_p-linear form with these coefficients."""
-        traces = []
-        for j in range(self.k):
-            e = [0] * self.k
-            e[j] = 1
-            e = tuple(e)
-            acc = e
-            cur = e
-            for _ in range(self.k - 1):
-                cur = self.frobenius(cur)
-                acc = self.add(acc, cur)
-            if any(acc[1:]):
-                raise PreconditionError("trace landed outside the prime field")
-            traces.append(acc[0])
-        return tuple(traces)
+        the F_p-linear form with these coefficients.
+
+        Tr(t**j) is the power sum s_j of the roots of the modulus
+        f = t**k + f_(k-1) t**(k-1) + ... + f_0, its conjugates over F_p. So
+        s_0 = k and, by Newton's identities,
+        s_j = -(f_(k-1) s_(j-1) + ... + f_(k-j+1) s_1 + j f_(k-j)) for j < k.
+        """
+        p, k, f = self.p, self.k, self.modulus
+        s = [k % p]
+        for j in range(1, k):
+            acc = j * f[k - j]
+            for i in range(1, j):
+                acc += f[k - i] * s[j - i]
+            s.append(-acc % p)
+        return tuple(s)
 
     def trace(self, x):
         """Trace down to F_p, returned as an int in [0, p)."""
         return sum(c * t for c, t in zip(x, self.basis_traces)) % self.p
 
     def generator(self):
-        """Least primitive element by integer encoding."""
-        m = self.q - 1
-        primes = _prime_divisors(m)
-        for code in range(1, self.q):
-            g = self.from_code(code)
-            if all(self.pow(g, m // ell) != self.one for ell in primes):
-                return g
-        raise PreconditionError("no generator found")  # unreachable
+        """Least primitive element by integer encoding, searched for on the
+        first call and kept."""
+        if self._generator is None:
+            m, one = self.q - 1, self.one
+            primes = _prime_divisors(m)
+            self._generator = next(
+                g for g in map(self.from_code, range(1, self.q))
+                if all(self.pow(g, m // ell) != one for ell in primes))
+        return self._generator
 
     def log(self, x):
         """Discrete log base the canonical generator, by scanning powers."""
@@ -330,3 +355,11 @@ class FieldTower:
             acc = self.add(acc, self.mul(self.embed_prime(cc), rp))
             rp = self.mul(rp, root)
         return acc
+
+
+@lru_cache(maxsize=None)
+def field_tower(p, k):
+    """The one FieldTower(p, k) that every caller shares: its generator is
+    searched for once per (p, k), not once per caller. The memo keeps every
+    tower asked for, each O(k) ints."""
+    return FieldTower(p, k)

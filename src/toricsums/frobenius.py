@@ -200,11 +200,14 @@ class PiAdic:
 
     def digits(self, count):
         """Canonical digit expansion d_0..d_{count-1} with x = sum d_i pi**i
-        mod pi**count, digits in [0, p). Requires ord_pi >= 0."""
-        v = self.ord_pi()
-        if v is not None and v < 0:
-            raise PreconditionError("scalar is not pi-integral")
+        mod pi**count, digits in [0, p). Requires ord_pi >= 0.
+
+        In lowest terms, when p divides den some coordinate is prime to p,
+        and its term has ord_pi at most p - 2 before the division by den. So
+        ord_pi < 0 exactly when p divides den."""
         p = self.p
+        if self.den % p == 0:
+            raise PreconditionError("scalar is not pi-integral")
         # den is prime to p. Coordinates congruent mod p**k give elements
         # congruent mod pi**(k*(p-1)), which share their first count digits.
         mod = p ** (count // (p - 1) + 1)

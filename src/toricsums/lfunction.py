@@ -12,7 +12,7 @@ from math import isqrt
 from .cyclotomic import CycloInt, ord_q
 from .errors import InvariantError, PreconditionError
 from .exact import lower_convex_hull
-from .ffield import FieldTower
+from .ffield import field_tower
 
 
 # Rows of the histogram are walked in chunks of about this many cells, so a
@@ -49,11 +49,12 @@ def trace_table(tower, lam):
     L = log_g(lam), for nonzero lam.
 
     Multiplication by g**B, B = isqrt(m), is a fixed k x k matrix over F_p.
-    The first B powers of g are walked with FieldTower.mul; each later block
-    of B powers is the one before times that matrix, in int64 mod p, so only
-    one block is held at a time. Each block's coordinates are dotted with the
-    basis traces, giving T, and with p**j, giving the integer encodings; L is
-    the one power whose encoding is lam's.
+    The first B powers of g are walked by B products in the tower, and the
+    matrix's rows are the k products t**j * g**B; each later block of B
+    powers is the one before times that matrix, in int64 mod p, so only one
+    block is held at a time. Each block's coordinates are dotted with the
+    basis traces (read off the modulus), giving T, and with p**j, giving the
+    integer encodings; L is the one power whose encoding is lam's.
     """
     import numpy as np
 
@@ -103,8 +104,10 @@ def exp_sum(params, p, lam_code, k, atilde=1):
 
     Runs on the generator power table: x1 = g**s, x2 = g**t with
     m = q**k - 1, so every trace comes from T[i] = Tr(g**i), built by
-    `trace_table` with L = log_g(lam). The sum is the histogram of
-    A[s] + B[t] + C[s, t], the traces of x1**a, x2**b and lam / (x1**c x2**d).
+    `trace_table` with L = log_g(lam), on the tower that `field_tower` shares
+    between every sum over one field, so its generator is searched for once.
+    The sum is the histogram of A[s] + B[t] + C[s, t], the traces of x1**a,
+    x2**b and lam / (x1**c x2**d).
 
     Since lam lies in F_q, x -> x**q fixes every summand, so (s, t) ->
     (q*s, q*t) permutes the cells and each row s has the histogram of every
@@ -127,7 +130,7 @@ def exp_sum(params, p, lam_code, k, atilde=1):
     if k < 1:
         raise PreconditionError("k must be >= 1")
     check_count_size(p, atilde, k)
-    tower = FieldTower(p, atilde * k)
+    tower = field_tower(p, atilde * k)
     m = tower.q - 1
     lam = tower.embed_subfield_code(p, atilde, lam_code)
     if lam == tower.zero:

@@ -40,6 +40,21 @@ def exp_sum_direct(params, p, lam_code, k, atilde=1):
     return sum((n * zeta_power(p, t) for t, n in enumerate(counts)), CycloInt.zero(p))
 
 
+def basis_traces_by_frobenius(tower):
+    """Tr(t**j) for j < k as t**j + (t**j)**p + ... + (t**j)**(p**(k-1)),
+    k - 1 Frobenius powers a basis element: the reference for
+    FieldTower.basis_traces."""
+    traces = []
+    for j in range(tower.k):
+        cur = acc = tower.from_code(tower.p ** j)
+        for _ in range(tower.k - 1):
+            cur = tower.frobenius(cur)
+            acc = tower.add(acc, cur)
+        assert not any(acc[1:]), "trace landed outside the prime field"
+        traces.append(acc[0])
+    return tuple(traces)
+
+
 def apply_operator_to_log_series(params, sol):
     """Vectors P(rho+n+E) u_n - u_{n-ab} for each n; all-zero iff the series
     satisfies the operator through the computed order."""

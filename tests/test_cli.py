@@ -707,6 +707,22 @@ def test_converters_render_exact_values():
         "0", "2/3", "0", "0", "-5"]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_piadic_json_writes_what_ord_pi_and_digits_give(p):
+    # a zero is written without calling either; a non-integral value has no digits
+    pad = [0] * (p - 3)
+    for x in (frobenius.PiAdic.zero(p), frobenius.PiAdic(p, [Fraction(2, 7), 3, *pad]),
+              frobenius.PiAdic(p, [0, Fraction(1, p), *pad])):
+        v = x.ord_pi()
+        expected = {"pi_relation": f"pi^{p - 1} = -{p}",
+                    "rational_coords": [str(c) for c in x.coeffs],
+                    "ord_pi": "infinity" if v is None else v}
+        assert cli.piadic_json(x) == expected
+        if v is None or v >= 0:
+            expected["digits"] = x.digits(6)
+        assert cli.piadic_json(x, 6) == expected
+
+
 # values of a document: strings with quotes, backslashes, control characters,
 # non-ASCII, non-BMP and lone surrogate characters; ints past Python's
 # default cap of 4300 digits on int-to-str conversion
@@ -714,13 +730,19 @@ TEXT = st.text(max_size=6) | st.sampled_from(
     ['"', "\\", "\x00\t\n\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800", ""])
 HUGE = st.builds(lambda n, sign: sign * (10 ** 4400 + n), st.integers(), st.sampled_from((1, -1)))
 SCALARS = TEXT | st.booleans() | st.integers() | HUGE
+# flat lists, written in one join when every element is a str or an int
+# that is not a bool
+FLAT = (st.lists(TEXT, max_size=4) | st.lists(st.integers() | HUGE, max_size=4)
+        | st.lists(st.booleans(), max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=4))
 
 
 def documents(depth):
     if depth == 0:
         return SCALARS
     inner = documents(depth - 1)
-    return SCALARS | st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4)
+    return (SCALARS | FLAT | st.lists(inner, max_size=4)
+            | st.dictionaries(TEXT, inner, max_size=4))
 
 
 @settings(max_examples=300, deadline=None)

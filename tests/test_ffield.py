@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import basis_traces_by_frobenius
 from toricsums.errors import PreconditionError
-from toricsums.ffield import FieldTower, Fp, find_irreducible
+from toricsums.ffield import FieldTower, Fp, _pmod, _pmul, field_tower, find_irreducible
 
 
 def test_find_irreducible_is_deterministic():
@@ -40,6 +41,22 @@ def test_generator_has_full_order():
     g = tw.generator()
     powers = {tw.to_code(tw.pow(g, e)) for e in range(8)}
     assert len(powers) == 8
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 2), (17, 2)])
+def test_generator_is_the_least_primitive_element(p, k):
+    # orders by walking powers: every smaller nonzero code has order below q - 1
+    tw = FieldTower(p, k)
+
+    def order(x):
+        cur, n = x, 1
+        while cur != tw.one:
+            cur, n = tw.mul(cur, x), n + 1
+        return n
+
+    code = tw.to_code(tw.generator())
+    assert order(tw.from_code(code)) == tw.q - 1
+    assert all(order(tw.from_code(c)) < tw.q - 1 for c in range(1, code))
 
 
 def test_trace_is_frobenius_invariant_and_additive():
@@ -83,6 +100,42 @@ def test_log_inverts_power():
     g = tw.generator()
     for e in range(8):
         assert tw.log(tw.pow(g, e)) == e
+
+
+@st.composite
+def field_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 17]))
+    k = draw(st.integers(1, 6))
+    tw = field_tower(p, k)
+    x, y = (tw.from_code(draw(st.integers(0, tw.q - 1))) for _ in range(2))
+    return tw, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_pairs())
+def test_mul_matches_the_generic_remainder(pair):
+    # the fixed-modulus fold gives the remainder of the full product by the
+    # modulus, as the generic polynomial division does
+    tw, x, y = pair
+    ref = _pmod(tw.p, _pmul(tw.p, list(x), list(y)), list(tw.modulus))
+    assert tw.mul(x, y) == tuple(ref + [0] * (tw.k - len(ref)))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7, 11, 13, 17)
+                                 for k in range(1, 20) if p ** k <= 10 ** 6])
+def test_basis_traces_are_the_frobenius_sums(p, k):
+    # Newton's identities on the modulus, including k = p where Tr(1) = 0
+    tw = FieldTower(p, k)
+    assert tw.basis_traces == basis_traces_by_frobenius(tw)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 3), (17, 2)])
+def test_field_tower_memo_shares_one_tower_per_field(p, k):
+    tw = field_tower(p, k)
+    assert field_tower(p, k) is tw and field_tower(p, k + 1) is not tw
+    fresh = FieldTower(p, k)
+    assert tw.generator() == fresh.generator() and tw.generator() is tw.generator()
+    assert tw.basis_traces == fresh.basis_traces
 
 
 def test_prime_field_values_compare_and_hash_by_residue():
