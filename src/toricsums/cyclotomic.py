@@ -8,26 +8,7 @@ pi = 1 - zeta is computed by exact division, never numerically.
 from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
-from .exact import require_prime
-
-
-def _mul_reduce(p, xs, ys):
-    """Multiply two coefficient tuples and reduce zeta**(p-1) = -(1+...+zeta**(p-2))."""
-    n = p - 1
-    out = [0] * (2 * n - 1)
-    for i, x in enumerate(xs):
-        if not x:
-            continue
-        for j, y in enumerate(ys):
-            out[i + j] += x * y
-    for k in range(2 * n - 2, n - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            base = k - n
-            for j in range(n):
-                out[base + j] -= c
-    return tuple(out[:n])
+from .exact import fold_mul, require_prime
 
 
 class CycloInt:
@@ -70,7 +51,8 @@ class CycloInt:
         if isinstance(other, int):
             return CycloInt(self.p, tuple(x * other for x in self.coeffs))
         self._like(other)
-        return CycloInt(self.p, _mul_reduce(self.p, self.coeffs, other.coeffs))
+        fold = [(j, -1) for j in range(self.p - 1)]  # zeta**(p-1) = -(1 + ... + zeta**(p-2))
+        return CycloInt(self.p, fold_mul(self.coeffs, other.coeffs, fold))
 
     __rmul__ = __mul__
 

@@ -1,8 +1,12 @@
-"""Exact helpers: primality, matrix product, rational polygons and the
-lower convex hull.
+"""Exact helpers: primality, matrix product, the ring product, Newton's
+identities, rational polygons and the lower convex hull.
 
 Everything here works over Python ints and fractions.Fraction; no floats.
-Matrices are plain lists of lists.
+Matrices are plain lists of lists. fold_mul is the one product of the rings
+Z[t]/(t**n - sum(c_j t**j)) that both routes compute in: Z[zeta_p] and
+F_(p^k) when counting, Z[pi]/(pi**(p-1) + p) in Dwork theory. Newton's
+identities are written once per direction: power_sums and
+coefficients_from_power_sums.
 """
 
 from fractions import Fraction
@@ -34,6 +38,62 @@ def mat_mul(A, B):
         raise PreconditionError("matrix shapes do not match")
     n = len(B[0]) if B else 0
     return [[reduce(add, map(mul, row, col)) for col in zip(*B)] for row in A] if n else [[] for _ in A]
+
+
+def fold_mul(x, y, fold):
+    """x * y in Z[t]/(t**n - sum(c_j t**j)), fold the pairs (j, c_j), for x
+    and y the n coordinates on 1, t, ..., t**(n-1): the schoolbook product,
+    zero factors skipped, then its terms e t**(n+d), d = n-2 down to 0,
+    popped from the top and added back as e t**d sum(c_j t**j). Returns the
+    n coordinates as a list."""
+    n = len(x)
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    out = [0] * (2 * n - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in ys:
+                out[i + j] += a * b
+    for d in range(n - 2, -1, -1):
+        e = out.pop()
+        if e:
+            for j, c in fold:
+                out[d + j] += e * c
+    return out
+
+
+def power_sums(coeffs, count):
+    """S_1..S_count, S_m = sum alpha**m, from the coefficients
+    1, c_1, ..., c_n of prod(1 - alpha T), by Newton's identities
+
+        S_m = -(m c_m + c_1 S_(m-1) + ... + c_(m-1) S_1),  c_j = 0 for j > n.
+
+    Division-free, so exact in any commutative ring; coeffs[0] * 0 is its
+    zero."""
+    n = len(coeffs) - 1
+    sums = []
+    for m in range(1, count + 1):
+        acc = coeffs[m] * m if m <= n else coeffs[0] * 0
+        for j in range(1, min(m, n + 1)):
+            acc = acc + coeffs[j] * sums[m - j - 1]
+        sums.append(-acc)
+    return sums
+
+
+def coefficients_from_power_sums(sums, one):
+    """Coefficients one, c_1, ..., c_n of prod(1 - alpha T) from the power
+    sums S_k = sum alpha**k, k = 1..n, by Newton's identities
+
+        m c_m = -(S_1 c_{m-1} + S_2 c_{m-2} + ... + S_m c_0).
+
+    The values' / by an int carries the exactness check, if any.
+    """
+    coeffs = [one]
+    for m in range(1, len(sums) + 1):
+        acc = sums[0] * coeffs[m - 1]
+        for k in range(2, m + 1):
+            acc = acc + sums[k - 1] * coeffs[m - k]
+        coeffs.append(-acc / m)
+    return coeffs
 
 
 def _cross(o, a, b):

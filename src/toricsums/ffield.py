@@ -6,18 +6,19 @@ the smallest integer encoding sum(c_i * p**i), so every run builds the same
 field and the same generator. `field_tower(p, k)` hands every caller the one
 FieldTower of each (p, k) it asks for; a tower holds O(k) ints (its modulus,
 basis traces and, once asked for, its generator) and no tables, so the memo
-grows by that much per field. Multiplication folds products of degree up to
-2k - 2 with the fixed relation t**k = -sum(f_j t**j), and the basis traces
-are the power sums of the modulus's roots, from Newton's identities. Fp is
-the prime field as a plain value, the scalar of reductions with the
-deformation specialized to a residue.
+grows by that much per field. Multiplication is exact.fold_mul with the
+fixed relation t**k = -sum(f_j t**j), and the basis traces are the power
+sums of the modulus's roots from exact.power_sums: the ring product and the
+Newton recurrence that the other routes share. Fp is the prime field as a
+plain value, the scalar of reductions with the deformation specialized to
+a residue.
 """
 
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import InvariantError, PreconditionError
-from .exact import require_prime
+from .exact import fold_mul, power_sums, require_prime
 
 
 class Fp:
@@ -99,6 +100,16 @@ def _prime_divisors(n):
     return out
 
 
+def _digits(code, p, k):
+    """The k base-p digits of code, least significant first: the coefficient
+    tuple whose integer encoding sum(c_i p**i) is code."""
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
+
+
 def _pstrip(a):
     a = list(a)
     while a and a[-1] == 0:
@@ -176,12 +187,7 @@ def find_irreducible(p, k):
     if k == 1:
         return (0, 1)
     for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
+        f = _digits(code, p, k) + (1,)
         if _poly_is_irreducible(p, list(f)):
             return f
     raise PreconditionError("no irreducible polynomial found")  # unreachable
@@ -220,11 +226,7 @@ class FieldTower:
 
     def from_code(self, code):
         """Element from its integer encoding sum(c_i p**i)."""
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return tuple(coeffs)
+        return _digits(code, self.p, self.k)
 
     def to_code(self, x):
         return sum(c * self.p ** i for i, c in enumerate(x))
@@ -233,21 +235,10 @@ class FieldTower:
         return tuple((a + b) % self.p for a, b in zip(x, y))
 
     def mul(self, x, y):
-        """x * y: one schoolbook product, its terms of degree k..2k-2 folded
-        down from the top with t**k = -sum(f_j t**j), and one reduction mod p
-        at the end."""
-        p, k, fold = self.p, self.k, self._fold
-        out = [0] * (2 * k - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    out[i + j] += a * b
-        for d in range(2 * k - 2, k - 1, -1):
-            c = out[d]
-            if c:
-                for j, f in fold:
-                    out[d - k + j] += c * f
-        return tuple([c % p for c in out[:k]])
+        """x * y: fold_mul with t**k = -sum(f_j t**j), and one reduction
+        mod p at the end."""
+        p = self.p
+        return tuple([c % p for c in fold_mul(x, y, self._fold)])
 
     def pow(self, x, e):
         """x**e by squaring from the top bit of e down: one square per later
@@ -278,18 +269,12 @@ class FieldTower:
         the F_p-linear form with these coefficients.
 
         Tr(t**j) is the power sum s_j of the roots of the modulus
-        f = t**k + f_(k-1) t**(k-1) + ... + f_0, its conjugates over F_p. So
-        s_0 = k and, by Newton's identities,
-        s_j = -(f_(k-1) s_(j-1) + ... + f_(k-j+1) s_1 + j f_(k-j)) for j < k.
+        f = t**k + f_(k-1) t**(k-1) + ... + f_0, its conjugates over F_p.
+        Their prod(1 - alpha T) is the reversed modulus, so s_0 = k and
+        s_1..s_(k-1) are its exact.power_sums, reduced mod p at the end.
         """
-        p, k, f = self.p, self.k, self.modulus
-        s = [k % p]
-        for j in range(1, k):
-            acc = j * f[k - j]
-            for i in range(1, j):
-                acc += f[k - i] * s[j - i]
-            s.append(-acc % p)
-        return tuple(s)
+        p, k = self.p, self.k
+        return tuple([k % p] + [s % p for s in power_sums(self.modulus[::-1], k - 1)])
 
     def trace(self, x):
         """Trace down to F_p, returned as an int in [0, p)."""
@@ -344,14 +329,9 @@ class FieldTower:
                 break
         if root is None:
             raise PreconditionError("no root of subfield modulus")  # unreachable
-        coeffs = []
-        c = code
-        for _ in range(deg):
-            coeffs.append(c % p)
-            c //= p
         acc = self.zero
         rp = self.one
-        for cc in coeffs:
+        for cc in _digits(code, p, deg):
             acc = self.add(acc, self.mul(self.embed_prime(cc), rp))
             rp = self.mul(rp, root)
         return acc

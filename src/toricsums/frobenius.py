@@ -22,14 +22,9 @@ from math import ceil, comb, gcd, lcm
 from operator import add, sub
 
 from .errors import InvariantError, PreconditionError, StarvationError
-from .exact import mat_mul
+from .exact import coefficients_from_power_sums, fold_mul, mat_mul
 from .hodge import basis_set, weight_of
-from .lfunction import (
-    check_count_size,
-    coefficients_from_power_sums,
-    count_l_polynomial,
-    sums_needed,
-)
+from .lfunction import check_count_size, count_l_polynomial, sums_needed
 from .ratfunc import Laurent, solve_linear
 from .reduction import basis_connection, flag_representatives, reduce_to_basis
 
@@ -296,23 +291,13 @@ class Column:
 
 def _ring_mul(x, y, p):
     """x * y in Z[pi]/(pi**(p-1) + p) for p - 1 int coordinates x and y on
-    1, pi, ..., pi**(p-2), as a tuple of p - 1 ints: the one ring product."""
+    1, pi, ..., pi**(p-2), as a tuple of p - 1 ints: fold_mul with
+    pi**(p-1) = -p."""
     if p == 3:
         # (x0 + x1 pi)(y0 + y1 pi) with pi**2 = -3
         (x0, x1), (y0, y1) = x, y
         return (x0 * y0 - 3 * x1 * y1, x0 * y1 + x1 * y0)
-    n = p - 1
-    ys = [(j, b) for j, b in enumerate(y) if b]
-    out = [0] * (2 * n - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in ys:
-                out[i + j] += a * b
-    # fold with pi**(p-1) = -p
-    for k in range(2 * n - 2, n - 1, -1):
-        if out[k]:
-            out[k - n] -= p * out[k]
-    return tuple(out[:n])
+    return tuple(fold_mul(x, y, ((0, -p),)))
 
 
 def _ord_pi(num, p):

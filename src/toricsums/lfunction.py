@@ -11,7 +11,7 @@ from math import isqrt
 
 from .cyclotomic import CycloInt, ord_q
 from .errors import InvariantError, PreconditionError
-from .exact import lower_convex_hull
+from .exact import coefficients_from_power_sums, lower_convex_hull, power_sums
 from .ffield import field_tower
 
 
@@ -186,38 +186,19 @@ def exp_sum_series(params, p, lam_code, count, atilde=1):
 
 
 class LPolynomial:
-    """Reciprocal characteristic polynomial: coeffs[r], a CycloInt,
-    multiplies T**r, coeffs[0] = 1, degree = a*d + a*b + b*c."""
+    """Reciprocal characteristic polynomial over F_q, q = p**atilde:
+    coeffs[r], a CycloInt, multiplies T**r, coeffs[0] = 1,
+    degree = a*d + a*b + b*c."""
 
-    __slots__ = ("params", "p", "atilde", "lam_code", "coeffs")
+    __slots__ = ("atilde", "coeffs")
 
-    def __init__(self, params, p, atilde, lam_code, coeffs):
-        self.params = params
-        self.p = p
+    def __init__(self, atilde, coeffs):
         self.atilde = atilde
-        self.lam_code = lam_code
         self.coeffs = coeffs
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-
-def coefficients_from_power_sums(sums, one):
-    """Coefficients one, c_1, ..., c_n of prod(1 - alpha T) from the power
-    sums S_k = sum alpha**k, k = 1..n, by Newton's identities
-
-        m c_m = -(S_1 c_{m-1} + S_2 c_{m-2} + ... + S_m c_0).
-
-    The values' / by an int carries the exactness check, if any.
-    """
-    coeffs = [one]
-    for m in range(1, len(sums) + 1):
-        acc = sums[0] * coeffs[m - 1]
-        for k in range(2, m + 1):
-            acc = acc + sums[k - 1] * coeffs[m - k]
-        coeffs.append(-acc / m)
-    return coeffs
 
 
 def sums_needed(degree):
@@ -271,7 +252,7 @@ def l_polynomial(series):
     [(sign, j)] = units
     lead = CycloInt.from_int(p, sign * q ** n).times_zeta(j)
     A += [lead * A[s].conj() / q ** (2 * s) for s in reversed(range(n - len(sums)))]
-    return LPolynomial(params, p, series.atilde, series.lam_code, tuple(A))
+    return LPolynomial(series.atilde, tuple(A))
 
 
 def count_l_polynomial(params, p, lam_code, atilde=1):
@@ -283,16 +264,11 @@ def count_l_polynomial(params, p, lam_code, atilde=1):
 
 
 def predict_sum(lpoly, k):
-    """S_k as forced by the polynomial alone, via the power sum recurrence."""
-    A = lpoly.coeffs
-    zero = CycloInt.zero(lpoly.p)
-    s = [zero]  # s[0] unused
-    for i in range(1, k + 1):
-        acc = (A[i] if i < len(A) else zero) * (-i)
-        for j in range(1, i):
-            acc = acc - s[j] * (A[i - j] if i - j < len(A) else zero)
-        s.append(acc)
-    return s[k]
+    """S_k, k >= 1, as forced by the polynomial alone: power_sums of its
+    coefficients."""
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
+    return power_sums(lpoly.coeffs, k)[-1]
 
 
 def newton_polygon(lpoly):

@@ -24,6 +24,23 @@ def zeta_power(p, t):
     return CycloInt(p, (-1,) * (p - 1))
 
 
+def mul_mod_monic(x, y, modulus):
+    """x * y reduced by long division by a monic modulus g_0, ..., g_(n-1), 1
+    over Z: the full product first, then its top term cancelled against g
+    until fewer than n coordinates remain, padded to n. The reference for
+    fold_mul."""
+    n = len(modulus) - 1
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    while len(out) > n:
+        top = out.pop()
+        for j, g in enumerate(modulus[:n]):
+            out[len(out) - n + j] -= top * g
+    return out + [0] * (n - len(out))
+
+
 def exp_sum_direct(params, p, lam_code, k, atilde=1):
     """S_k by brute enumeration of the torus, with no generator, log table
     or orbit rows: the reference for exp_sum. One field product a cell."""

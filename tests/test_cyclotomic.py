@@ -36,14 +36,18 @@ def test_zeta_has_order_p():
 coeffs5 = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
 @settings(max_examples=100, deadline=None)
-@given(coeffs5, coeffs5, coeffs5)
-def test_ring_axioms_p5(xs, ys, zs):
-    x, y, z = (CycloInt(5, tuple(c)) for c in (xs, ys, zs))
+@given(st.data())
+def test_ring_axioms(p, data):
+    # the fold of zeta**(p-1) depends on p
+    coeffs = st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)
+    x, y, z = (CycloInt(p, tuple(data.draw(coeffs))) for _ in range(3))
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
-    assert x + (-x) == CycloInt.zero(5)
+    assert x * CycloInt.from_int(p, 1) == x
+    assert x + (-x) == CycloInt.zero(p)
 
 
 @settings(max_examples=100, deadline=None)

@@ -180,6 +180,14 @@ def test_polynomial_predicts_later_sums():
         assert predict_sum(lp, k) == ser.sums[k - 1]
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_predict_sum_refuses_k_below_one(k):
+    # S_0 is N, not a power-sum value, and a negative k indexes nothing
+    lp = l_polynomial(exp_sum_series(P1111, 3, 1, 2))
+    with pytest.raises(PreconditionError, match="k must be >= 1"):
+        predict_sum(lp, k)
+
+
 def test_lpolynomial_needs_enough_sums():
     # degree 3 needs h = 2 sums
     ser = exp_sum_series(P1111, 3, 1, 1)
@@ -222,7 +230,7 @@ def test_a_vanishing_overlap_counts_one_more_sum(monkeypatch):
     # A_2 = A_3 = 0, the whole overlap of h = 3 sums for degree 5
     P2111 = FamilyParams(2, 1, 1, 1)
     coeffs = tuple(CycloInt.from_int(3, c) for c in (1, -3, 0, 0, 81, -243))
-    synthetic = lfunction.LPolynomial(P2111, 3, 1, 1, coeffs)
+    synthetic = lfunction.LPolynomial(1, coeffs)
     asked = []
 
     def served(params, p, lam_code, k, atilde=1):
