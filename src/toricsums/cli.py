@@ -108,12 +108,13 @@ def polygon_json(poly):
 
 
 # Work bound on every command: the degree N = ad + ab + bc is the size of the
-# basis. From N near 32 to 128, connection time grows about as N**3.7 along
-# (3,k,1,1) and N**2.4 along (1,1,k,k+1), and the exact nonsingularity solve
-# takes most of it at the top. At the cap, (3,31,1,1) (N = 127) took 1.7 s
-# and 35 MB, (1,1,63,64) (N = 128) 0.40 s; (9,10,1,1) (N = 109) took 0.71 s
-# (2-core AMD EPYC KVM guest). The cap also matches the series Frobenius cap
-# N**2 * (lam_order + 1) <= 2**14 at lam_order 0.
+# basis. From N near 32 to 128, connection time grows about as N**2.3 along
+# (3,k,1,1) and N**2.0 along (1,1,k,k+1), and the nonsingularity certificate
+# mod 61-bit primes takes about half of it at the top of (3,k,1,1). At the
+# cap, (3,31,1,1) (N = 127) took 0.37 s and 30 MB, (1,1,63,64) (N = 128)
+# 0.25 s; (9,10,1,1) (N = 109) took 0.30 s (2-core Xeon KVM guest). The cap
+# also matches the series Frobenius cap N**2 * (lam_order + 1) <= 2**14 at
+# lam_order 0.
 MAX_DEGREE = 128
 
 

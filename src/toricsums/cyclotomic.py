@@ -12,7 +12,8 @@ from .exact import fold_mul, require_prime
 
 
 class CycloInt:
-    """Element of Z[zeta_p] on the power basis."""
+    """Element of Z[zeta_p] on the power basis. The constructors check p and
+    the coordinates; arithmetic builds its results through _of, unchecked."""
 
     __slots__ = ("p", "coeffs")
 
@@ -23,6 +24,15 @@ class CycloInt:
             raise PreconditionError(f"need {p - 1} coefficients, got {len(coeffs)}")
         self.p = p
         self.coeffs = coeffs
+
+    @classmethod
+    def _of(cls, p, coeffs):
+        """Wrap p - 1 int coordinates of an element of Z[zeta_p], p already
+        checked."""
+        x = cls.__new__(cls)
+        x.p = p
+        x.coeffs = tuple(coeffs)
+        return x
 
     @classmethod
     def zero(cls, p):
@@ -38,21 +48,21 @@ class CycloInt:
 
     def __add__(self, other):
         self._like(other)
-        return CycloInt(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return CycloInt._of(self.p, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._like(other)
-        return CycloInt(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return CycloInt._of(self.p, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return CycloInt(self.p, tuple(-x for x in self.coeffs))
+        return CycloInt._of(self.p, [-x for x in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloInt(self.p, tuple(x * other for x in self.coeffs))
+            return CycloInt._of(self.p, [x * other for x in self.coeffs])
         self._like(other)
         fold = [(j, -1) for j in range(self.p - 1)]  # zeta**(p-1) = -(1 + ... + zeta**(p-2))
-        return CycloInt(self.p, fold_mul(self.coeffs, other.coeffs, fold))
+        return CycloInt._of(self.p, fold_mul(self.coeffs, other.coeffs, fold))
 
     __rmul__ = __mul__
 
@@ -61,11 +71,11 @@ class CycloInt:
         every coordinate (the power basis is a Z-basis of Z[zeta_p])."""
         if any(c % n for c in self.coeffs):
             raise InvariantError(f"{self!r} is not divisible by {n} in Z[zeta_p]")
-        return CycloInt(self.p, tuple(c // n for c in self.coeffs))
+        return CycloInt._of(self.p, [c // n for c in self.coeffs])
 
     def _fold(self, full):
         """The element sum full[i] zeta**i, i < p, on the power basis."""
-        return CycloInt(self.p, [c - full[-1] for c in full[:-1]])
+        return CycloInt._of(self.p, [c - full[-1] for c in full[:-1]])
 
     def conj(self):
         """Image under zeta -> zeta**-1, complex conjugation in every embedding."""

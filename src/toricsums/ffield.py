@@ -5,8 +5,8 @@ The modulus is the monic irreducible of degree k whose coefficient tuple has
 the smallest integer encoding sum(c_i * p**i), so every run builds the same
 field and the same generator. `field_tower(p, k)` hands every caller the one
 FieldTower of each (p, k) it asks for; a tower holds O(k) ints (its modulus,
-basis traces and, once asked for, its generator) and no tables, so the memo
-grows by that much per field. Multiplication is exact.fold_mul with the
+basis traces and, once asked for, its generator), k more per subfield
+embedded into it, and no tables, so the memo grows by that much per field. Multiplication is exact.fold_mul with the
 fixed relation t**k = -sum(f_j t**j), and the basis traces are the power
 sums of the modulus's roots from exact.power_sums: the ring product and the
 Newton recurrence that the other routes share. Fp is the prime field as a
@@ -68,7 +68,7 @@ class Fp:
             return NotImplemented
         if o % self.p == 0:
             raise InvariantError("division by a multiple of p in characteristic p")
-        return Fp(self.p, self.n * pow(o, self.p - 2, self.p))
+        return Fp(self.p, self.n * pow(o, -1, self.p))
 
     def __bool__(self):
         return self.n != 0
@@ -205,6 +205,7 @@ class FieldTower:
         # t**k = sum(c * t**j) over the pairs (j, c) with c = -f_j mod p nonzero
         self._fold = tuple((j, -f % p) for j, f in enumerate(self.modulus[:k]) if f)
         self._generator = None
+        self._subfield_roots = {}  # deg -> the least-code root of find_irreducible(p, deg)
 
     def element(self, coeffs):
         cs = [c % self.p for c in coeffs]
@@ -303,11 +304,38 @@ class FieldTower:
             cur = self.mul(cur, g)
         raise PreconditionError("log scan failed")  # unreachable
 
+    def _subfield_root(self, deg):
+        """The least-code root in this field of the modulus of F_{p^deg},
+        found on the first call for deg and kept. Its roots are deg
+        conjugates r, r**p, ..., all in the subfield {0} and the powers of
+        h = g**((q - 1)/(p**deg - 1)), g the generator: the powers of h are
+        scanned for one root, and the least code among its conjugates wins."""
+        root = self._subfield_roots.get(deg)
+        if root is None:
+            sub_modulus = find_irreducible(self.p, deg)
+            h = self.pow(self.generator(), (self.q - 1) // (self.p ** deg - 1))
+            x = self.one
+            for _ in range(self.p ** deg - 1):
+                acc = self.zero
+                for c in reversed(sub_modulus):
+                    acc = self.add(self.mul(acc, x), self.embed_prime(c))
+                if acc == self.zero:
+                    break
+                x = self.mul(x, h)
+            else:
+                raise InvariantError("no root of the subfield modulus")  # unreachable
+            conjugates = [x]
+            for _ in range(deg - 1):
+                conjugates.append(self.frobenius(conjugates[-1]))
+            root = self._subfield_roots[deg] = min(conjugates, key=self.to_code)
+        return root
+
     def embed_subfield_code(self, p, deg, code):
         """Embed an element of F_{p^deg} (given by its integer encoding in that
         field's own representation) into this field. deg must divide k. For
         deg = 1 the code is read as a residue mod p; for deg > 1 it must lie
-        in [0, p**deg)."""
+        in [0, p**deg), and its digits are the coordinates on the powers of
+        the least-code root of the modulus of F_{p^deg}."""
         if self.p != p or self.k % deg != 0:
             raise PreconditionError("not a subfield")
         if deg == 1:
@@ -315,20 +343,7 @@ class FieldTower:
         if not 0 <= code < p ** deg:
             raise PreconditionError(
                 f"element code {code} of F_{p}^{deg} is outside [0, {p ** deg})")
-        sub_modulus = find_irreducible(p, deg)
-        root = None
-        for cand_code in range(self.q):
-            x = self.from_code(cand_code)
-            acc = self.zero
-            xp = self.one
-            for c in sub_modulus:
-                acc = self.add(acc, self.mul(self.embed_prime(c), xp))
-                xp = self.mul(xp, x)
-            if acc == self.zero:
-                root = x
-                break
-        if root is None:
-            raise PreconditionError("no root of subfield modulus")  # unreachable
+        root = self._subfield_root(deg)
         acc = self.zero
         rp = self.one
         for cc in _digits(code, p, deg):
@@ -341,5 +356,5 @@ class FieldTower:
 def field_tower(p, k):
     """The one FieldTower(p, k) that every caller shares: its generator is
     searched for once per (p, k), not once per caller. The memo keeps every
-    tower asked for, each O(k) ints."""
+    tower asked for, each O(k) ints and k per subfield embedded into it."""
     return FieldTower(p, k)

@@ -5,8 +5,10 @@ relations are generated by (bc, ad, ab), the cross product of the two rows
 of the exponent matrix. Its entries are the block sizes of the ordinary
 differential operator satisfied by the periods, and their sum is the
 order. The operator has the split shape f0(theta) - L**(ab) with f0 a
-product of linear factors, listed once by _factors; the log-series solver
-below exploits the split shape, one pass per class of indicial roots.
+product of linear factors, listed once by _factors with integer
+coefficients: f0 is their product over Z, divided once by a**(bc) * b**(ad).
+The log-series solver below exploits the split shape, one pass per class of
+indicial roots.
 """
 
 from collections import Counter
@@ -65,32 +67,31 @@ class ThetaOperator:
         return lead.terms[0]
 
 
-def _mul_linear(coeffs, alpha, beta):
-    """Multiply a theta-polynomial (Fraction list) by (alpha*theta - beta)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for j, co in enumerate(coeffs):
-        out[j + 1] += alpha * co
-        out[j] -= beta * co
-    return out
-
-
 def _factors(params):
-    """One (alpha, beta) per linear factor alpha*theta - beta of f0: bc factors
-    of slope c/a, ad of slope d/b and ab of slope 1, each block's betas 0, 1, ..."""
+    """One integer pair (alpha, beta) per linear factor alpha*theta - beta:
+    bc factors c*theta - a*i, ad factors d*theta - b*j and ab factors
+    theta - k, each block's i, j, k = 0, 1, .... Their product over
+    a**(bc) * b**(ad) is f0."""
     a, b, c, d = params.a, params.b, params.c, params.d
-    return ([(Fraction(c, a), Fraction(i)) for i in range(b * c)]
-            + [(Fraction(d, b), Fraction(j)) for j in range(a * d)]
-            + [(Fraction(1), Fraction(k)) for k in range(a * b)])
+    return ([(c, a * i) for i in range(b * c)] + [(d, b * j) for j in range(a * d)]
+            + [(1, k) for k in range(a * b)])
 
 
 def picard_fuchs_operator(params):
-    """The order ad+ab+bc operator annihilating the periods of the family."""
-    coeffs = [Fraction(1)]
+    """The order ad+ab+bc operator annihilating the periods of the family.
+    The integer factors are multiplied over Z, and the product is divided
+    once by a**(bc) * b**(ad) as the coefficients are formed."""
+    coeffs = [1]
     for alpha, beta in _factors(params):
-        coeffs = _mul_linear(coeffs, alpha, beta)
+        out = [0] * (len(coeffs) + 1)
+        for j, co in enumerate(coeffs):
+            out[j + 1] += alpha * co
+            out[j] -= beta * co
+        coeffs = out
     if len(coeffs) != params.degree + 1:
         raise InvariantError("operator order does not match the family degree")
-    theta_coeffs = [Laurent({0: co}) for co in coeffs]
+    den = params.a ** (params.b * params.c) * params.b ** (params.a * params.d)
+    theta_coeffs = [Laurent({0: Fraction(co, den)}) for co in coeffs]
     theta_coeffs[0] = theta_coeffs[0] - Laurent({params.a * params.b: Fraction(1)})
     return ThetaOperator(tuple(theta_coeffs))
 
@@ -120,7 +121,7 @@ def companion_matrix(params):
 
 def indicial_roots(params):
     """Roots of the L -> 0 indicial polynomial, with multiplicity, sorted."""
-    return sorted(beta / alpha for alpha, beta in _factors(params))
+    return sorted(Fraction(beta, alpha) for alpha, beta in _factors(params))
 
 
 def _taylor_coefficients(poly, s):

@@ -1,8 +1,9 @@
 """Laurent polynomials in the deformation L, and exact linear solves.
 
 Laurent and solve_linear take any exact field elements supporting +, -, *,
-/, == and bool (False exactly for zero): fractions.Fraction, and the pi-adic
-scalar type of the Frobenius computation. Laurent is the scalar of the
+/, == and bool (False exactly for zero): fractions.Fraction, ffield.Fp, and
+the pi-adic scalar type of the Frobenius computation. Laurent also takes
+Python ints wherever no quotient is formed, as the connection check does. Laurent is the scalar of the
 reduction engine wherever the deformation stays a variable: the rewrites
 divide only by integers, by pi and by L, so every coordinate is a Laurent
 polynomial and no gcd is ever needed. No quotient is formed either: the

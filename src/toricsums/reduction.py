@@ -33,16 +33,20 @@ deformation operator also needs S.theta(), which only Laurent has.
 
 connection_matrix solves nothing over Q(L): it checks the GKZ companion
 matrix by substitution against the derivative flag built from basis_connection.
-B and F are mostly zero, so the flag recurrence and the substitution form
-only products of two nonzero entries, and the nonsingularity of F is decided
-by forward elimination alone over Q, at a few integer values of L, by the
-zero-skipping ratfunc.solve_linear.
+Past the reduction of B, the check runs on Python ints: the flag and the
+companion row each carry one denominator, and B and F are mostly zero, so
+the flag recurrence and the substitution form only products of two nonzero
+entries. The nonsingularity of F is decided exactly, at a few integer values
+of L, by a certificate mod 61-bit primes: forward elimination alone by the
+zero-skipping ratfunc.solve_linear over ffield.Fp.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm, prod
 
 from .errors import InvariantError
+from .ffield import Fp
 from .gkz import companion_matrix
 from .hodge import basis_set, rewrite_axis, weight_units
 from .ratfunc import Laurent, add_term, solve_linear
@@ -276,19 +280,34 @@ def basis_connection(params, pi, lam):
     return [[col[u] for col in cols] for u in basis]
 
 
+def _common_denominator(values):
+    """lcm of the coefficient denominators of Laurent values over Z or Q."""
+    return lcm(*(c.denominator for s in values for c in s.terms.values()))
+
+
+def _cleared(s, m):
+    """m * s over Z, for m a multiple of every coefficient denominator of s."""
+    return Laurent._of({e: c.numerator * (m // c.denominator) for e, c in s.terms.items()})
+
+
 def flag_columns(params, count):
-    """Basis coordinates over Q[L, 1/L] (pi = 1) of (L d/dL + L x**mu)**j . 1,
-    j < count: that operator commutes with D1 and D2, so F_(j+1) = theta F_j + B F_j.
-    Each row of B is kept by its nonzero entries, and a product is formed
-    only where the entry of F_j is nonzero too."""
+    """Basis coordinates over Z[L, 1/L] (pi = 1) of (L d/dL + L x**mu)**j . 1,
+    j < count, on one denominator: (delta, F') with flag j = F'_j / delta**j,
+    delta the lcm of the coefficient denominators of B (1 whenever
+    c = d = 1). The operator commutes with D1 and D2, so
+    F_(j+1) = theta F_j + B F_j, which over Z reads
+    F'_(j+1) = delta theta F'_j + (delta B) F'_j. Each row of delta B is kept
+    by its nonzero entries, and a product is formed only where the entry of
+    F'_j is nonzero too."""
     B = basis_connection(params, 1, Laurent({1: Fraction(1)}))
-    rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    F = [[Laurent({0: Fraction(1)}) if v == (0, 0) else Laurent() for v in basis_set(params)]]
+    delta = _common_denominator(b for row in B for b in row)
+    rows = [[(j, _cleared(b, delta)) for j, b in enumerate(row) if b] for row in B]
+    F = [[Laurent({0: 1}) if v == (0, 0) else Laurent() for v in basis_set(params)]]
     for _ in range(count - 1):
         prev = F[-1]
-        F.append([s.theta() + sum((b * prev[j] for j, b in row if prev[j]), Laurent())
+        F.append([s.theta() * delta + sum((b * prev[j] for j, b in row if prev[j]), Laurent())
                   for s, row in zip(prev, rows)])
-    return F
+    return delta, F
 
 
 def connection_matrix(params):
@@ -297,42 +316,103 @@ def connection_matrix(params):
     Rows follow the companion convention: row i says theta of period i is
     period i+1 for i < N-1. The last row c, from the GKZ companion matrix,
     is checked by substitution: F c == t for F the first N flag_columns and
-    t the last, and F is nonsingular, so c = F**-1 t. A failed check raises
-    InvariantError naming the first row of F c = t that fails, or the
-    singular flag. The rows are polynomials in L (Laurent over Fraction).
+    t the last, and F is nonsingular, so c = F**-1 t. Both checks run over
+    Z: with kappa the lcm of the denominators of c, F c = t times
+    kappa delta**N reads sum_j delta**(N-j) F'_j (kappa c_j) = kappa F'_N. A
+    failed check raises InvariantError naming the first row of F c = t that
+    fails, or the singular flag. The rows are polynomials in L (Laurent over
+    Fraction).
     """
     n = params.degree
-    F, rows = flag_columns(params, n + 1), companion_matrix(params)
-    last = [(j, c) for j, c in enumerate(rows[-1]) if c]
+    (delta, F), rows = flag_columns(params, n + 1), companion_matrix(params)
+    kappa = _common_denominator(rows[-1])
+    last = [(j, _cleared(c, kappa) * delta ** (n - j)) for j, c in enumerate(rows[-1]) if c]
     for i, v in enumerate(basis_set(params)):
-        if sum((F[j][i] * c for j, c in last if F[j][i]), Laurent()) != F[n][i]:
+        if sum((F[j][i] * c for j, c in last if F[j][i]), Laurent()) != F[n][i] * kappa:
             raise InvariantError(
                 f"row {i} of F c = t (basis monomial {v}) fails for the last "
                 f"row c of the companion matrix")
-    _check_nonsingular(F[:n])  # its columns: det F = det F**T
+    _check_nonsingular(F[:n])  # its columns, flag j times delta**j: det F = det F**T
     return rows
+
+
+_PRIMES = []  # the certificate primes found so far, descending from 2**61 - 1
+
+
+def _is_prime(n):
+    """Miller-Rabin to the bases 2, 3, ..., 37, deterministic for odd
+    n < 3.3 * 10**24."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if base % n == 0:
+            return True
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _certificate_primes():
+    """The 61-bit primes in descending order from 2**61 - 1, each found once
+    per process and kept. There are about 2**54 of them, far more than any
+    certificate reaches."""
+    k = 0
+    while True:
+        if k == len(_PRIMES):
+            n = _PRIMES[-1] - 2 if _PRIMES else 2 ** 61 - 1
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[k]
+        k += 1
 
 
 def _check_nonsingular(F):
     """Raise InvariantError unless det F != 0, for F a square matrix of
-    Laurent values over Fraction. Row i times L**-(its lowest exponent) has
-    degree at most its exponent span, so det F is a power of L times a
-    polynomial of degree at most S, the sum of the spans: det F != 0 exactly
-    when F(L0) is nonsingular for one of L0 = 1, ..., S + 1. Each F(L0) goes
-    to solve_linear with no right-hand side, so only its forward elimination
-    runs, and it skips every zero multiplier and zero pivot-row entry."""
-    span = 0
+    Laurent values over Z or Q. Row i times L**-(its lowest exponent) and
+    times the lcm of its denominators is a row of integer polynomials of
+    degree at most its exponent span, so det F is a nonzero rational times a
+    power of L times det M, M that integer matrix, a polynomial of degree at
+    most S, the sum of the spans: det F != 0 exactly when M(L0) is
+    nonsingular for one of L0 = 1, ..., S + 1.
+
+    det M(L0) != 0 is decided by a certificate mod primes P, the small-primes
+    determinant of von zur Gathen and Gerhard (Modern Computer Algebra,
+    ch. 5) used only to decide det != 0. The nonzero entries of M(L0) go mod
+    the 61-bit primes of _certificate_primes, in order, to solve_linear with
+    no right-hand side, so only its forward elimination runs, and it skips
+    every zero multiplier and zero pivot-row entry. The first P where it
+    finds no singularity proves det M(L0) != 0. det M(L0) = 0 is declared
+    only once the product of the primes tried exceeds twice the Hadamard
+    bound on |det M(L0)|."""
+    span, rows = 0, []
     for row in F:
         exps = [e for s in row for e in s.terms]
-        span += max(exps, default=0) - min(exps, default=0)
+        lo = min(exps, default=0)
+        span += max(exps, default=0) - lo
+        den = _common_denominator(row)
+        rows.append((lo, [_cleared(s, den) for s in row]))
     for x in range(1, span + 2):
-        at = [[sum((c * Fraction(x) ** e for e, c in s.terms.items()), Fraction(0))
-               for s in row] for row in F]
-        try:
-            solve_linear(at, [], one=Fraction(1))
-            return
-        except InvariantError:
-            pass
+        M = [[sum(c * x ** (e - lo) for e, c in s.terms.items()) for s in row] for lo, row in rows]
+        tried, hadamard2 = 1, None  # the product of the primes tried; the squared bound
+        for P in _certificate_primes():
+            try:
+                solve_linear([[Fp(P, v) if v else 0 for v in row] for row in M], [], one=Fp(P, 1))
+                return
+            except InvariantError:
+                pass
+            tried *= P
+            if hadamard2 is None:
+                hadamard2 = prod(sum(v * v for v in row) for row in M)
+            if tried * tried > 4 * hadamard2:
+                break
     raise InvariantError(
         f"the derivative flag is singular: det F vanishes at L = 1, ..., {span + 1}")
-

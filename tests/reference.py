@@ -6,11 +6,11 @@ from itertools import permutations
 
 from toricsums.cyclotomic import CycloInt
 from toricsums.exact import mat_mul
-from toricsums.ffield import FieldTower
+from toricsums.ffield import FieldTower, find_irreducible
 from toricsums.frobenius import PiAdic, _min_ord
 from toricsums.gkz import _taylor_coefficients, picard_fuchs_operator
 from toricsums.hodge import basis_set
-from toricsums.ratfunc import add_term
+from toricsums.ratfunc import Laurent, add_term
 from toricsums.lfunction import coefficients_from_power_sums
 
 
@@ -57,6 +57,26 @@ def exp_sum_direct(params, p, lam_code, k, atilde=1):
     return sum((n * zeta_power(p, t) for t, n in enumerate(counts)), CycloInt.zero(p))
 
 
+def embed_subfield_code_by_scan(tower, p, deg, code):
+    """FieldTower.embed_subfield_code for deg > 1 with the root of the
+    subfield modulus found by scanning the codes of the tower from 0, on
+    every call: the reference for the kept least-code root."""
+    sub_modulus = find_irreducible(p, deg)
+    for cand_code in range(tower.q):
+        x = tower.from_code(cand_code)
+        acc, xp = tower.zero, tower.one
+        for c in sub_modulus:
+            acc = tower.add(acc, tower.mul(tower.embed_prime(c), xp))
+            xp = tower.mul(xp, x)
+        if acc == tower.zero:
+            break
+    acc, rp = tower.zero, tower.one
+    for i in range(deg):
+        acc = tower.add(acc, tower.mul(tower.embed_prime(code // p ** i % p), rp))
+        rp = tower.mul(rp, x)
+    return acc
+
+
 def basis_traces_by_frobenius(tower):
     """Tr(t**j) for j < k as t**j + (t**j)**p + ... + (t**j)**(p**(k-1)),
     k - 1 Frobenius powers a basis element: the reference for
@@ -70,6 +90,27 @@ def basis_traces_by_frobenius(tower):
         assert not any(acc[1:]), "trace landed outside the prime field"
         traces.append(acc[0])
     return tuple(traces)
+
+
+def picard_fuchs_by_fraction_factors(params):
+    """theta coefficients of the Picard-Fuchs operator as the product of
+    the Fraction factors (c/a) theta - i, (d/b) theta - j and theta - k,
+    one Fraction product per coefficient and factor, less L**(ab): the
+    reference for gkz.picard_fuchs_operator."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    factors = ([(Fraction(c, a), Fraction(i)) for i in range(b * c)]
+               + [(Fraction(d, b), Fraction(j)) for j in range(a * d)]
+               + [(Fraction(1), Fraction(k)) for k in range(a * b)])
+    coeffs = [Fraction(1)]
+    for alpha, beta in factors:
+        out = [Fraction(0)] * (len(coeffs) + 1)
+        for j, co in enumerate(coeffs):
+            out[j + 1] += alpha * co
+            out[j] -= beta * co
+        coeffs = out
+    theta = [Laurent({0: co}) for co in coeffs]
+    theta[0] = theta[0] - Laurent({a * b: Fraction(1)})
+    return theta
 
 
 def apply_operator_to_log_series(params, sol):

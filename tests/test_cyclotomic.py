@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricsums.cyclotomic import CycloInt, ord_q, pi_valuation
-from toricsums.errors import InvariantError
+from toricsums.errors import InvariantError, PreconditionError
 
 from reference import zeta_power
 
@@ -48,6 +48,23 @@ def test_ring_axioms(p, data):
     assert x * y == y * x
     assert x * CycloInt.from_int(p, 1) == x
     assert x + (-x) == CycloInt.zero(p)
+
+
+@pytest.mark.parametrize("make", [lambda: CycloInt(4, (1, 2, 3)), lambda: CycloInt.zero(9),
+                                  lambda: CycloInt.from_int(1, 5)])
+def test_every_constructor_refuses_a_composite_p(make):
+    with pytest.raises(PreconditionError, match="is not prime"):
+        make()
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs5, coeffs5, st.integers(-12, 12))
+def test_arithmetic_results_are_the_checked_values(xs, ys, j):
+    # results skip the constructor's checks, and still hold p - 1 ints
+    x, y = CycloInt(5, tuple(xs)), CycloInt(5, tuple(ys))
+    for z in (x + y, x - y, -x, x * y, x * j, j * x, (x * 6) / 3, x.conj(), x.times_zeta(j)):
+        assert z == CycloInt(5, z.coeffs)
+        assert type(z.coeffs) is tuple and all(type(c) is int for c in z.coeffs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,12 @@
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import basis_traces_by_frobenius
-from toricsums.errors import PreconditionError
+from reference import basis_traces_by_frobenius, embed_subfield_code_by_scan
+from toricsums.errors import InvariantError, PreconditionError
+from toricsums import reduction
 from toricsums.ffield import FieldTower, Fp, _pmod, _pmul, field_tower, find_irreducible
 
 
@@ -89,6 +92,16 @@ def test_subfield_embedding_respects_arithmetic():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("p,k,deg", [(2, 2, 2), (2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 2, 2),
+                                     (3, 4, 2), (3, 6, 2), (3, 6, 3), (5, 4, 2), (7, 2, 2)])
+def test_subfield_embedding_is_the_least_code_root_scan(p, k, deg):
+    # the root kept per (tower, deg), found among the powers of the
+    # subfield's generator, is the one the scan of every code meets first
+    tw = FieldTower(p, k)
+    for code in range(p ** deg):
+        assert tw.embed_subfield_code(p, deg, code) == embed_subfield_code_by_scan(tw, p, deg, code)
+
+
 def test_prime_field_embedding_is_identity_on_codes():
     tw = FieldTower(7, 1)
     for n in range(7):
@@ -155,3 +168,17 @@ def test_prime_field_values_of_different_primes_do_not_combine():
         with pytest.raises(PreconditionError, match="mixed prime-field operands"):
             op(b)
     assert a + 3 == 3 + a == Fp(5, 0) and a * Fp(5, 3) == Fp(5, 1)
+
+
+CERTIFICATE_PRIMES = list(islice(reduction._certificate_primes(), 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CERTIFICATE_PRIMES), st.integers(-2 ** 130, 2 ** 130),
+       st.integers(-2 ** 130, 2 ** 130))
+def test_division_inverts_multiplication_at_61_bit_primes(P, x, y):
+    assume(y % P)
+    assert Fp(P, x) / Fp(P, y) * Fp(P, y) == Fp(P, x)
+    assert Fp(P, x) / y * y == Fp(P, x)
+    with pytest.raises(InvariantError, match="division by a multiple of p"):
+        Fp(P, x) / (y * P)

@@ -16,7 +16,7 @@ from toricsums.gkz import (
     relation_lattice,
 )
 
-from reference import apply_operator_to_log_series
+from reference import apply_operator_to_log_series, picard_fuchs_by_fraction_factors
 
 
 def params_strategy():
@@ -50,6 +50,16 @@ def test_operator_hand_example():
     assert got[1] == {}
     assert got[0] == {2: Fraction(-1)}
     assert leading_kappa(P) == Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params_strategy())
+def test_the_integer_operator_is_the_fraction_factor_product(P):
+    # one product over Z and one division by a**(bc) b**(ad), against the
+    # product of the factors (c/a) theta - i, (d/b) theta - j, theta - k
+    op = picard_fuchs_operator(P)
+    assert op.theta_coeffs == tuple(picard_fuchs_by_fraction_factors(P))
+    assert all(type(c) is Fraction for s in op.theta_coeffs for c in s.terms.values())
 
 
 def test_operator_simplest_family():

@@ -2,13 +2,14 @@
 
 import pytest
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import islice, product
+from math import gcd, lcm, prod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricsums import reduction
 from toricsums.errors import InvariantError, PreconditionError
+from toricsums.exact import require_prime
 from toricsums.ffield import Fp
 from toricsums.family import FamilyParams
 from toricsums.frobenius import Column, PiAdic, _entry, teichmuller_lift
@@ -27,6 +28,8 @@ from toricsums.reduction import (
     reduce_to_basis,
     verify_certificate,
 )
+
+from reference import det_leibniz
 
 PARAMS_POOL = [
     FamilyParams(1, 1, 1, 1),
@@ -295,7 +298,7 @@ def test_flag_columns_triangular_shape():
     # coordinate matrix against the ordered basis is lower triangular with
     # nonzero diagonal for this family; column j of F is flag j
     P = FamilyParams(1, 1, 1, 1)
-    F = flag_columns(P, 3)
+    _, F = flag_columns(P, 3)
     for i in range(3):
         assert F[i][i]
         for j in range(i + 1, 3):
@@ -305,17 +308,20 @@ def test_flag_columns_triangular_shape():
 @pytest.mark.parametrize("tup", [
     (1, 1, 1, 1), (2, 3, 1, 1), (2, 1, 1, 3), (1, 1, 3, 2), (1, 1, 2, 5)])
 def test_flag_columns_match_the_reduced_representatives(tup):
-    # the recurrence F_(j+1) = theta F_j + B F_j against a direct reduction
-    # of each representative (L d/dL + L x**mu)**j . 1; the families cover
-    # all four in-box rewrite shapes
+    # the integer recurrence F'_(j+1) = delta theta F'_j + (delta B) F'_j
+    # against delta**j times a direct reduction of each representative
+    # (L d/dL + L x**mu)**j . 1; the families cover all four in-box rewrite
+    # shapes, and delta is 1 when c = d = 1
     P = FamilyParams(*tup)
     n = P.degree
     reps = flag_representatives(P, 1, L, n + 1)
-    cols = flag_columns(P, n + 1)
+    delta, cols = flag_columns(P, n + 1)
     assert len(cols) == len(reps) == n + 1
-    for col, r in zip(cols, reps):
+    assert (delta == 1) == (P.c == P.d == 1)
+    for j, (col, r) in enumerate(zip(cols, reps)):
         coords = reduce_to_basis(r, P, 1, L).coords
-        assert col == [coords[v] for v in basis_set(P)]
+        assert col == [coords[v] * delta ** j for v in basis_set(P)]
+        assert all(type(c) is int for s in col for c in s.terms.values())
 
 
 @pytest.mark.parametrize("tup", [(2, 1, 1, 1), (1, 1, 3, 2)])
@@ -360,6 +366,100 @@ def test_a_flag_singular_everywhere_names_every_point_tried():
     # det [[L, L**2], [1, L]] = 0; the row spans are 1 and 1, so S = 2
     with pytest.raises(InvariantError, match=r"det F vanishes at L = 1, \.\.\., 3$"):
         reduction._check_nonsingular([[L, L * L], [ONE, L]])
+
+
+def _primes_tried(monkeypatch):
+    """The list that records the prime of every solve_linear call the
+    certificate makes."""
+    real, tried = reduction.solve_linear, []
+
+    def recorded(A, B, *, one):
+        tried.append(one.p)
+        return real(A, B, one=one)
+
+    monkeypatch.setattr(reduction, "solve_linear", recorded)
+    return tried
+
+
+def test_a_determinant_equal_to_the_first_prime_passes_on_the_second(monkeypatch):
+    P1, P2 = islice(reduction._certificate_primes(), 2)
+    tried = _primes_tried(monkeypatch)
+    reduction._check_nonsingular([[ONE * P1, Laurent()], [Laurent(), ONE]])
+    assert tried == [P1, P2]
+
+
+def test_a_singular_flag_is_declared_only_past_twice_the_hadamard_bound(monkeypatch):
+    # det [[c, c], [c, c]] = 0 with c = 2**200: the Hadamard bound is 2 c**2,
+    # so the primes tried must multiply past 4 c**2 before L = 1 is given up
+    c = 2 ** 200
+    tried = _primes_tried(monkeypatch)
+    with pytest.raises(InvariantError, match=r"det F vanishes at L = 1, \.\.\., 1$"):
+        reduction._check_nonsingular([[ONE * c, ONE * c], [ONE * c, ONE * c]])
+    assert tried == list(islice(reduction._certificate_primes(), len(tried)))
+    assert prod(tried) > 4 * c * c > prod(tried[:-1])
+
+
+# the least strong pseudoprimes to all of the first k prime bases, k = 1..9
+# (k = 7 and 8 share one); the last lies above 2**61
+PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5 * 10 ** 8).map(lambda k: 2 * k + 1))
+@example(3)
+@example(37)
+@example(561)  # a Carmichael number
+def test_the_certificate_primality_test_agrees_with_trial_division(n):
+    try:
+        require_prime(n)
+        expected = True
+    except PreconditionError:
+        expected = False
+    assert reduction._is_prime(n) == expected
+
+
+def test_the_certificate_primes_descend_from_the_largest_61_bit_prime():
+    assert not any(map(reduction._is_prime, PSEUDOPRIMES))
+    primes = list(islice(reduction._certificate_primes(), 30))
+    assert primes[0] == 2 ** 61 - 1 and all(p.bit_length() == 61 for p in primes)
+    for hi, lo in zip(primes, primes[1:]):
+        assert not any(map(reduction._is_prime, range(lo + 2, hi, 2)))
+
+
+@st.composite
+def flag_matrices(draw):
+    """Square matrices of size 1..4 of Laurent values with int or Fraction
+    coefficients, about half of them zero, made singular on some draws by a
+    repeated row times a constant or a zero column."""
+    n = draw(st.integers(1, 4))
+
+    def laurent(e1, c1, den, e2, c2):  # c1/den L**e1 + c2 L**e2, an int where den = 1
+        return Laurent({e1: Fraction(c1, den) if den > 1 else c1}) + Laurent({e2: c2})
+
+    entry = st.one_of(st.just(Laurent()), st.builds(
+        laurent, st.integers(-1, 2), st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]),
+        st.integers(-1, 2), st.integers(-2, 2)))
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    how = draw(st.integers(0, 4))
+    if how == 0 and n > 1:
+        i, k = draw(st.permutations(range(n)))[:2]
+        A[i] = [s * draw(st.integers(1, 3)) for s in A[k]]
+    elif how == 1:
+        j = draw(st.integers(0, n - 1))
+        for row in A:
+            row[j] = Laurent()
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_matrices())
+def test_the_certificate_refuses_exactly_the_singular_flags(A):
+    if det_leibniz(A):
+        reduction._check_nonsingular(A)
+    else:
+        with pytest.raises(InvariantError, match="det F vanishes at L = 1, "):
+            reduction._check_nonsingular(A)
 
 
 def _column(entries, m=1):
